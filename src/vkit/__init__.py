@@ -9,8 +9,7 @@ from .measures import (Coupling, FiniteMeasure, barycentric_distance,
                        common_mass_coupling, convex_combine, dirac, wasserstein)
 from .metric import (Cover, FiniteMetricSpace, cover_elements_containing,
                      distance_to_complement, space_from_points, validate_metric)
-from .persistence import (BoundaryMatrix, PersistenceDiagram, betti_at,
-                          compute_diagram, diagram_distance)
+from .persistence import PersistenceDiagram, betti_at, compute_diagram, diagram_distance
 from .straightening import (CertificationLog, Labeling, SampledMap,
                             SimplexwiseAffineMap, choose_p, intersection_mass_bound,
                             label_simplices, linearize, prism_retract, pump_vertex,

@@ -11,16 +11,16 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .complexes import build_cech, build_vr
+from .complexes import ComplexTooLarge, build_cech, build_vr
 from .fk import FKTriangulation, build_fk
 from .generators import GENERATORS
 from .measures import FiniteMeasure
@@ -39,18 +39,6 @@ EXIT_INPUT = 2
 EXIT_PIPELINE = 3
 
 FK_CELL_GUARD = 10 ** 6
-
-
-def thread_cap() -> int:
-    """Parallelism cap from VKIT_THREADS; all current paths are serial, so a
-    cap of 1 is always honored, but the variable is validated here."""
-    raw = os.environ.get("VKIT_THREADS")
-    if raw is None:
-        return 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("VKIT_THREADS must be a positive integer")
-    return cap
 
 
 @dataclass
@@ -89,7 +77,10 @@ def cmd_persist(cfg: RunConfig) -> int:
         return _fail_input("persistence needs --kmax >= 1")
     r = cfg.r if cfg.r is not None else math.inf
     builder = build_cech if cfg.filtration == "cech" else build_vr
-    K = builder(space, r, cfg.kmax)
+    try:
+        K = builder(space, r, cfg.kmax)
+    except ComplexTooLarge as exc:
+        return _fail_input(str(exc))
     diagram = compute_diagram(K, max_dim=cfg.kmax - 1)
     out = _outdir(cfg)
     (out / "diagram.csv").write_text(diagram.to_csv())
@@ -143,6 +134,9 @@ def _map_from_spec(spec: dict) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}; have {sorted(GENERATORS)}")
         kwargs = {k: v for k, v in spec.items() if k != "generator"}
+        unknown = sorted(set(kwargs) - set(inspect.signature(GENERATORS[name]).parameters))
+        if unknown:
+            raise ValueError(f"generator {name!r} takes no parameter(s) {unknown}")
         return GENERATORS[name](**kwargs)
     if "points" in spec:
         space = space_from_points(spec["points"])
@@ -258,7 +252,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    thread_cap()
     args = make_parser().parse_args(argv)
     cfg = RunConfig(command=args.command)
     for name in ("input", "input_kind", "filtration", "r", "kmax", "n", "res",

@@ -9,8 +9,10 @@ strictly below r, so one built complex serves all thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, repeat
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .metric import Cover, CoverKind, FiniteMetricSpace, UnboundedCover
 from .measures import FiniteMeasure
@@ -52,9 +54,7 @@ class FilteredComplex:
 
     def sublevel(self, r: float) -> list[tuple[Simplex, float]]:
         """Simplices with value strictly below r, in filtration order."""
-        items = [(s, v) for s, v in self.simplices.items() if v < r]
-        items.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-        return items
+        return [(s, v) for s, v in self.in_filtration_order() if v < r]
 
     def in_filtration_order(self) -> list[tuple[Simplex, float]]:
         items = list(self.simplices.items())
@@ -83,6 +83,57 @@ def is_simplex(K: FilteredComplex, S: Iterable[int]) -> bool:
     return K.is_simplex(S)
 
 
+class ComplexTooLarge(ValueError):
+    """A clique expansion would build more simplices than the guard allows."""
+
+
+# Candidates one expansion level may score: at ~300 bytes a simplex, ~300 MB.
+PERSIST_SIMPLEX_GUARD = 10 ** 6
+
+
+def _expand(space: FiniteMetricSpace, r: float, k_max: int,
+            seed: Callable, rule: Callable) -> FilteredComplex:
+    """Lower-neighbour clique expansion (Zomorodian 2010) under a value rule.
+
+    Level 1 scores every pair; level k extends each kept (k-1)-simplex s by
+    the vertices u < min(s) that are kept neighbours of every vertex of s.
+    Vertex j enters at 0 carrying the state ``seed(j)``, and
+    ``rule(s, state, us)`` returns the values of the extensions (u,) + s
+    and the states they carry.  An extension is kept iff its value is
+    strictly below r.  More than PERSIST_SIMPLEX_GUARD candidates in one
+    level raise ComplexTooLarge before the level is scored.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    simps: dict[Simplex, float] = {}
+    if r <= 0.0:
+        return FilteredComplex(simps, k_max, space)
+    n = space.n_points
+    frontier = [((j,), seed(j)) for j in range(n)]
+    simps.update((s, 0.0) for s, _ in frontier)
+    below: list = [range(j) for j in range(n)]      # every pair is a candidate edge
+    for dim in range(1, k_max + 1):
+        candidates = [sorted(set(below[s[0]]).intersection(*(below[v] for v in s[1:])))
+                      for s, _ in frontier]
+        count = sum(map(len, candidates))
+        if count > PERSIST_SIMPLEX_GUARD:
+            raise ComplexTooLarge(
+                f"{count} candidate {dim}-simplices exceed the guard {PERSIST_SIMPLEX_GUARD}")
+        nxt = []
+        for (s, state), us in zip(frontier, candidates):
+            values, states = rule(s, state, us)
+            for u, value, st in zip(us, values, states):
+                if value < r:
+                    ext = (u,) + s
+                    simps[ext] = value
+                    if dim < k_max:         # the last level's states are not needed
+                        nxt.append((ext, st))
+        if dim == 1:
+            below = [{u for u in range(j) if (u, j) in simps} for j in range(n)]
+        frontier = nxt
+    return FilteredComplex(simps, k_max, space)
+
+
 def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
     """Open Vietoris-Rips complex: subsets with diameter strictly below r.
 
@@ -91,36 +142,13 @@ def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
     come from lower-neighbor expansion of the graph.  Returns the empty
     complex for r <= 0.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    simps: dict[Simplex, float] = {}
-    if r <= 0.0:
-        return FilteredComplex(simps, k_max, space)
-    n = space.n_points
-    for i in range(n):
-        simps[(i,)] = 0.0
-    lower: dict[int, list[int]] = {i: [] for i in range(n)}  # neighbors below i
-    if k_max >= 1:
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = space.d(i, j)
-                if d < r:
-                    simps[(i, j)] = d
-                    lower[j].append(i)
-    frontier = [s for s in simps if len(s) == 2]
-    for _ in range(2, k_max + 1):
-        nxt: list[Simplex] = []
-        for s in frontier:
-            common = set(lower[s[0]])
-            for v in s[1:]:
-                common &= set(lower[v])
-            for u in sorted(common):
-                ext = (u,) + s
-                val = max(simps[s], max(space.d(u, v) for v in s))
-                simps[ext] = val
-                nxt.append(ext)
-        frontier = nxt
-    return FilteredComplex(simps, k_max, space)
+    D = space.dist.tolist()
+
+    def diameter(s: Simplex, diam: float, us: list[int]):
+        values = list(map(max, repeat(diam), *([D[v][u] for u in us] for v in s)))
+        return values, values
+
+    return _expand(space, r, k_max, lambda j: 0.0, diameter)
 
 
 def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
@@ -130,43 +158,16 @@ def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComple
     is present at scale r iff that value is strictly below r.  Candidate
     simplices are cliques of the 1-skeleton (witness values are monotone
     under inclusion, so every face of a kept simplex was already kept).
+    Each simplex s carries its witness profile w_s = max_{x in s} D[x, :],
+    so the candidates u are scored at once as min_z max(w_s, D[u])[z].
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    simps: dict[Simplex, float] = {}
-    if r <= 0.0:
-        return FilteredComplex(simps, k_max, space)
-    n = space.n_points
-    pts = range(n)
+    D = space.dist
 
-    def witness_value(sub: Simplex) -> float:
-        return min(max(space.d(z, x) for x in sub) for z in pts)
+    def witness(s: Simplex, profile: np.ndarray, us: list[int]):
+        profiles = np.maximum(profile, D[us])
+        return profiles.min(axis=1).tolist(), profiles
 
-    for i in pts:
-        simps[(i,)] = 0.0
-    lower: dict[int, list[int]] = {i: [] for i in pts}
-    if k_max >= 1:
-        for i in pts:
-            for j in range(i + 1, n):
-                v = witness_value((i, j))
-                if v < r:
-                    simps[(i, j)] = v
-                    lower[j].append(i)
-    frontier = [s for s in simps if len(s) == 2]
-    for _ in range(2, k_max + 1):
-        nxt: list[Simplex] = []
-        for s in frontier:
-            common = set(lower[s[0]])
-            for v in s[1:]:
-                common &= set(lower[v])
-            for u in sorted(common):
-                ext = (u,) + s
-                val = witness_value(ext)
-                if val < r:
-                    simps[ext] = val
-                    nxt.append(ext)
-        frontier = nxt
-    return FilteredComplex(simps, k_max, space)
+    return _expand(space, r, k_max, lambda j: D[j], witness)
 
 
 def build_vietoris(space: FiniteMetricSpace, cov: Cover, k_max: int) -> FilteredComplex:

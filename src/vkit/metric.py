@@ -11,7 +11,6 @@ exist only through the membership predicate :func:`cover_elements_containing`.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,6 +51,12 @@ class NonzeroDiagonal(MetricValidationError):
     def __init__(self, i: int):
         self.i = i
         super().__init__(f"dist[{i}][{i}] != 0")
+
+
+class NonFinite(MetricValidationError):
+    def __init__(self, name: str, index: tuple[int, ...], value: float):
+        self.index, self.value = index, value
+        super().__init__(f"{name}{''.join(f'[{i}]' for i in index)} = {value!r} is not finite")
 
 
 class TriangleViolation(MetricValidationError):
@@ -102,49 +107,51 @@ class FiniteMetricSpace:
         sub = self.dist[np.ix_(idx, idx)]
         return float(sub.max())
 
-    def set_distance(self, a: Iterable[int], b: Iterable[int]) -> float:
-        """min d(x, y) over x in a, y in b; +inf if either side is empty."""
-        ia, ib = list(a), list(b)
-        if not ia or not ib:
-            return math.inf
-        return float(self.dist[np.ix_(ia, ib)].min())
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
+        raise NonFinite(name, index, float(values[index]))
 
 
 def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray,
                     coords: np.ndarray | None = None) -> FiniteMetricSpace:
     """Validate a square matrix as a (pseudo)metric and wrap it.
 
-    Checks, in order: squareness, zero diagonal, symmetry, nonnegativity,
-    triangle inequality.  Raises the structured error for the first
-    violation found (row-major scan).  Coincident points are accepted and
-    flagged via ``is_pseudometric``.
+    Checks, in order: finiteness, squareness, zero diagonal, symmetry,
+    nonnegativity, triangle inequality.  Raises the structured error for
+    the first violation a row-major (i, j, k) scan finds.  Coincident
+    points are accepted and flagged via ``is_pseudometric``.
     """
     m = np.asarray(dist, dtype=np.float64)
+    _check_finite("dist", m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         rows = m.shape[0] if m.ndim >= 1 else 0
         cols = m.shape[1] if m.ndim >= 2 else 0
         raise NonSquare(rows, cols)
     n = m.shape[0]
-    for i in range(n):
-        if m[i, i] != 0.0:
-            raise NonzeroDiagonal(i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] != m[j, i]:
-                raise NonSymmetric(i, j)
-            if m[i, j] < 0.0:
-                raise NegativeDistance(i, j)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            tol = TRIANGLE_TOL * max(1.0, float(m[i, j]))
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if m[i, j] > m[i, k] + m[k, j] + tol:
-                    raise TriangleViolation(i, j, k)
-    pseudo = any(m[i, j] == 0.0 for i in range(n) for j in range(i + 1, n))
+    bad = np.flatnonzero(np.diag(m) != 0.0)
+    if len(bad):
+        raise NonzeroDiagonal(int(bad[0]))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    asym = m != m.T
+    bad = np.argwhere(upper & (asym | (m < 0.0)))
+    if len(bad):
+        i, j = (int(x) for x in bad[0])
+        raise NonSymmetric(i, j) if asym[i, j] else NegativeDistance(i, j)
+    # The waypoints k = i and k = j never fire: the diagonal is zero, so
+    # the right side is m[i, j] + tol >= m[i, j].
+    tol = TRIANGLE_TOL * np.maximum(1.0, m)
+    bad = np.zeros((n, n), dtype=bool)
+    for k in range(n):
+        bad |= m > (m[:, k, None] + m[k]) + tol
+    bad = np.argwhere(bad)
+    if len(bad):
+        i, j = (int(x) for x in bad[0])
+        via = m[i, j] > (m[i] + m[:, j]) + tol[i, j]
+        raise TriangleViolation(i, j, int(np.argmax(via)))
+    pseudo = bool((m[upper] == 0.0).any())
     return FiniteMetricSpace(dist=m, coords=coords, is_pseudometric=pseudo)
 
 
@@ -153,6 +160,7 @@ def space_from_points(coords: Sequence[Sequence[float]] | np.ndarray) -> FiniteM
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
+    _check_finite("coords", pts)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     dist = (dist + dist.T) / 2.0
@@ -348,12 +356,3 @@ def load_space_csv(path, kind: str = "auto") -> FiniteMetricSpace:
         if np.allclose(np.diag(m), 0.0) and np.array_equal(m, m.T):
             return validate_metric(rows)
     return space_from_points(rows)
-
-
-def load_cover_json(path, space: FiniteMetricSpace) -> Cover:
-    """Explicit cover from a JSON list of index arrays."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError("cover JSON must be a list of index arrays")
-    return Cover.explicit(space, data)

@@ -1,11 +1,12 @@
 """Persistent homology over Z/2 of filtered complexes, plus diagram metrics.
 
 Two independent computation routes are kept deliberately separate: the
-standard column reduction of the boundary matrix (:func:`compute_diagram`)
-and plain Gaussian-elimination Betti numbers of strict sublevel complexes
-(:func:`betti_at`), used as the oracle for the former.  Sublevels follow
-the open convention: a simplex with value b is present at scale r iff
-b < r, so an interval born at b is populated only for r > b.
+coboundary reduction with clearing and emergent pairs of Bauer's Ripser
+(:func:`compute_diagram`; over a field cohomology has the pairs of
+homology) and plain Gaussian-elimination Betti numbers of strict sublevel
+complexes (:func:`betti_at`), used as the oracle for the former.
+Sublevels follow the open convention: a simplex with value b is present
+at scale r iff b < r, so an interval born at b is populated only for r > b.
 
 Diagrams are undecorated (birth, death) multisets; with the open
 convention the decorations would differ from the closed one, and nothing
@@ -66,75 +67,74 @@ class PersistenceDiagram:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Z/2 boundary matrix in filtration order (value, then dim, then lex).
+def _filtration_layers(K: FilteredComplex, top: int) -> list[list[tuple[float, Simplex]]]:
+    """(value, simplex) pairs of each dimension 0..top in filtration order,
+    (value, then dim, then lex), which within one dimension is (value, lex)."""
+    layers: list[list[tuple[float, Simplex]]] = [[] for _ in range(top + 1)]
+    for s, v in K.simplices.items():
+        if len(s) <= top + 1:
+            layers[len(s) - 1].append((v, s))
+    return [sorted(layer) for layer in layers]
 
-    Column j holds the row indices of the codimension-1 faces of the j-th
-    simplex.  The ordering ties are broken lexicographically so reduction
-    is deterministic.
-    """
 
-    simplices: tuple[Simplex, ...]
-    values: tuple[float, ...]
-    columns: tuple[frozenset[int], ...]
-
-    @staticmethod
-    def from_complex(K: FilteredComplex, max_dim: int) -> "BoundaryMatrix":
-        items = [(s, v) for s, v in K.in_filtration_order() if len(s) <= max_dim + 2]
-        index = {s: i for i, (s, _) in enumerate(items)}
-        cols = []
-        for s, _ in items:
-            if len(s) == 1:
-                cols.append(frozenset())
-            else:
-                cols.append(frozenset(index[f] for f in combinations(s, len(s) - 1)))
-        return BoundaryMatrix(tuple(s for s, _ in items),
-                              tuple(v for _, v in items),
-                              tuple(cols))
+def _cofaces(layer: list, upper: list) -> list[list[int]]:
+    """For each simplex of ``layer``, the positions in ``upper`` of its
+    cofaces, ascending, so the first entry is its earliest coface."""
+    index = {s: i for i, (_, s) in enumerate(layer)}
+    cofaces: list[list[int]] = [[] for _ in layer]
+    for j, (_, t) in enumerate(upper):
+        for f in combinations(t, len(t) - 1):
+            cofaces[index[f]].append(j)
+    return cofaces
 
 
 def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of the filtration, dimensions 0 through max_dim.
 
-    Standard left-to-right column reduction: a column that reduces to zero
-    creates a class at its simplex's value; a surviving column destroys the
-    class created by its pivot row.  Zero-length intervals are discarded,
-    unpaired creators die at +inf.
+    Reduces the coboundary matrix one dimension d at a time, taking the
+    d-simplices in reverse filtration order; a column's pivot is its
+    earliest coface.  Clearing skips the d-simplices that died in
+    dimension d-1 (their columns reduce to zero), and an emergent pair, a
+    column whose pivot has no owner yet, is paired without copying it.  A
+    pair (s, t) is the interval [value(s), value(t)); zero-length ones are
+    discarded, and a column reducing to zero is an essential class.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     if K.k_max < max_dim + 1:
         raise SkeletonTooShallow(
             f"need the {max_dim + 1}-skeleton, complex capped at {K.k_max}")
-    bm = BoundaryMatrix.from_complex(K, max_dim)
-    n = len(bm.simplices)
-    cols: list[set[int]] = [set(c) for c in bm.columns]
-    pivot_owner: dict[int, int] = {}
-    for j in range(n):
-        col = cols[j]
-        while col:
-            low = max(col)
-            owner = pivot_owner.get(low)
-            if owner is None:
-                pivot_owner[low] = j
-                break
-            col ^= cols[owner]
-    destroyed = set(pivot_owner)
+    layers = _filtration_layers(K, max_dim + 1)
     intervals = []
-    for low, j in pivot_owner.items():
-        dim = len(bm.simplices[low]) - 1
-        if dim > max_dim:
-            continue
-        birth, death = bm.values[low], bm.values[j]
-        if birth != death:
-            intervals.append((dim, birth, death))
-    for i in range(n):
-        if cols[i] or i in destroyed:
-            continue
-        dim = len(bm.simplices[i]) - 1
-        if dim <= max_dim:
-            intervals.append((dim, bm.values[i], INF))
+    died: set[int] = set()
+    for d in range(max_dim + 1):
+        layer, upper = layers[d], layers[d + 1]
+        cofaces = _cofaces(layer, upper)
+        owner: dict[int, int] = {}
+        reduced: dict[int, set[int]] = {}
+        for i in range(len(layer) - 1, -1, -1):
+            if i in died:
+                continue
+            col = cofaces[i]
+            if col and col[0] not in owner:
+                owner[col[0]] = i
+                continue
+            col = set(col)
+            while col:
+                pivot = min(col)
+                k = owner.get(pivot)
+                if k is None:
+                    owner[pivot] = i
+                    reduced[i] = col
+                    break
+                col.symmetric_difference_update(reduced.get(k, cofaces[k]))
+            else:
+                intervals.append((d, layer[i][0], INF))
+        for j, i in owner.items():
+            birth, death = layer[i][0], upper[j][0]
+            if birth != death:
+                intervals.append((d, birth, death))
+        died = set(owner)
     return PersistenceDiagram.of(intervals)
 
 
@@ -198,21 +198,28 @@ def betti_at(K: FilteredComplex, r: float, dim: int) -> int:
 
 def _bipartite_max_matching(n_left: int, n_right: int,
                             adj: list[list[int]]) -> int:
+    """Maximum matching size by Kuhn's augmenting paths, searched depth-first
+    on explicit stacks so that long paths cannot hit the recursion limit."""
     match_r = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] == -1 or augment(match_r[v], seen):
-                    match_r[v] = u
-                    return True
-        return False
-
     size = 0
-    for u in range(n_left):
-        if augment(u, [False] * n_right):
-            size += 1
+    for root in range(n_left):
+        seen = [False] * n_right
+        stack = [(root, iter(adj[root]))]   # left vertices of the alternating path
+        via: list[int] = []                 # via[k] joins stack[k] to stack[k + 1]
+        while stack:
+            v = next((v for v in stack[-1][1] if not seen[v]), None)
+            if v is None:                   # dead end: back up one left vertex
+                stack.pop()
+                del via[len(stack) - 1:]
+                continue
+            seen[v] = True
+            if match_r[v] == -1:            # free right vertex: flip the path
+                for (u, _), w in zip(stack, via + [v]):
+                    match_r[w] = u
+                size += 1
+                break
+            via.append(v)
+            stack.append((match_r[v], iter(adj[match_r[v]])))
     return size
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from vkit.cli import main, make_parser
@@ -50,6 +52,27 @@ class TestPersist:
         csv.write_text("0,1,3\n1,0,1\n3,1,0\n")
         assert main(["persist", "--input", str(csv), "--input-kind", "matrix",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("row, named", [("nan,1", "nan"), ("inf,1", "inf")])
+    def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys, row, named):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"0,0\n{row}\n1,1\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["persist", "--input", str(csv), "--out", str(out)]) == 2
+        assert f"coords[1][0] = {named} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_guard_refuses_before_building(self, tmp_path, capsys):
+        # 100 points with --kmax 3 would build about 3.9 million tetrahedra
+        csv = tmp_path / "cloud.csv"
+        rng = np.random.default_rng(0)
+        np.savetxt(csv, rng.uniform(0, 1, size=(100, 2)), delimiter=",")
+        code = main(["persist", "--input", str(csv), "--kmax", "3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "3921225 candidate 3-simplices exceed the guard" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path, square_csv):
         outs = []
@@ -109,6 +132,12 @@ class TestStraighten:
         out = tmp_path / "out"
         assert main(["straighten", "--input", str(path), "--out", str(out)]) == 0
 
+    def test_unknown_generator_parameter_is_an_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "bogus": 1}))
+        assert main(["straighten", "--input", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+
     def test_failing_generator_exits_three(self, tmp_path):
         spec = tmp_path / "map.json"
         spec.write_text(json.dumps({"generator": "spread"}))
@@ -143,6 +172,13 @@ class TestVerify:
         bad.write_text("0,1,3\n1,0,1\n3,1,0\n")
         assert main(["verify", "--trials", "0", "--input", str(bad),
                      "--input-kind", "matrix"]) == 1
+
+
+class TestEnvironment:
+    def test_no_thread_variable_is_read(self, monkeypatch, tmp_path, square_csv):
+        # every path is serial, so no thread count is read from the environment
+        monkeypatch.setenv("VKIT_THREADS", "abc")
+        assert main(["persist", "--input", str(square_csv), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestParser:

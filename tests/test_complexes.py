@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from vkit.complexes import (RealizationPoint, build_cech, build_vietoris,
-                            build_vr, is_simplex)
+from vkit import complexes
+from vkit.complexes import (ComplexTooLarge, RealizationPoint, build_cech,
+                            build_vietoris, build_vr, is_simplex)
 from vkit.measures import FiniteMeasure
 from vkit.metric import Cover, space_from_points
 from vkit.oracles import cech_subset_scan, vr_subset_scan
@@ -77,6 +78,29 @@ class TestBuildCech:
             C = build_cech(space, r, 3)
             V = build_vr(space, 2.0 * r, 3)
             assert set(C.simplices) <= set(V.simplices)
+
+
+class TestExpansionAtTwelvePoints:
+    """Both builders share one expansion; check it past the small random
+    spaces above, where cliques of four vertices are common."""
+
+    @pytest.mark.parametrize("r", [0.9, 1.4, math.inf])
+    def test_vr_matches_subset_scan(self, rng, r):
+        space = random_space(rng, min_points=12, max_points=12)
+        assert dict(build_vr(space, r, 3).simplices) == vr_subset_scan(space, r, 3)
+
+    @pytest.mark.parametrize("r", [0.6, 1.0, math.inf])
+    def test_cech_matches_subset_scan(self, rng, r):
+        space = random_space(rng, min_points=12, max_points=12)
+        assert dict(build_cech(space, r, 3).simplices) == cech_subset_scan(space, r, 3)
+
+    def test_guard_counts_candidates_before_building(self, rng, monkeypatch):
+        # 10 points at r = inf: 45 edges, 120 triangles, 210 tetrahedra
+        space = random_space(rng, min_points=10, max_points=10)
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 200)
+        assert len(build_cech(space, math.inf, 2)) == 10 + 45 + 120
+        with pytest.raises(ComplexTooLarge, match="210 candidate 3-simplices"):
+            build_vr(space, math.inf, 3)
 
 
 class TestBuildVietoris:

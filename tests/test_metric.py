@@ -5,10 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkit.metric import (Cover, EmptySet, NegativeDistance, NonSymmetric,
-                         NonzeroDiagonal, TriangleViolation,
-                         cover_elements_containing, distance_to_complement,
-                         space_from_points, validate_metric)
+from vkit.metric import (TRIANGLE_TOL, Cover, EmptySet, MetricValidationError,
+                         NegativeDistance, NonFinite, NonSymmetric, NonzeroDiagonal,
+                         TriangleViolation, cover_elements_containing,
+                         distance_to_complement, space_from_points,
+                         validate_metric)
+
+
+def reference_first_violation(m):
+    """The row-major scan validate_metric must agree with: the class and
+    indices of the first violation, or None."""
+    n = m.shape[0]
+    for i in range(n):
+        if m[i, i] != 0.0:
+            return NonzeroDiagonal, (i,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i, j] != m[j, i]:
+                return NonSymmetric, (i, j)
+            if m[i, j] < 0.0:
+                return NegativeDistance, (i, j)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            tol = TRIANGLE_TOL * max(1.0, float(m[i, j]))
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if m[i, j] > m[i, k] + m[k, j] + tol:
+                    return TriangleViolation, (i, j, k)
+    return None
+
+
+def raised(m):
+    try:
+        validate_metric(m)
+    except MetricValidationError as err:
+        return type(err), tuple(getattr(err, a) for a in "ijk" if hasattr(err, a))
+    return None
 
 
 class TestValidateMetric:
@@ -43,6 +78,35 @@ class TestValidateMetric:
     def test_collinear_grid_points_validate(self):
         # true equality cases of the triangle inequality may round 1 ulp over
         space_from_points([[0, 0], [1, 1], [2, 2], [3, 3]])
+
+    def test_first_violation_matches_the_reference_scan(self, rng):
+        kinds = ["diagonal", "asymmetric", "negative", "stretch", "shrink"]
+        seen = set()
+        for trial in range(200):
+            n = int(rng.integers(3, 10))
+            m = space_from_points(rng.uniform(0, 2, size=(n, 2))).dist.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+                kind = kinds[int(rng.integers(len(kinds)))]
+                if kind == "diagonal":
+                    m[i, i] = 0.5
+                elif kind == "asymmetric":
+                    m[i, j] += 1e-9
+                elif kind == "negative":
+                    m[i, j] = m[j, i] = -0.25
+                else:   # break the triangle inequality from above or below
+                    m[i, j] = m[j, i] = m[i, j] * (4.0 if kind == "stretch" else 0.01)
+            want = reference_first_violation(m)
+            assert raised(m) == want
+            seen.add(None if want is None else want[0])
+        assert seen >= {NonzeroDiagonal, NonSymmetric, NegativeDistance, TriangleViolation}
+
+    def test_non_finite_entries_are_named(self):
+        with pytest.raises(NonFinite, match=r"dist\[0\]\[1\] = nan"):
+            validate_metric([[0, float("nan")], [float("nan"), 0]])
+        with pytest.raises(NonFinite, match=r"coords\[1\]\[0\] = inf") as err:
+            space_from_points([[0.0, 0.0], [math.inf, 1.0]])
+        assert err.value.index == (1, 0)
 
     @given(st.integers(2, 8), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

@@ -1,12 +1,14 @@
 import math
+import sys
 from itertools import combinations
 
 import pytest
 
-from vkit.complexes import build_cech, build_vr
-from vkit.metric import space_from_points
-from vkit.persistence import (INF, BoundaryMatrix, PersistenceDiagram,
-                              SkeletonTooShallow, betti_at, compute_diagram,
+from vkit.complexes import build_cech, build_vietoris, build_vr
+from vkit.metric import Cover, space_from_points
+from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow,
+                              _bipartite_max_matching, _cofaces,
+                              _filtration_layers, betti_at, compute_diagram,
                               diagram_distance)
 from vkit.verify import random_space
 
@@ -49,14 +51,21 @@ class TestComputeDiagram:
         with pytest.raises(SkeletonTooShallow):
             compute_diagram(K, 1)
 
-    def test_boundary_matrix_respects_filtration_order(self, square):
+    def test_coboundary_order_follows_the_filtration(self, square):
         K = build_vr(square, math.inf, 2)
-        bm = BoundaryMatrix.from_complex(K, 1)
-        values = list(bm.values)
-        assert values == sorted(values)
-        for j, col in enumerate(bm.columns):
-            assert all(i < j for i in col)
-            assert len(col) in (0, len(bm.simplices[j]))
+        layers = _filtration_layers(K, 2)
+        order = [s for s, _ in K.in_filtration_order()]
+        for d, layer in enumerate(layers):
+            # each layer is the filtration order restricted to its dimension
+            assert [s for _, s in layer] == [s for s in order if len(s) == d + 1]
+            assert all(K.simplices[s] == v for v, s in layer)
+        for layer, upper in zip(layers, layers[1:]):
+            cofaces = _cofaces(layer, upper)
+            for (_, s), cols in zip(layer, cofaces):
+                # ascending, so the first entry is the earliest coface
+                assert cols == sorted(cols)
+                assert [upper[j][1] for j in cols] == \
+                    [t for _, t in upper if set(s) < set(t)]
 
 
 class TestBettiAt:
@@ -85,6 +94,51 @@ class TestBettiAt:
             for r in probes:
                 for dim in (0, 1):
                     assert alive_count(D, dim, r) == betti_at(K, r, dim)
+
+
+def assert_matches_oracle(K, max_dim, probes):
+    D = compute_diagram(K, max_dim)
+    for r in probes:
+        for dim in range(max_dim + 1):
+            assert alive_count(D, dim, r) == betti_at(K, r, dim), (r, dim)
+
+
+def midpoint_probes(K):
+    crit = sorted(set(K.simplices.values()))
+    return [(a + b) / 2 for a, b in zip(crit, crit[1:])] + [crit[-1] + 1.0]
+
+
+class TestReductionAgainstOracle:
+    """compute_diagram against betti_at beyond full clique complexes."""
+
+    def test_vietoris_complexes_of_random_covers(self, rng):
+        for _ in range(30):
+            space = random_space(rng, max_points=8)
+            n = space.n_points
+            elements = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
+                                          replace=False).tolist())
+                        for _ in range(int(rng.integers(1, 7)))]
+            elements += [[i] for i in range(n)]
+            K = build_vietoris(space, Cover.explicit(space, elements), 3)
+            assert_matches_oracle(K, 2, [0.0, 1.0])
+
+    def test_truncated_vr_and_cech(self, rng):
+        for _ in range(20):
+            space = random_space(rng, max_points=8)
+            r = float(rng.uniform(0.3, 2.0))
+            for K in (build_vr(space, r, 3), build_cech(space, r, 3)):
+                if len(K):
+                    assert_matches_oracle(K, 2, midpoint_probes(K))
+
+    def test_grid_ties_follow_the_open_convention(self):
+        # integer grids tie many edges at 1, sqrt 2, 2, ...; probing at the
+        # critical values themselves checks that a simplex with value c is
+        # absent at scale c
+        for cols, rows in ((3, 3), (4, 3), (4, 4)):
+            grid = space_from_points([[x, y] for y in range(rows) for x in range(cols)])
+            for K in (build_vr(grid, math.inf, 2), build_cech(grid, math.inf, 2)):
+                crit = sorted(set(K.simplices.values()))
+                assert_matches_oracle(K, 1, crit + midpoint_probes(K))
 
 
 class TestOpenConvention:
@@ -152,6 +206,13 @@ class TestBottleneck:
             D1 = PersistenceDiagram.of([(0, b, d) for b, d in A])
             D2 = PersistenceDiagram.of([(0, b, d) for b, d in B])
             assert diagram_distance(D1, D2) == pytest.approx(brute(A, B), abs=1e-12)
+
+    def test_long_augmenting_path_does_not_recurse(self):
+        # left i < N prefers right i and may move to right i + 1; left N
+        # only fits right 0, so its augmenting path crosses all N pairs
+        N = sys.getrecursionlimit() + 100
+        adj = [[i, i + 1] for i in range(N)] + [[0]]
+        assert _bipartite_max_matching(N + 1, N + 1, adj) == N + 1
 
     def test_stability_smoke(self, rng):
         import numpy as np
