@@ -15,7 +15,6 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,24 +40,8 @@ EXIT_PIPELINE = 3
 FK_CELL_GUARD = 10 ** 6
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    input_kind: str = "auto"
-    filtration: str = "vr"
-    r: float | None = None
-    kmax: int = 2
-    n: int = 1
-    res: int = 4
-    pmass: float | None = None
-    seed: int = DEFAULT_SEED
-    out: str = "vkit-out"
-    trials: int = 100
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
+def _outdir(args: argparse.Namespace) -> Path:
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -68,23 +51,23 @@ def _fail_input(msg: str) -> int:
     return EXIT_INPUT
 
 
-def cmd_persist(cfg: RunConfig) -> int:
+def cmd_persist(args: argparse.Namespace) -> int:
     try:
-        space = load_space_csv(cfg.input, kind=cfg.input_kind)
+        space = load_space_csv(args.input, kind=args.input_kind)
     except (OSError, ValueError, MetricValidationError) as exc:
-        return _fail_input(f"cannot load {cfg.input}: {exc}")
-    if cfg.kmax < 1:
+        return _fail_input(f"cannot load {args.input}: {exc}")
+    if args.kmax < 1:
         return _fail_input("persistence needs --kmax >= 1")
-    r = cfg.r if cfg.r is not None else math.inf
-    builder = build_cech if cfg.filtration == "cech" else build_vr
+    r = args.r if args.r is not None else math.inf
+    builder = build_cech if args.filtration == "cech" else build_vr
     try:
-        K = builder(space, r, cfg.kmax)
+        K = builder(space, r, args.kmax)
     except ComplexTooLarge as exc:
         return _fail_input(str(exc))
-    diagram = compute_diagram(K, max_dim=cfg.kmax - 1)
-    out = _outdir(cfg)
+    diagram = compute_diagram(K, max_dim=args.kmax - 1)
+    out = _outdir(args)
     (out / "diagram.csv").write_text(diagram.to_csv())
-    title = f"{cfg.filtration} persistence ({Path(cfg.input).name})"
+    title = f"{args.filtration} persistence ({Path(args.input).name})"
     (out / "diagram.svg").write_text(persistence_diagram_svg(diagram, title))
     print(f"wrote {out / 'diagram.csv'} and {out / 'diagram.svg'} "
           f"({len(diagram.intervals)} intervals)")
@@ -102,15 +85,15 @@ def _max_vertex_star(tri: FKTriangulation) -> int:
     return best
 
 
-def cmd_fk(cfg: RunConfig) -> int:
-    if cfg.n < 1 or cfg.res < 1:
-        return _fail_input("need --n >= 1 and --res >= 1")
-    if math.factorial(cfg.n) * cfg.res ** cfg.n > FK_CELL_GUARD:
-        return _fail_input(f"n! * p^n exceeds the resource guard {FK_CELL_GUARD}")
-    if cfg.n > 4:
+def cmd_fk(args: argparse.Namespace) -> int:
+    try:
+        _check_grid(args.n, args.res)
+    except ValueError as exc:
+        return _fail_input(str(exc))
+    if args.n > 4:
         return _fail_input("mesh export supports n <= 4")
-    tri = build_fk(cfg.n, cfg.res)
-    out = _outdir(cfg)
+    tri = build_fk(args.n, args.res)
+    out = _outdir(args)
     (out / "mesh.off").write_text(tri.to_off())
     first = next(tri.simplices())
     verts = tri.scaled_vertices(first)
@@ -128,46 +111,84 @@ def cmd_fk(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _map_from_spec(spec: dict) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
+def _check_grid(n, res) -> None:
+    """Refuse a grid of more than ``FK_CELL_GUARD`` simplices (n! * res^n)
+    before anything is built or sampled on it."""
+    if type(n) is not int or type(res) is not int or n < 1 or res < 1:
+        raise ValueError(f"'n' and 'res' must be integers >= 1, got {n!r} and {res!r}")
+    cells = 1
+    for k in range(1, n + 1):       # stops within a few factors, however large n is
+        cells *= k * res
+        if cells > FK_CELL_GUARD:
+            raise ValueError(f"n! * res^n exceeds the resource guard {FK_CELL_GUARD}")
+
+
+def _listed(value, types: tuple, what: str) -> list:
+    """``value`` if it is a JSON list of entries of exactly these types
+    (so ``true`` is no number); anything else is refused."""
+    if not (isinstance(value, list) and all(type(v) in types for v in value)):
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{what} must be a list of {names}, got {value!r}")
+    return value
+
+
+def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
+    if not isinstance(spec, dict):
+        raise ValueError("map spec must be a JSON object")
     if "generator" in spec:
         name = spec["generator"]
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}; have {sorted(GENERATORS)}")
         kwargs = {k: v for k, v in spec.items() if k != "generator"}
-        unknown = sorted(set(kwargs) - set(inspect.signature(GENERATORS[name]).parameters))
+        params = inspect.signature(GENERATORS[name]).parameters
+        unknown = sorted(set(kwargs) - set(params))
         if unknown:
             raise ValueError(f"generator {name!r} takes no parameter(s) {unknown}")
+        res = kwargs.get("res", params["res"].default)
+        if res is not None:             # None lets two_ball pick its small default
+            _check_grid(kwargs.get("n", params["n"].default), res)
         return GENERATORS[name](**kwargs)
-    if "points" in spec:
-        space = space_from_points(spec["points"])
-    elif "distances" in spec:
-        space = validate_metric(spec["distances"])
-    else:
+    if "points" not in spec and "distances" not in spec:
         raise ValueError("map spec needs 'generator', 'points', or 'distances'")
+    rows = _listed(spec.get("points", spec.get("distances")), (list,), "'points'/'distances'")
+    rows = [_listed(r, (int, float), "a row of 'points'/'distances'") for r in rows]
+    space = space_from_points(rows) if "points" in spec else validate_metric(rows)
     cov_spec = spec["cover"]
     if isinstance(cov_spec, dict) and "balls" in cov_spec:
-        cover = Cover.by_balls(space, float(cov_spec["balls"]))
+        radius = cov_spec["balls"]
+        if type(radius) not in (int, float):
+            raise ValueError(f"'balls' must be a radius, got {radius!r}")
+        cover = Cover.by_balls(space, radius)
     else:
-        cover = Cover.explicit(space, cov_spec)
-    n, res = int(spec["n"]), int(spec["res"])
-    tri = FKTriangulation(n, res)
+        cover = Cover.explicit(space, [_listed(e, (int,), "a cover element")
+                                       for e in _listed(cov_spec, (list,), "'cover'")])
+    n, res = spec["n"], spec["res"]
+    _check_grid(n, res)
+    vertices = spec["vertices"]
+    if not isinstance(vertices, dict) or not all(isinstance(m, dict) for m in vertices.values()):
+        raise ValueError("'vertices' must map lattice keys to {'support', 'weights'} objects")
     values = {}
-    for key, m in spec["vertices"].items():
+    for key, m in vertices.items():
         vertex = tuple(int(c) for c in key.split(","))
-        values[vertex] = FiniteMeasure(space, tuple(m["support"]), tuple(m["weights"]))
-    return space, cover, SampledMap(tri, values)
+        if ",".join(map(str, vertex)) != key:
+            raise ValueError(f"vertex key {key!r} is not of the canonical form 'i,j,...'")
+        values[vertex] = FiniteMeasure(
+            space, tuple(_listed(m.get("support"), (int,), f"vertex {key!r} support")),
+            tuple(_listed(m.get("weights"), (int, float), f"vertex {key!r} weights")))
+    return space, cover, SampledMap(FKTriangulation(n, res), values)
 
 
-def cmd_straighten(cfg: RunConfig) -> int:
+def cmd_straighten(args: argparse.Namespace) -> int:
     try:
-        with open(cfg.input) as fh:
+        with open(args.input) as fh:
             spec = json.load(fh)
         space, cover, smap = _map_from_spec(spec)
-    except (OSError, ValueError, KeyError, MetricValidationError) as exc:
-        return _fail_input(f"cannot build map from {cfg.input}: {exc}")
-    out = _outdir(cfg)
+    except (OSError, ValueError, KeyError, IndexError, MetricValidationError) as exc:
+        # IndexError: a support or cover index out of range of the space
+        return _fail_input(f"cannot build map from {args.input}: {exc}")
+    out = _outdir(args)
     try:
-        gmap, log = straighten(smap, cover, p_mass=cfg.pmass)
+        gmap, log = straighten(smap, cover, p_mass=args.pmass)
     except PipelineError as exc:
         (out / "certification.jsonl").write_text("")
         summary = {"all_pass": False, "failed_stage": exc.stage, "error": str(exc.cause)}
@@ -193,19 +214,19 @@ def cmd_straighten(cfg: RunConfig) -> int:
     return EXIT_OK if log.all_pass() else EXIT_PIPELINE
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     rows = []
-    if cfg.input is not None:
+    if args.input is not None:
         try:
-            load_space_csv(cfg.input, kind=cfg.input_kind)
+            load_space_csv(args.input, kind=args.input_kind)
             rows.append(("input-validation", 1, 0, ""))
         except (OSError, ValueError, MetricValidationError) as exc:
             rows.append(("input-validation", 1, 1, str(exc)))
             failures += 1
-    if cfg.trials == 0:
+    if args.trials == 0:
         print("warning: --trials 0 makes every randomized check vacuous", file=sys.stderr)
-    for res in run_all(cfg.seed, cfg.trials):
+    for res in run_all(args.seed, args.trials):
         rows.append((res.name, res.trials, res.failures, res.note))
         failures += res.failures
     width = max(len(r[0]) for r in rows)
@@ -240,7 +261,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("straighten", help="run the straightening pipeline on a map spec")
     p.add_argument("--input", required=True, help="JSON map spec or generator config")
     p.add_argument("--pmass", type=float, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="vkit-out")
 
     p = sub.add_parser("verify", help="run the randomized property suites")
@@ -253,18 +273,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    for name in ("input", "input_kind", "filtration", "r", "kmax", "n", "res",
-                 "pmass", "seed", "out", "trials"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
     handlers = {
         "persist": cmd_persist,
         "fk": cmd_fk,
         "straighten": cmd_straighten,
         "verify": cmd_verify,
     }
-    return handlers[cfg.command](cfg)
+    return handlers[args.command](args)
 
 
 def entry() -> None:

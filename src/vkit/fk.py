@@ -29,6 +29,14 @@ class OutOfDomain(ValueError):
     """Query point lies outside the unit cube."""
 
 
+class NoLabel(ValueError):
+    """No cover element concentrates every sample of a simplex; refine."""
+
+    def __init__(self, simplex: SimplexKey):
+        self.simplex = simplex
+        super().__init__(f"no admissible cover element for simplex {simplex}")
+
+
 @dataclass(frozen=True)
 class FKSimplex:
     """One simplex of the triangulation: base lattice point plus axis order."""
@@ -242,50 +250,54 @@ def default_resolutions(p_max: int = 1024) -> list[int]:
     return out
 
 
-def _subordinate_resolution(bitsets: np.ndarray,
-                            resolutions: Sequence[int]) -> int | None:
-    """First resolution at which every simplex-with-samples shares an element.
+def subordinate_resolution(samples: Sequence[tuple[Sequence[int], Sequence[int], int]],
+                           resolutions: Sequence[int],
+                           ) -> tuple[int, dict[SimplexKey, int]]:
+    """First resolution at which every sampled simplex shares an element,
+    with the shared bitmask of each sampled simplex.
 
-    ``bitsets`` is an n-dimensional integer array over a regular grid on the
-    cube (axis k sampled at j/(shape[k]-1)); each entry is the bitmask of
-    cover elements admissible at that sample.  Simplices containing no grid
-    sample pass vacuously, so grids should be at least as fine as the
-    resolutions being certified.
+    A sample ``(nums, dens, mask)`` is the exact point (nums[i]/dens[i])_i
+    and the bitmask of cover elements admissible there.  Simplices with no
+    sample pass vacuously, so samples should be at least as fine as the
+    resolutions.  Raises :class:`NoLabel` naming the simplex that emptied
+    at the last resolution when none works.
     """
-    n = bitsets.ndim
-    dens = [s - 1 for s in bitsets.shape]
-    if any(d < 1 for d in dens):
-        raise ValueError("grid needs at least 2 samples per axis")
+    n = len(samples[0][0])
+    emptied = None
     for p in resolutions:
         tri = FKTriangulation(n, p)
         shared: dict[SimplexKey, int] = {}
-        ok = True
-        for idx in np.ndindex(*bitsets.shape):
-            mask = int(bitsets[idx])
-            for s in tri.simplices_containing_fraction(idx, dens):
-                prev = shared.get(s.key)
-                cur = mask if prev is None else (prev & mask)
-                shared[s.key] = cur
-                if cur == 0:
-                    ok = False
+        emptied = None
+        for nums, dens, mask in samples:
+            for s in tri.simplices_containing_fraction(nums, dens):
+                shared[s.key] = shared.get(s.key, mask) & mask
+                if shared[s.key] == 0:
+                    emptied = s.key
                     break
-            if not ok:
+            if emptied is not None:
                 break
-        if ok:
-            return p
-    return None
+        if emptied is None:
+            return p, shared
+    raise NoLabel(emptied)
 
 
 def estimate_lebesgue(bitsets: np.ndarray, p_max: int = 1024,
                       resolutions: Sequence[int] | None = None) -> float:
     """Largest certified-at-samples mesh size sqrt(n)/p for the given cover data.
 
-    Sweeps resolutions coarse-to-fine (doubling by default) and returns the
-    mesh size of the first one whose every sampled simplex admits a common
-    cover element; 0 signals that none of the tested resolutions works.
+    ``bitsets`` holds the admissible-element bitmask of every sample of a
+    regular grid (axis k sampled at j/(shape[k]-1)).  Sweeps resolutions
+    coarse-to-fine (doubling by default) and returns the mesh size of the
+    first one whose every sampled simplex admits a common cover element; 0
+    signals that none of the tested resolutions works.
     """
+    dens = tuple(s - 1 for s in bitsets.shape)
+    if any(d < 1 for d in dens):
+        raise ValueError("grid needs at least 2 samples per axis")
+    samples = [(idx, dens, int(bitsets[idx])) for idx in np.ndindex(*bitsets.shape)]
     ps = list(resolutions) if resolutions is not None else default_resolutions(p_max)
-    p = _subordinate_resolution(np.asarray(bitsets), ps)
-    if p is None:
+    try:
+        p, _ = subordinate_resolution(samples, ps)
+    except NoLabel:
         return 0.0
     return math.sqrt(bitsets.ndim) / p

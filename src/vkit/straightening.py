@@ -24,22 +24,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fk import (FKTriangulation, Lattice, SimplexKey, default_resolutions,
-                 star_bound, _subordinate_resolution)
+from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, default_resolutions,
+                 star_bound, subordinate_resolution)
 from .measures import FiniteMeasure, barycentric_distance, mix
 from .metric import Cover, FiniteMetricSpace
 from .thickening import build_bump, pump, pump_homotopy, shrink_to_inner
 
 TRACK_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DENSE_DEPTH = 3
-
-
-class NoLabel(ValueError):
-    """No cover element concentrates every sample of a simplex; refine."""
-
-    def __init__(self, simplex: SimplexKey):
-        self.simplex = simplex
-        super().__init__(f"no admissible cover element for simplex {simplex}")
 
 
 class BoundViolated(ValueError):
@@ -94,6 +86,9 @@ class SampledMap:
     dense: dict[SimplexKey, tuple[tuple[Lattice, int, FiniteMeasure], ...]] | None = None
 
     def __post_init__(self):
+        off_grid = set(self.vertex_values).difference(self.tri.vertices())
+        if off_grid:
+            raise ValueError(f"vertex values off the grid, e.g. {min(off_grid)}")
         missing = [v for v in self.tri.vertices() if v not in self.vertex_values]
         if missing:
             raise ValueError(f"missing vertex values, e.g. {missing[0]}")
@@ -167,9 +162,6 @@ class Labeling:
         assert region is not None, "every vertex lies in some top simplex"
         return region
 
-    def assignment(self) -> dict[SimplexKey, object]:
-        return dict(self.ell)
-
 
 def label_simplices(smap: SampledMap, cov: Cover, p: float,
                     tri: FKTriangulation | None = None) -> Labeling:
@@ -184,33 +176,37 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     the grid and retry.
     """
     target = tri if tri is not None else smap.tri
-    fine = smap.tri
-    if fine.p % target.p != 0:
+    if smap.tri.p % target.p != 0:
         raise ValueError("labeling grid must divide the sampled grid")
-    samples: dict[SimplexKey, list[FiniteMeasure]] = {}
-    dens = (fine.p,) * fine.n
-    for v in fine.vertices():
-        mu = smap.vertex_values[v]
-        for s in target.simplices_containing_fraction(v, dens):
-            samples.setdefault(s.key, []).append(mu)
-    if smap.dense:
-        for batch in smap.dense.values():
-            for nums, den, mu in batch:
-                for s in target.simplices_containing_fraction(nums, (den,) * fine.n):
-                    samples.setdefault(s.key, []).append(mu)
+    return _sweep_labels(smap, cov, p, [target.p])
+
+
+def _sweep_labels(smap: SampledMap, cov: Cover, p: float,
+                  resolutions: Sequence[int]) -> Labeling:
+    """Labeling at the first resolution whose simplices are subordinate.
+
+    Each sample's mask (bit i: mass strictly above p on the i-th element) is
+    computed once.  Vertex samples come first, so a resolution the vertices
+    already reject is dropped before any dense sample is visited.  A simplex
+    is labelled with the lowest bit of its shared mask: the smallest-id
+    element all its samples concentrate on.
+    """
     elements = cov.enumerable_elements()
-    ell: dict[SimplexKey, object] = {}
-    for s in target.simplices():
-        samp = samples[s.key]
-        label = None
-        for eid, elem in elements:
-            if all(mu.mass_of(elem) > p for mu in samp):
-                label = eid
-                break
-        if label is None:
-            raise NoLabel(s.key)
-        ell[s.key] = label
-    return Labeling(target, cov, ell)
+
+    def mask_of(mu: FiniteMeasure) -> int:
+        return sum(1 << bit for bit, (_, elem) in enumerate(elements)
+                   if mu.mass_of(elem) > p)
+
+    fine = smap.tri
+    dens = (fine.p,) * fine.n
+    samples = [(v, dens, mask_of(smap.vertex_values[v])) for v in fine.vertices()]
+    for batch in (smap.dense or {}).values():
+        samples.extend((nums, (den,) * fine.n, mask_of(mu)) for nums, den, mu in batch)
+    res, masks = subordinate_resolution(samples, resolutions)
+    tri = FKTriangulation(fine.n, res)
+    ell = {s.key: elements[(masks[s.key] & -masks[s.key]).bit_length() - 1][0]
+           for s in tri.simplices()}
+    return Labeling(tri, cov, ell)
 
 
 def intersection_mass_bound(mu: FiniteMeasure,
@@ -292,9 +288,6 @@ class SimplexwiseAffineMap:
     values: dict[Lattice, FiniteMeasure]
     labeling: Labeling | None = None
 
-    def vertex_value(self, v: Lattice) -> FiniteMeasure:
-        return self.values[v]
-
     def evaluate(self, y: Sequence[float]) -> FiniteMeasure:
         simplex, coords = self.tri.locate(y)
         verts = simplex.vertices()
@@ -303,22 +296,25 @@ class SimplexwiseAffineMap:
                            for i in range(len(verts))])
 
 
-def linearize(values: Mapping[Lattice, FiniteMeasure],
-              lab: Labeling) -> SimplexwiseAffineMap:
+def linearize(values: Mapping[Lattice, FiniteMeasure], lab: Labeling,
+              log: CertificationLog | None = None) -> SimplexwiseAffineMap:
     """Simplexwise-affine map through the given vertex measures.
 
     Certifies, per top simplex, that the union of its vertex supports sits
     inside the assigned cover element, hence is a simplex of the Vietoris
     complex of the cover; :class:`NotSubordinate` reports the first
-    offending simplex otherwise.
+    offending simplex otherwise.  With a ``log``, every check up to and
+    including that one is recorded under the ``linearize`` stage.
     """
     for s in lab.tri.simplices():
         union: set[int] = set()
         for v in s.vertices():
             union |= values[v].support_set()
-        elem = lab.element_set(lab.ell[s.key])
-        if not union <= elem:
-            raise NotSubordinate(s.key, frozenset(union - elem))
+        offending = frozenset(union - lab.element_set(lab.ell[s.key]))
+        if log is not None:
+            log.add("linearize", _simplex_key(s.key), len(offending), 0.0, not offending)
+        if offending:
+            raise NotSubordinate(s.key, offending)
     return SimplexwiseAffineMap(lab.tri, dict(values), lab)
 
 
@@ -363,7 +359,8 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
     """End-to-end straightening of a sampled map over a cover.
 
     Stages: choose the mass threshold, sweep grid resolutions for a
-    subordinate one, label top simplices, pump every vertex, linearize.
+    subordinate one (labeling its top simplices in the same pass over the
+    samples), pump every vertex, linearize.
     The log gets one record per membership check, per track sample, per
     boundary vertex (already-subordinate boundary values must come through
     unchanged), and per simplex certificate.  Stage failures raise
@@ -377,33 +374,16 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
     if not (p_lo < p < 1.0):
         raise PipelineError("choose_p", ValueError(f"p={p} outside ({p_lo}, 1)"))
 
-    elements = cov.enumerable_elements()
-    shape = (smap.tri.p + 1,) * n
-    bitsets = np.empty(shape, dtype=object)
-    for v in smap.tri.vertices():
-        mask = 0
-        mu = smap.vertex_values[v]
-        for bit, (_, elem) in enumerate(elements):
-            if mu.mass_of(elem) > p:
-                mask |= 1 << bit
-        bitsets[v] = mask
     candidates = sorted({q for q in default_resolutions(smap.tri.p)
                          if smap.tri.p % q == 0} | {smap.tri.p})
-    res = _subordinate_resolution(bitsets, candidates)
-    if res is None:
-        log.add("estimate_lebesgue", "mesh", 0.0, 0.0, False)
-        raise PipelineError("estimate_lebesgue",
-                            NoLabel((tuple([0] * n), tuple(range(n)))))
-    log.add("estimate_lebesgue", "mesh", math.sqrt(n) / res, 0.0, True)
-
-    coarse = FKTriangulation(n, res)
-    log.add("build_fk", "simplices", coarse.simplex_count, 0.0, True)
-
     try:
-        lab = label_simplices(smap, cov, p, coarse)
+        lab = _sweep_labels(smap, cov, p, candidates)
     except NoLabel as exc:
-        log.add("label", _simplex_key(exc.simplex), 0.0, p, False)
-        raise PipelineError("label_simplices", exc)
+        log.add("estimate_lebesgue", "mesh", 0.0, 0.0, False)
+        raise PipelineError("estimate_lebesgue", exc)
+    coarse = lab.tri
+    log.add("estimate_lebesgue", "mesh", math.sqrt(n) / coarse.p, 0.0, True)
+    log.add("build_fk", "simplices", coarse.simplex_count, 0.0, True)
     for key in sorted(lab.ell):
         log.add("label", _simplex_key(key), 1.0, p, True)
 
@@ -427,17 +407,9 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
                     (not vp.identity) or drift == 0.0)
 
     try:
-        gmap = linearize(values, lab)
+        gmap = linearize(values, lab, log)
     except NotSubordinate as exc:
-        log.add("linearize", _simplex_key(exc.simplex), len(exc.offending), 0.0, False)
         raise PipelineError("linearize", exc)
-    for s in lab.tri.simplices():
-        union: set[int] = set()
-        for v in s.vertices():
-            union |= values[v].support_set()
-        elem = lab.element_set(lab.ell[s.key])
-        log.add("linearize", _simplex_key(s.key), len(union - elem), 0.0,
-                union <= elem)
     return gmap, log
 
 

@@ -272,8 +272,7 @@ def test_10_determinism(tmp_path):
         out_p = tmp_path / f"persist_{run}"
         out_s = tmp_path / f"straighten_{run}"
         assert main(["persist", "--input", str(csv), "--out", str(out_p)]) == 0
-        assert main(["straighten", "--input", str(spec), "--seed", "1729",
-                     "--out", str(out_s)]) == 0
+        assert main(["straighten", "--input", str(spec), "--out", str(out_s)]) == 0
         blobs.append(tuple((p / name).read_bytes() for p, name in
                            [(out_p, "diagram.csv"), (out_p, "diagram.svg"),
                             (out_s, "certification.jsonl"), (out_s, "summary.json")]))

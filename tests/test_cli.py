@@ -1,11 +1,17 @@
+import copy
+import functools
 import json
 import math
+import string
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vkit.cli import main, make_parser
+from vkit.cli import _map_from_spec, main, make_parser
+from vkit.generators import GENERATORS
 
 SQUARE_CSV = "0,0\n1,0\n1,1\n0,1\n"
 
@@ -152,11 +158,151 @@ class TestStraighten:
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["straighten", "--input", str(spec), "--seed", "5",
-                         "--out", str(out)]) == 0
+            assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 0
             blobs.append(((out / "certification.jsonl").read_bytes(),
                           (out / "summary.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+    def test_seed_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            make_parser().parse_args(["straighten", "--input", "x.json", "--seed", "5"])
+        assert err.value.code == 2
+
+    def test_size_guard_refuses_before_the_generator_runs(self, tmp_path, capsys, monkeypatch):
+        real = GENERATORS["two_ball"]
+
+        @functools.wraps(real)          # keeps the signature the CLI inspects
+        def never(**kwargs):
+            raise AssertionError("the generator must not run on a refused spec")
+
+        monkeypatch.setitem(GENERATORS, "two_ball", never)
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 2, "res": 5000}))
+        assert main(["straighten", "--input", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "resource guard" in capsys.readouterr().err
+
+    def test_size_guard_refuses_an_explicit_grid(self, tmp_path, capsys):
+        spec = dict(EXPLICIT_SPEC, res=10 ** 7)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "resource guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda s: s.update(vertices=[]), "'vertices'"),
+        (lambda s: s["vertices"]["0"].update(support=5), "vertex '0' support"),
+        (lambda s: s["vertices"]["0"].update(support=[3]), "support index 3 out of range"),
+        (lambda s: s.update(cover=[[0, 1], [1, 3]]), "cover element index 3 out of range"),
+        (lambda s: s["vertices"].update({"7": s["vertices"]["0"]}), "(7,)"),
+        (lambda s: s["vertices"].update({"0,0": s["vertices"]["0"]}), "(0, 0)"),
+        (lambda s: s["vertices"].update({"01": s["vertices"]["0"]}), "'01'"),
+    ])
+    def test_malformed_explicit_spec_is_an_input_error(self, tmp_path, capsys, corrupt, named):
+        spec = copy.deepcopy(EXPLICIT_SPEC)
+        corrupt(spec)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+
+EXPLICIT_SPEC = {
+    "points": [[0.0], [1.0], [2.0]],
+    "cover": [[0, 1], [1, 2]],
+    "n": 1,
+    "res": 2,
+    "vertices": {str(i): {"support": [i], "weights": [1.0]} for i in range(3)},
+}
+
+# JSON values of every type; each corruption below draws from these only
+# values that cannot stand where it puts them
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(string.ascii_letters, max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(string.ascii_letters, max_size=3), inner, max_size=3),
+    max_leaves=6)
+NOT_A_LIST = JSON.filter(lambda v: not isinstance(v, list))
+NOT_A_NUMBER = JSON.filter(lambda v: type(v) not in (int, float))
+NOT_AN_INT = JSON.filter(lambda v: type(v) is not int)
+
+
+def _with_entry(entry):
+    """A nonempty list holding ``entry`` among valid-looking integers."""
+    return st.tuples(st.lists(st.integers(0, 2), max_size=2), entry).map(
+        lambda pair: pair[0] + [pair[1]])
+
+
+def _set(path, value):
+    def corrupt(spec):
+        *parents, last = path
+        node = spec
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return corrupt
+
+
+MALFORMED = st.one_of(
+    NOT_A_LIST.map(lambda v: _set(("points",), v)),
+    _with_entry(NOT_A_NUMBER).map(lambda row: _set(("points", 1), row)),
+    NOT_A_LIST.filter(lambda v: not (isinstance(v, dict) and "balls" in v))
+    .map(lambda v: _set(("cover",), v)),
+    _with_entry(NOT_AN_INT | st.integers().filter(lambda i: not 0 <= i < 3))
+    .map(lambda e: _set(("cover", 1), e)),
+    JSON.filter(lambda v: not (type(v) is int and v == 1)).map(lambda v: _set(("n",), v)),
+    JSON.filter(lambda v: not (type(v) is int and v == 2)).map(lambda v: _set(("res",), v)),
+    NOT_A_LIST.filter(lambda v: not isinstance(v, dict)).map(lambda v: _set(("vertices",), v)),
+    JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: _set(("vertices", "1"), v)),
+    st.text(string.digits + ", -+ab", min_size=1, max_size=5)
+    .filter(lambda k: k not in ("0", "1", "2"))
+    .map(lambda k: _set(("vertices", k), {"support": [0], "weights": [1.0]})),
+    NOT_A_LIST.map(lambda v: _set(("vertices", "1", "support"), v)),
+    _with_entry(NOT_AN_INT | st.integers().filter(lambda i: not 0 <= i < 3))
+    .map(lambda s: _set(("vertices", "1", "support"), s)),
+    NOT_A_LIST.map(lambda v: _set(("vertices", "1", "weights"), v)),
+    _with_entry(NOT_A_NUMBER).map(lambda w: _set(("vertices", "1", "weights"), w)),
+)
+
+
+class TestMalformedInputFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much])
+    @given(corrupt=MALFORMED)
+    def test_every_malformed_map_spec_exits_two(self, tmp_path, corrupt):
+        spec = copy.deepcopy(EXPLICIT_SPEC)
+        corrupt(spec)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        with pytest.raises((ValueError, KeyError, IndexError)):
+            _map_from_spec(spec)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=3).map(
+               lambda r: r[:2]), min_size=2, max_size=5),
+           how=st.sampled_from(["word", "ragged", "nonfinite", "empty"]),
+           word=st.text(string.ascii_letters, min_size=1, max_size=4),
+           bad=st.sampled_from(["nan", "inf", "-inf"]),
+           at=st.integers(0, 100),
+           kind=st.sampled_from(["auto", "points", "matrix"]))
+    def test_every_malformed_csv_exits_two(self, tmp_path, rows, how, word, bad, at, kind):
+        cells = [[repr(x) for x in r] for r in rows]
+        i = at % len(cells)
+        if how == "word":
+            cells[i][at % 2] = word
+        elif how == "ragged":
+            cells[i].pop()
+        elif how == "nonfinite":
+            cells[i][at % 2] = bad
+        else:
+            cells = []
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in cells))
+        assert main(["persist", "--input", str(path), "--input-kind", kind,
+                     "--out", str(tmp_path / "o")]) == 2
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vkit.fk import FKTriangulation
+from vkit.fk import FKTriangulation, default_resolutions
 from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
                              two_ball_map)
 from vkit.measures import FiniteMeasure, dirac
@@ -205,6 +205,68 @@ class TestLinearize:
         from vkit.straightening import NotSubordinate
         with pytest.raises(NotSubordinate):
             linearize(values, lab)
+
+
+def reference_labels(smap, cov, p, tri):
+    """Smallest-id element every sample of each simplex of ``tri`` puts mass
+    above p on, gathered sample by sample; None when some simplex has none."""
+    samples = {}
+    dens = (smap.tri.p,) * smap.tri.n
+    points = [(v, dens, mu) for v, mu in smap.vertex_values.items()]
+    for batch in (smap.dense or {}).values():
+        points += [(nums, (den,) * smap.tri.n, mu) for nums, den, mu in batch]
+    for nums, pt_dens, mu in points:
+        for s in tri.simplices_containing_fraction(nums, pt_dens):
+            samples.setdefault(s.key, []).append(mu)
+    labels = {}
+    for s in tri.simplices():
+        ids = [eid for eid, elem in cov.enumerable_elements()
+               if all(mu.mass_of(elem) > p for mu in samples[s.key])]
+        if not ids:
+            return None
+        labels[s.key] = ids[0]
+    return labels
+
+
+GENERATOR_CASES = [
+    (constant_map, {}), (constant_map, {"n": 2}),
+    (sliding_dirac_map, {}), (sliding_dirac_map, {"leak": 0.05}),
+    (two_ball_map, {}), (two_ball_map, {"leak": 0.05}),
+    (two_ball_map, {"n": 2}), (two_ball_map, {"n": 2, "leak": 0.05}),
+]
+
+
+class TestResolutionSweep:
+    @pytest.mark.parametrize("gen, kwargs", GENERATOR_CASES)
+    def test_sweep_labels_match_label_simplices_and_the_reference(self, gen, kwargs):
+        _, cover, smap = gen(**kwargs)
+        p = choose_p(smap.tri.n)
+        gmap, _ = straighten(smap, cover)
+        lab = label_simplices(smap, cover, p, gmap.tri)
+        assert gmap.labeling.ell == lab.ell == reference_labels(smap, cover, p, gmap.tri)
+        # and the chosen resolution is the first one the reference can label
+        for q in default_resolutions(gmap.tri.p - 1):
+            if smap.tri.p % q == 0:
+                assert reference_labels(smap, cover, p, FKTriangulation(smap.tri.n, q)) is None
+
+    def test_dense_samples_refine_a_resolution_the_vertices_accept(self, line3):
+        # every grid vertex sits on the shared point, so the vertices alone
+        # accept resolution 1; interior samples cross from one element to
+        # the other at y = 1/2, which only resolution 2 separates
+        cov = Cover.explicit(line3, [[0, 1], [1, 2]])
+
+        def fn(y):
+            if float(y[0] * 4).is_integer():
+                return dirac(line3, 1)
+            return dirac(line3, 0 if y[0] < 0.5 else 2)
+
+        smap = SampledMap.from_function(FKTriangulation(1, 4), fn)
+        gmap, log = straighten(smap, cov)
+        assert log.all_pass()
+        assert gmap.tri.p == 2
+        assert gmap.labeling.ell == {((0,), (0,)): 0, ((1,), (0,)): 1}
+        with pytest.raises(NoLabel):
+            label_simplices(smap, cov, choose_p(1), FKTriangulation(1, 1))
 
 
 class TestStraighten:
