@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import ComplexTooLarge, build_cech, build_vr
-from .fk import FKTriangulation, build_fk
+from .fk import FKTriangulation, build_fk, check_grid
 from .generators import GENERATORS
 from .measures import FiniteMeasure
 from .metric import (Cover, FiniteMetricSpace, MetricValidationError,
@@ -37,7 +37,10 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_PIPELINE = 3
 
-FK_CELL_GUARD = 10 ** 6
+# exact JSON types of the generator parameters, so ``true`` is no number and
+# ``2.5`` no integer; a parameter whose default is None also takes null
+GENERATOR_PARAM_TYPES = {"n": (int,), "res": (int,), "point": (int,),
+                         "leak": (int, float), "dense_depth": (int, type(None))}
 
 
 def _outdir(args: argparse.Namespace) -> Path:
@@ -87,7 +90,7 @@ def _max_vertex_star(tri: FKTriangulation) -> int:
 
 def cmd_fk(args: argparse.Namespace) -> int:
     try:
-        _check_grid(args.n, args.res)
+        check_grid(args.n, args.res)
     except ValueError as exc:
         return _fail_input(str(exc))
     if args.n > 4:
@@ -111,18 +114,6 @@ def cmd_fk(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_grid(n, res) -> None:
-    """Refuse a grid of more than ``FK_CELL_GUARD`` simplices (n! * res^n)
-    before anything is built or sampled on it."""
-    if type(n) is not int or type(res) is not int or n < 1 or res < 1:
-        raise ValueError(f"'n' and 'res' must be integers >= 1, got {n!r} and {res!r}")
-    cells = 1
-    for k in range(1, n + 1):       # stops within a few factors, however large n is
-        cells *= k * res
-        if cells > FK_CELL_GUARD:
-            raise ValueError(f"n! * res^n exceeds the resource guard {FK_CELL_GUARD}")
-
-
 def _listed(value, types: tuple, what: str) -> list:
     """``value`` if it is a JSON list of entries of exactly these types
     (so ``true`` is no number); anything else is refused."""
@@ -137,16 +128,23 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
         raise ValueError("map spec must be a JSON object")
     if "generator" in spec:
         name = spec["generator"]
-        if name not in GENERATORS:
+        if type(name) is not str or name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}; have {sorted(GENERATORS)}")
         kwargs = {k: v for k, v in spec.items() if k != "generator"}
         params = inspect.signature(GENERATORS[name]).parameters
         unknown = sorted(set(kwargs) - set(params))
         if unknown:
             raise ValueError(f"generator {name!r} takes no parameter(s) {unknown}")
-        res = kwargs.get("res", params["res"].default)
-        if res is not None:             # None lets two_ball pick its small default
-            _check_grid(kwargs.get("n", params["n"].default), res)
+        for key, value in kwargs.items():
+            types = GENERATOR_PARAM_TYPES[key]
+            if type(value) not in types and not (value is None and params[key].default is None):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ValueError(f"generator parameter {key!r} must be {names}, got {value!r}")
+        full = {key: kwargs.get(key, param.default) for key, param in params.items()}
+        # from_function's guard, run here too so a refused spec never reaches the
+        # generator; a None res lets two_ball pick its default, guarded where it samples
+        if full["res"] is not None:
+            check_grid(full["n"], full["res"], full["dense_depth"])
         return GENERATORS[name](**kwargs)
     if "points" not in spec and "distances" not in spec:
         raise ValueError("map spec needs 'generator', 'points', or 'distances'")
@@ -163,7 +161,7 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
         cover = Cover.explicit(space, [_listed(e, (int,), "a cover element")
                                        for e in _listed(cov_spec, (list,), "'cover'")])
     n, res = spec["n"], spec["res"]
-    _check_grid(n, res)
+    check_grid(n, res)
     vertices = spec["vertices"]
     if not isinstance(vertices, dict) or not all(isinstance(m, dict) for m in vertices.values()):
         raise ValueError("'vertices' must map lattice keys to {'support', 'weights'} objects")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -23,6 +22,8 @@ import numpy as np
 
 Lattice = tuple[int, ...]
 SimplexKey = tuple[Lattice, tuple[int, ...]]
+
+FK_CELL_GUARD = 10 ** 6
 
 
 class OutOfDomain(ValueError):
@@ -157,37 +158,33 @@ class FKTriangulation:
             raise ValueError("not a triangulation vertex")
         return len(self.simplices_containing_vertex(v))
 
-    def simplices_containing_fraction(self, nums: Sequence[int],
-                                      dens: Sequence[int]) -> list[FKSimplex]:
+    def simplices_containing_fraction(self, nums: Sequence[int], den: int) -> list[FKSimplex]:
         """All n-simplices whose closed realization contains the rational
-        point (nums[i]/dens[i])_i, computed exactly.
+        point (nums[i]/den)_i, computed exactly in integers.
 
         Used to assign grid samples to simplices without floating-point tie
-        ambiguity: a closed simplex (x, pi) contains the point iff its cell
-        fractions, read in pi order, are descending.
+        ambiguity: a closed simplex (x, pi) contains the point iff its
+        fractional parts in the cell, read in pi order, are descending; they
+        are kept as integer numerators over ``den``.
         """
-        z = [Fraction(int(nums[i]) * self.p, int(dens[i])) for i in range(self.n)]
-        axis_bases: list[list[int]] = []
-        for zi in z:
-            if zi < 0 or zi > self.p:
+        axis_bases: list[list[tuple[int, int]]] = []      # (base, fraction numerator)
+        for num in nums:
+            cell, rem = divmod(int(num) * self.p, den)
+            if cell < 0 or cell > self.p or (cell == self.p and rem):
                 raise OutOfDomain("point must lie in the unit cube")
-            fl = math.floor(zi)
-            cands = set()
-            if fl <= self.p - 1:
-                cands.add(fl)
-            if zi == fl and fl - 1 >= 0:
-                cands.add(fl - 1)
-            axis_bases.append(sorted(cands))
+            cands = [(cell, rem)] if cell <= self.p - 1 else []
+            if rem == 0 and cell >= 1:
+                cands.insert(0, (cell - 1, den))
+            axis_bases.append(cands)
         out = []
-        for base in product(*axis_bases):
-            frac = [z[i] - base[i] for i in range(self.n)]
-            groups: dict[Fraction, list[int]] = {}
-            for i, f in enumerate(frac):
-                groups.setdefault(f, []).append(i)
-            ordered = sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
+        for choice in product(*axis_bases):
+            groups: dict[int, list[int]] = {}
+            for i, (_, frac) in enumerate(choice):
+                groups.setdefault(frac, []).append(i)
+            ordered = sorted(groups.items(), reverse=True)
+            base = tuple(b for b, _ in choice)
             for combo in product(*(permutations(axes) for _, axes in ordered)):
-                perm = tuple(i for block in combo for i in block)
-                out.append(FKSimplex(tuple(base), perm))
+                out.append(FKSimplex(base, tuple(i for block in combo for i in block)))
         return out
 
     # -- export -----------------------------------------------------------
@@ -206,6 +203,24 @@ class FKTriangulation:
 def build_fk(n: int, p: int) -> FKTriangulation:
     """Triangulation of the unit n-cube at resolution p (cells per axis)."""
     return FKTriangulation(n, p)
+
+
+def check_grid(n, res, dense_depth=None) -> int:
+    """Refuse a grid of more than ``FK_CELL_GUARD`` simplices, n! * (depth * res)^n,
+    before anything is built or sampled on it, and return the depth: a map
+    is sampled on the lattice ``dense_depth`` times finer than the grid
+    (None: on its vertices, depth 1)."""
+    depth = 1 if dense_depth is None else dense_depth
+    for name, value in (("n", n), ("res", res), ("dense_depth", depth)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name!r} must be an integer >= 1, got {value!r}")
+    cells = 1
+    for k in range(1, n + 1):       # stops within a few factors, however large n is
+        cells *= k * depth * res
+        if cells > FK_CELL_GUARD:
+            raise ValueError(f"{n}! * {depth * res}^{n} simplices exceed the resource guard "
+                             f"{FK_CELL_GUARD}")
+    return depth
 
 
 def star_bound(n: int) -> int:
@@ -250,15 +265,15 @@ def default_resolutions(p_max: int = 1024) -> list[int]:
     return out
 
 
-def subordinate_resolution(samples: Sequence[tuple[Sequence[int], Sequence[int], int]],
+def subordinate_resolution(samples: Sequence[tuple[Sequence[int], int]], den: int,
                            resolutions: Sequence[int],
                            ) -> tuple[int, dict[SimplexKey, int]]:
     """First resolution at which every sampled simplex shares an element,
     with the shared bitmask of each sampled simplex.
 
-    A sample ``(nums, dens, mask)`` is the exact point (nums[i]/dens[i])_i
-    and the bitmask of cover elements admissible there.  Simplices with no
-    sample pass vacuously, so samples should be at least as fine as the
+    A sample ``(nums, mask)`` is the exact point (nums[i]/den)_i and the
+    bitmask of cover elements admissible there.  Simplices with no sample
+    pass vacuously, so samples should be at least as fine as the
     resolutions.  Raises :class:`NoLabel` naming the simplex that emptied
     at the last resolution when none works.
     """
@@ -268,8 +283,8 @@ def subordinate_resolution(samples: Sequence[tuple[Sequence[int], Sequence[int],
         tri = FKTriangulation(n, p)
         shared: dict[SimplexKey, int] = {}
         emptied = None
-        for nums, dens, mask in samples:
-            for s in tri.simplices_containing_fraction(nums, dens):
+        for nums, mask in samples:
+            for s in tri.simplices_containing_fraction(nums, den):
                 shared[s.key] = shared.get(s.key, mask) & mask
                 if shared[s.key] == 0:
                     emptied = s.key
@@ -294,10 +309,13 @@ def estimate_lebesgue(bitsets: np.ndarray, p_max: int = 1024,
     dens = tuple(s - 1 for s in bitsets.shape)
     if any(d < 1 for d in dens):
         raise ValueError("grid needs at least 2 samples per axis")
-    samples = [(idx, dens, int(bitsets[idx])) for idx in np.ndindex(*bitsets.shape)]
+    den = math.lcm(*dens)
+    scale = tuple(den // d for d in dens)
+    samples = [(tuple(i * k for i, k in zip(idx, scale)), int(bitsets[idx]))
+               for idx in np.ndindex(*bitsets.shape)]
     ps = list(resolutions) if resolutions is not None else default_resolutions(p_max)
     try:
-        p, _ = subordinate_resolution(samples, ps)
+        p, _ = subordinate_resolution(samples, den, ps)
     except NoLabel:
         return 0.0
     return math.sqrt(bitsets.ndim) / p

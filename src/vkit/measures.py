@@ -47,14 +47,14 @@ class FiniteMeasure:
             raise ValueError("support and weights must have equal length")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support indices must be distinct")
-        items = sorted(
-            ((int(x), float(w)) for x, w in zip(self.support, self.weights) if w != 0.0)
-        )
-        for x, w in items:
+        for x, w in zip(self.support, self.weights):   # zero weights too, before they drop
             if not (0 <= x < self.space.n_points):
                 raise IndexError(f"support index {x} out of range")
             if w < 0.0 or not math.isfinite(w):
                 raise ValueError(f"weight at {x} must be positive, got {w}")
+        items = sorted(
+            ((int(x), float(w)) for x, w in zip(self.support, self.weights) if w != 0.0)
+        )
         if not items:
             raise ZeroMass("a probability measure needs positive total mass")
         total = math.fsum(w for _, w in items)

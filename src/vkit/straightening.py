@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, default_resolutions,
-                 star_bound, subordinate_resolution)
+from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
+                 default_resolutions, star_bound, subordinate_resolution)
 from .measures import FiniteMeasure, barycentric_distance, mix
 from .metric import Cover, FiniteMetricSpace
 from .thickening import build_bump, pump, pump_homotopy, shrink_to_inner
@@ -73,67 +73,52 @@ def choose_p(n: int) -> float:
 
 @dataclass(frozen=True)
 class SampledMap:
-    """A map from the unit cube into measures, sampled on a grid.
+    """A map from the unit cube into measures, sampled on one lattice.
 
-    Values live at the vertices of a Freudenthal-Kuhn triangulation;
-    optionally each top simplex also carries interior samples on the
-    barycentric lattice of some depth.  Dense samples are stored with exact
-    rational coordinates (numerator tuple over a common denominator) so
-    they can be assigned to simplices of coarser grids without ties."""
+    ``values`` holds a measure at every point of the grid of resolution
+    ``depth * tri.p``.  The points with all coordinates multiples of
+    ``depth`` are the vertices of ``tri``; the others, dense samples, are
+    exactly the depth-``depth`` barycentric points of its top simplices.
+    Integer coordinates assign samples to coarser simplices without ties."""
 
     tri: FKTriangulation
-    vertex_values: dict[Lattice, FiniteMeasure]
-    dense: dict[SimplexKey, tuple[tuple[Lattice, int, FiniteMeasure], ...]] | None = None
+    values: dict[Lattice, FiniteMeasure]
+    depth: int = 1
 
     def __post_init__(self):
-        off_grid = set(self.vertex_values).difference(self.tri.vertices())
+        grid = self.grid
+        off_grid = set(self.values).difference(grid.vertices())
         if off_grid:
             raise ValueError(f"vertex values off the grid, e.g. {min(off_grid)}")
-        missing = [v for v in self.tri.vertices() if v not in self.vertex_values]
+        missing = [v for v in grid.vertices() if v not in self.values]
         if missing:
             raise ValueError(f"missing vertex values, e.g. {missing[0]}")
 
     @property
+    def grid(self) -> FKTriangulation:
+        """The sampled lattice, as the grid of resolution depth * tri.p."""
+        return FKTriangulation(self.tri.n, self.depth * self.tri.p)
+
+    @property
     def space(self) -> FiniteMetricSpace:
-        return next(iter(self.vertex_values.values())).space
+        return next(iter(self.values.values())).space
 
     @staticmethod
     def from_function(tri: FKTriangulation,
                       fn: Callable[[np.ndarray], FiniteMeasure],
                       dense_depth: int | None = DENSE_DEPTH) -> "SampledMap":
-        values = {v: fn(tri.vertex_point(v)) for v in tri.vertices()}
-        dense = None
-        if dense_depth is not None and dense_depth >= 2:
-            dense = {}
-            den = dense_depth * tri.p
-            for s in tri.simplices():
-                verts = s.vertices()
-                samples = []
-                for comp in _compositions(dense_depth, tri.n + 1):
-                    if max(comp) == dense_depth:
-                        continue        # vertex of the simplex; already sampled
-                    nums = tuple(sum(c * v[j] for c, v in zip(comp, verts))
-                                 for j in range(tri.n))
-                    point = np.asarray(nums, dtype=np.float64) / den
-                    samples.append((nums, den, fn(point)))
-                dense[s.key] = tuple(samples)
-        return SampledMap(tri, values, dense)
+        """Sample ``fn`` once per point of the lattice ``dense_depth`` times
+        finer than ``tri`` (None: its vertices), once the guard has passed."""
+        depth = check_grid(tri.n, tri.p, dense_depth)
+        grid = FKTriangulation(tri.n, depth * tri.p)
+        return SampledMap(tri, {w: fn(grid.vertex_point(w)) for w in grid.vertices()}, depth)
 
     def value_on_subgrid(self, coarse: FKTriangulation, v: Lattice) -> FiniteMeasure:
         """Value at a vertex of a coarser grid whose resolution divides ours."""
         step = self.tri.p // coarse.p
         if coarse.p * step != self.tri.p:
             raise ValueError("coarse resolution must divide the sampled one")
-        return self.vertex_values[tuple(c * step for c in v)]
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return self.values[tuple(c * step * self.depth for c in v)]
 
 
 @dataclass(frozen=True)
@@ -169,9 +154,9 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     concentrate on (mass strictly above p).
 
     ``tri`` may be a coarser triangulation whose resolution divides the
-    sampled one; the samples of a coarse simplex are all grid vertices and
-    dense samples falling inside it (assignment is exact rational, so
-    shared faces contribute to every incident simplex).  Raises
+    sampled one; the samples of a coarse simplex are all points of the
+    sampled lattice inside it (assignment is exact, so a sample on a
+    shared face counts for every incident simplex).  Raises
     :class:`NoLabel` when some simplex admits no element; callers refine
     the grid and retry.
     """
@@ -186,10 +171,11 @@ def _sweep_labels(smap: SampledMap, cov: Cover, p: float,
     """Labeling at the first resolution whose simplices are subordinate.
 
     Each sample's mask (bit i: mass strictly above p on the i-th element) is
-    computed once.  Vertex samples come first, so a resolution the vertices
-    already reject is dropped before any dense sample is visited.  A simplex
-    is labelled with the lowest bit of its shared mask: the smallest-id
-    element all its samples concentrate on.
+    computed once.  Vertex samples come first, then the dense ones, each in
+    lex order, so a resolution the vertices already reject is dropped
+    before any dense sample is visited.  A simplex is labelled with the
+    lowest bit of its shared mask: the smallest-id element all its samples
+    concentrate on.
     """
     elements = cov.enumerable_elements()
 
@@ -197,13 +183,11 @@ def _sweep_labels(smap: SampledMap, cov: Cover, p: float,
         return sum(1 << bit for bit, (_, elem) in enumerate(elements)
                    if mu.mass_of(elem) > p)
 
-    fine = smap.tri
-    dens = (fine.p,) * fine.n
-    samples = [(v, dens, mask_of(smap.vertex_values[v])) for v in fine.vertices()]
-    for batch in (smap.dense or {}).values():
-        samples.extend((nums, (den,) * fine.n, mask_of(mu)) for nums, den, mu in batch)
-    res, masks = subordinate_resolution(samples, resolutions)
-    tri = FKTriangulation(fine.n, res)
+    depth = smap.depth
+    order = sorted(smap.values, key=lambda w: (any(c % depth for c in w), w))
+    samples = [(w, mask_of(smap.values[w])) for w in order]
+    res, masks = subordinate_resolution(samples, smap.grid.p, resolutions)
+    tri = FKTriangulation(smap.tri.n, res)
     ell = {s.key: elements[(masks[s.key] & -masks[s.key]).bit_length() - 1][0]
            for s in tri.simplices()}
     return Labeling(tri, cov, ell)
@@ -240,7 +224,7 @@ class VertexPump:
     track: tuple[tuple[float, FiniteMeasure], ...]
     labels: tuple
     region: frozenset[int]
-    p_floor: float         # min over track samples and labels of the element mass
+    floors: tuple[float, ...]   # per track sample: min over labels of the element mass
     identity: bool
     shrink_index: int | None = None
 
@@ -262,12 +246,12 @@ def pump_vertex(smap: SampledMap, lab: Labeling, v: Lattice, p: float,
     region = lab.region_at_vertex(v)
     label_sets = [lab.element_set(b) for b in labels]
 
-    def floor_of(track):
-        return min(m.mass_of(es) for _, m in track for es in label_sets)
+    def floors_of(track):
+        return tuple(min(m.mass_of(es) for es in label_sets) for _, m in track)
 
     if mu.support_set() <= region:
         track = tuple((t, mu) for t in track_times)
-        return VertexPump(v, mu, track, labels, region, floor_of(track), True)
+        return VertexPump(v, mu, track, labels, region, floors_of(track), True)
     q = 1.0 - len(labels) * (1.0 - p)
     if q <= 0.0:
         raise ValueError(f"threshold p={p} too low for {len(labels)} labels; "
@@ -277,7 +261,7 @@ def pump_vertex(smap: SampledMap, lab: Labeling, v: Lattice, p: float,
     bump = build_bump(mu.space, (), inner)
     pumped = pump(mu, bump)
     track = tuple((t, pump_homotopy(mu, bump, t)) for t in track_times)
-    return VertexPump(v, pumped, track, labels, region, floor_of(track), False, idx)
+    return VertexPump(v, pumped, track, labels, region, floors_of(track), False, idx)
 
 
 @dataclass(frozen=True)
@@ -398,8 +382,7 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
         q_v = 1.0 - len(vp.labels) * (1.0 - p)
         region_mass = smap.value_on_subgrid(coarse, v).mass_of(vp.region)
         log.add("mass_bound", _vertex_key(v), region_mass, q_v, region_mass > q_v)
-        for t, m in vp.track:
-            floor = min(m.mass_of(lab.element_set(b)) for b in vp.labels)
+        for (t, _), floor in zip(vp.track, vp.floors):
             log.add("track", f"{_vertex_key(v)}:t={t}", floor, p, floor > p)
         if coarse.is_boundary_vertex(v):
             drift = barycentric_distance(vp.result, smap.value_on_subgrid(coarse, v))

@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import json
 import math
 import string
@@ -189,6 +190,55 @@ class TestStraighten:
         assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "resource guard" in capsys.readouterr().err
 
+    def test_size_guard_counts_the_dense_depth(self, tmp_path, capsys, monkeypatch):
+        real = GENERATORS["constant"]
+
+        @functools.wraps(real)
+        def never(**kwargs):
+            raise AssertionError("the generator must not run on a refused spec")
+
+        monkeypatch.setitem(GENERATORS, "constant", never)
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "constant", "n": 2, "res": 4,
+                                    "dense_depth": 10 ** 4}))
+        assert main(["straighten", "--input", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "resource guard" in capsys.readouterr().err
+
+    def test_size_guard_counts_the_dense_depth_at_a_default_resolution(self, tmp_path, capsys):
+        # two_ball picks its resolution itself, so the guard runs where it samples
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 2, "dense_depth": 10 ** 4}))
+        assert main(["straighten", "--input", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "resource guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"generator": "two_ball", "dense_depth": "3"}, "'dense_depth' must be int or null"),
+        ({"generator": "two_ball", "dense_depth": 2.5}, "'dense_depth' must be int or null"),
+        ({"generator": "two_ball", "dense_depth": True}, "'dense_depth' must be int or null"),
+        ({"generator": "two_ball", "dense_depth": 0}, "'dense_depth' must be an integer >= 1"),
+        ({"generator": "constant", "dense_depth": -1}, "'dense_depth' must be an integer >= 1"),
+        ({"generator": "two_ball", "leak": "x"}, "'leak' must be int or float"),
+        ({"generator": "sliding_dirac", "leak": None}, "'leak' must be int or float"),
+        ({"generator": "constant", "res": None}, "'res' must be int"),
+        ({"generator": "two_ball", "n": 1.0}, "'n' must be int"),
+        ({"generator": "constant", "point": False}, "'point' must be int"),
+        ({"generator": ["two_ball"]}, "unknown generator ['two_ball']"),
+    ])
+    def test_generator_parameter_of_the_wrong_type_is_an_input_error(self, tmp_path, capsys,
+                                                                      spec, named):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_zero_weight_support_index_out_of_range_is_an_input_error(self, tmp_path, capsys):
+        spec = copy.deepcopy(EXPLICIT_SPEC)
+        spec["vertices"]["1"] = {"support": [1, 99], "weights": [1.0, 0.0]}
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "support index 99 out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt, named", [
         (lambda s: s.update(vertices=[]), "'vertices'"),
         (lambda s: s["vertices"]["0"].update(support=5), "vertex '0' support"),
@@ -244,6 +294,30 @@ def _set(path, value):
     return corrupt
 
 
+def _replaced_by(new):
+    def corrupt(spec):
+        spec.clear()
+        spec.update(new)
+    return corrupt
+
+
+# a value no generator accepts for the parameter: the wrong JSON type, or
+# an integer out of range (null stands only for two_ball's default res and
+# for dense_depth, so it is left out where it could be valid)
+BAD_PARAM = {
+    "n": NOT_AN_INT | st.integers(max_value=0),
+    "res": NOT_AN_INT.filter(lambda v: v is not None) | st.integers(max_value=0),
+    "point": NOT_AN_INT | st.integers().filter(lambda i: not 0 <= i < 3),
+    "leak": NOT_A_NUMBER,
+    "dense_depth": NOT_AN_INT.filter(lambda v: v is not None) | st.integers(max_value=0),
+}
+BAD_GENERATOR_NAME = JSON.filter(lambda v: not (type(v) is str and v in GENERATORS)).map(
+    lambda v: _replaced_by({"generator": v}))
+BAD_GENERATOR_SPEC = st.sampled_from(
+    [(name, key) for name, gen in sorted(GENERATORS.items())
+     for key in inspect.signature(gen).parameters]).flatmap(
+    lambda nk: BAD_PARAM[nk[1]].map(lambda v: _replaced_by({"generator": nk[0], nk[1]: v})))
+
 MALFORMED = st.one_of(
     NOT_A_LIST.map(lambda v: _set(("points",), v)),
     _with_entry(NOT_A_NUMBER).map(lambda row: _set(("points", 1), row)),
@@ -263,6 +337,8 @@ MALFORMED = st.one_of(
     .map(lambda s: _set(("vertices", "1", "support"), s)),
     NOT_A_LIST.map(lambda v: _set(("vertices", "1", "weights"), v)),
     _with_entry(NOT_A_NUMBER).map(lambda w: _set(("vertices", "1", "weights"), w)),
+    BAD_GENERATOR_SPEC,
+    BAD_GENERATOR_NAME,
 )
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vkit.fk import (FKSimplex, OutOfDomain, build_fk,
                      default_resolutions, estimate_lebesgue, facet_counts,
                      is_boundary_face, star_bound, subordinate_to)
+
+from exact_locator import simplex_keys_containing
 
 
 class TestEnumeration:
@@ -108,9 +110,32 @@ class TestStars:
         tri = build_fk(2, 2)
         for v in tri.vertices():
             via_fraction = {s.key for s in
-                            tri.simplices_containing_fraction(v, (tri.p, tri.p))}
+                            tri.simplices_containing_fraction(v, tri.p)}
             via_star = {s.key for s in tri.simplices_containing_vertex(v)}
             assert via_fraction == via_star
+
+
+class TestExactLocation:
+    @given(st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 5, 6]), st.integers(1, 12),
+           st.lists(st.integers(0, 10 ** 6), min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    @example(3, 5, 7, [1, 2, 3])
+    @example(3, 5, 7, [0, 7, 7])
+    @example(2, 3, 7, [7, 3, 0])
+    def test_integer_locator_matches_the_fraction_reference(self, n, p, den, draws):
+        # den takes every residue mod p, so p need not divide it; nums reach
+        # 0 and den, so lattice points and faces are drawn too
+        nums = [d % (den + 1) for d in draws[:n]]
+        tri = build_fk(n, p)
+        got = [s.key for s in tri.simplices_containing_fraction(nums, den)]
+        assert got == simplex_keys_containing(n, p, nums, (den,) * n)
+        assert got and len(got) == len(set(got))
+
+    def test_points_off_the_cube_are_refused(self):
+        tri = build_fk(2, 3)
+        for nums in [(-1, 0), (0, 8), (8, 7)]:
+            with pytest.raises(OutOfDomain):
+                tri.simplices_containing_fraction(nums, 7)
 
 
 class TestFacets:
@@ -161,6 +186,16 @@ class TestEstimateLebesgue:
         for i in range(5):
             bitsets[i] = 1 if i < 2 else (2 if i > 2 else 0)
         assert estimate_lebesgue(bitsets, p_max=16) == 0.0
+
+    @pytest.mark.parametrize("shape", [(65, 5), (65, 4)])
+    def test_axes_sampled_at_different_steps_share_one_denominator(self, shape):
+        # the slab of the 1-d test along axis 0; axis 1 is sampled coarser,
+        # at a step that need not divide the first (lcm(64, 3) = 192)
+        slab = self._slab_bitsets(shape[0], 0.4, 0.3)
+        bitsets = np.empty(shape, dtype=object)
+        for j in range(shape[1]):
+            bitsets[:, j] = slab
+        assert estimate_lebesgue(bitsets) == math.sqrt(2) / 8.0
 
     def test_resolution_sweep_is_doubling(self):
         assert default_resolutions(10) == [1, 2, 4, 8]

@@ -38,6 +38,11 @@ class TestFiniteMeasure:
         mu = FiniteMeasure(line3, (0, 1, 2), (0.5, 0.0, 0.5))
         assert mu.support == (0, 2)
 
+    @pytest.mark.parametrize("support", [(0, 99), (0, -1)])
+    def test_zero_weight_index_is_range_checked_before_it_drops(self, line3, support):
+        with pytest.raises(IndexError, match=f"support index {support[1]} out of range"):
+            FiniteMeasure(line3, support, (1.0, 0.0))
+
     def test_json_round_trip(self, line3):
         mu = FiniteMeasure(line3, (0, 2), (0.25, 0.75))
         assert FiniteMeasure.from_json(line3, mu.to_json()) == mu

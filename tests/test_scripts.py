@@ -1,11 +1,15 @@
-"""The demo scripts run end to end in-process and print what they promise."""
+"""The demo scripts run end to end in-process and print what they promise;
+the benchmark self-test passes against this tree."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -31,3 +35,10 @@ def test_script_main_runs(name, expected, forbidden, tmp_path, monkeypatch, caps
     for line in expected:
         assert line in out
     assert forbidden not in out
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark wraps vkit functions by name; a renamed one fails here
+    run = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr

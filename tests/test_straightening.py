@@ -13,6 +13,8 @@ from vkit.straightening import (BoundViolated, NoLabel, PipelineError,
                                 label_simplices, linearize, prism_retract,
                                 pump_vertex, straighten)
 
+from exact_locator import simplex_keys_containing
+
 
 class TestChooseP:
     def test_small_dimensions(self):
@@ -23,6 +25,41 @@ class TestChooseP:
         for n in range(1, 7):
             bound = (2 ** n) * math.factorial(n)
             assert 1 - 1 / bound < choose_p(n) < 1
+
+
+class TestSampledMap:
+    @pytest.mark.parametrize("n, res, depth", [(1, 4, 3), (2, 5, 3), (2, 3, None),
+                                               (3, 2, 2), (2, 20, 3)])
+    def test_fn_runs_once_per_point_of_the_sampled_lattice(self, line3, n, res, depth):
+        calls = []
+
+        def fn(y):
+            calls.append(tuple(y))
+            return dirac(line3, 0)
+
+        smap = SampledMap.from_function(FKTriangulation(n, res), fn, depth)
+        fine = (depth or 1) * res
+        assert len(calls) == len(set(calls)) == (fine + 1) ** n == len(smap.values)
+        assert set(calls) == {tuple(c / fine for c in w) for w in smap.values}
+
+    def test_grid_vertices_are_the_multiples_of_the_depth(self, line3):
+        def fn(y):
+            return dirac(line3, 1 if float(y[0] * 2).is_integer() else 0)
+
+        smap = SampledMap.from_function(FKTriangulation(1, 2), fn, 3)
+        assert smap.grid.p == 6
+        assert [smap.value_on_subgrid(smap.tri, (i,)).support for i in range(3)] == [(1,)] * 3
+        assert smap.value_on_subgrid(FKTriangulation(1, 1), (1,)) is smap.values[(6,)]
+        assert sum(mu.support == (0,) for mu in smap.values.values()) == 4
+
+    def test_the_guard_counts_the_sampled_lattice(self, line3):
+        def never(y):
+            raise AssertionError("nothing may be sampled on a refused lattice")
+
+        with pytest.raises(ValueError, match="resource guard"):
+            SampledMap.from_function(FKTriangulation(2, 4), never, 10 ** 4)
+        with pytest.raises(ValueError, match="dense_depth"):
+            SampledMap.from_function(FKTriangulation(1, 4), never, 0)
 
 
 class TestLabelSimplices:
@@ -137,7 +174,9 @@ class TestPumpVertex:
         assert vp.result == dirac(smap.space, 0)
         masses = [m.weight_of(0) for _, m in vp.track]
         assert masses == pytest.approx([0.9, 0.925, 0.95, 0.975, 1.0], abs=1e-12)
-        assert vp.p_floor > 0.85
+        assert vp.floors == tuple(min(m.mass_of(lab.element_set(b)) for b in vp.labels)
+                                  for _, m in vp.track)
+        assert min(vp.floors) > 0.85
 
     def test_already_supported_vertex_is_fixed(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
@@ -209,15 +248,13 @@ class TestLinearize:
 
 def reference_labels(smap, cov, p, tri):
     """Smallest-id element every sample of each simplex of ``tri`` puts mass
-    above p on, gathered sample by sample; None when some simplex has none."""
+    above p on, gathered sample by sample with the test's own rational
+    locator; None when some simplex has none."""
     samples = {}
-    dens = (smap.tri.p,) * smap.tri.n
-    points = [(v, dens, mu) for v, mu in smap.vertex_values.items()]
-    for batch in (smap.dense or {}).values():
-        points += [(nums, (den,) * smap.tri.n, mu) for nums, den, mu in batch]
-    for nums, pt_dens, mu in points:
-        for s in tri.simplices_containing_fraction(nums, pt_dens):
-            samples.setdefault(s.key, []).append(mu)
+    dens = (smap.depth * smap.tri.p,) * tri.n
+    for w, mu in smap.values.items():
+        for key in simplex_keys_containing(tri.n, tri.p, w, dens):
+            samples.setdefault(key, []).append(mu)
     labels = {}
     for s in tri.simplices():
         ids = [eid for eid, elem in cov.enumerable_elements()
@@ -267,6 +304,18 @@ class TestResolutionSweep:
         assert gmap.labeling.ell == {((0,), (0,)): 0, ((1,), (0,)): 1}
         with pytest.raises(NoLabel):
             label_simplices(smap, cov, choose_p(1), FKTriangulation(1, 1))
+
+    def test_vertex_samples_are_visited_before_dense_ones(self, line3):
+        # lattice 0..6 at res 2, depth 3; the vertices 3 and 6 already empty
+        # the right simplex, the dense sample 1 would empty the left one first
+        # in plain lex order; the sweep names the one the vertices show
+        cov = Cover.explicit(line3, [[0, 1], [1, 2]])
+        points = {0: 1, 1: 2, 2: 1, 3: 0, 4: 0, 5: 0, 6: 2}
+        smap = SampledMap.from_function(
+            FKTriangulation(1, 2), lambda y: dirac(line3, points[round(y[0] * 6)]), 3)
+        with pytest.raises(NoLabel) as err:
+            label_simplices(smap, cov, choose_p(1))
+        assert err.value.simplex == ((1,), (0,))
 
 
 class TestStraighten:
