@@ -27,7 +27,7 @@ from .metric import (Cover, FiniteMetricSpace, MetricValidationError,
                      load_space_csv, space_from_points, validate_metric)
 from .persistence import compute_diagram
 from .plots import persistence_diagram_svg
-from .straightening import PipelineError, SampledMap, straighten
+from .straightening import PipelineError, SampledMap, straighten, vertex_key
 from .verify import run_all
 
 DEFAULT_SEED = 1729
@@ -61,6 +61,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
         return _fail_input(f"cannot load {args.input}: {exc}")
     if args.kmax < 1:
         return _fail_input("persistence needs --kmax >= 1")
+    if args.r is not None and math.isnan(args.r):
+        return _fail_input("--r must be a number, got nan")
     r = args.r if args.r is not None else math.inf
     builder = build_cech if args.filtration == "cech" else build_vr
     try:
@@ -168,7 +170,7 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
     values = {}
     for key, m in vertices.items():
         vertex = tuple(int(c) for c in key.split(","))
-        if ",".join(map(str, vertex)) != key:
+        if vertex_key(vertex) != key:
             raise ValueError(f"vertex key {key!r} is not of the canonical form 'i,j,...'")
         values[vertex] = FiniteMeasure(
             space, tuple(_listed(m.get("support"), (int,), f"vertex {key!r} support")),
@@ -201,7 +203,7 @@ def cmd_straighten(args: argparse.Namespace) -> int:
         "resolution": gmap.tri.p,
         "dimension": gmap.tri.n,
         "vertices": {
-            ",".join(str(c) for c in v): json.loads(gmap.values[v].to_json())
+            vertex_key(v): json.loads(gmap.values[v].to_json())
             for v in sorted(gmap.values)
         },
     }
@@ -213,6 +215,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        return _fail_input(f"--trials must be >= 0, got {args.trials}")
     failures = 0
     rows = []
     if args.input is not None:

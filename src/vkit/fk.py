@@ -140,23 +140,11 @@ class FKTriangulation:
 
     # -- incidence -------------------------------------------------------
 
-    def simplices_containing_vertex(self, v: Lattice) -> list[FKSimplex]:
-        """All n-simplices having v among their vertices (direct enumeration)."""
-        out = []
-        for delta in product((0, 1), repeat=self.n):
-            base = tuple(c - d for c, d in zip(v, delta))
-            if any(b < 0 or b > self.p - 1 for b in base):
-                continue
-            for perm in permutations(range(self.n)):
-                if v in FKSimplex(base, perm).vertices():
-                    out.append(FKSimplex(base, perm))
-        return out
-
     def vertex_star_size(self, v: Lattice) -> int:
         """Number of n-simplices incident to a vertex; at most 2^n n!."""
         if len(v) != self.n or any(c < 0 or c > self.p for c in v):
             raise ValueError("not a triangulation vertex")
-        return len(self.simplices_containing_vertex(v))
+        return len(self.simplices_containing_fraction(v, self.p))
 
     def simplices_containing_fraction(self, nums: Sequence[int], den: int) -> list[FKSimplex]:
         """All n-simplices whose closed realization contains the rational
@@ -165,7 +153,8 @@ class FKTriangulation:
         Used to assign grid samples to simplices without floating-point tie
         ambiguity: a closed simplex (x, pi) contains the point iff its
         fractional parts in the cell, read in pi order, are descending; they
-        are kept as integer numerators over ``den``.
+        are kept as integer numerators over ``den``.  With ``den`` = p and a
+        lattice vertex for ``nums`` it lists the star of that vertex.
         """
         axis_bases: list[list[tuple[int, int]]] = []      # (base, fraction numerator)
         for num in nums:

@@ -307,52 +307,27 @@ def cover_elements_containing(cov: Cover, S: Iterable[int]) -> list:
 # -- file formats ------------------------------------------------------
 
 
-def _read_csv_rows(path) -> list[list[float]]:
+def load_space_csv(path, kind: str = "auto") -> FiniteMetricSpace:
+    """Load a point cloud CSV (one point per row, Euclidean metric) or a
+    full distance-matrix CSV, validated on load.
+
+    ``kind='auto'`` treats a square matrix with zero diagonal and symmetric
+    entries as a distance matrix and anything else as a point cloud; pass
+    ``'points'`` or ``'matrix'`` to override the heuristic.
+    """
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         for rec in csv.reader(fh):
             rec = [c for c in rec if c.strip() != ""]
             if rec:
                 rows.append([float(c) for c in rec])
-    return rows
-
-
-def load_points_csv(path) -> FiniteMetricSpace:
-    """Point cloud CSV (one point per row) with the Euclidean metric."""
-    rows = _read_csv_rows(path)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("rows have inconsistent column counts")
-    return space_from_points(rows)
-
-
-def load_distance_csv(path) -> FiniteMetricSpace:
-    """Full distance matrix CSV, validated on load."""
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    return validate_metric(rows)
-
-
-def load_space_csv(path, kind: str = "auto") -> FiniteMetricSpace:
-    """Load either CSV flavor.
-
-    ``kind='auto'`` treats a square matrix with zero diagonal and symmetric
-    entries as a distance matrix and anything else as a point cloud; pass
-    ``'points'`` or ``'matrix'`` to override the heuristic.
-    """
-    if kind == "points":
-        return load_points_csv(path)
-    if kind == "matrix":
-        return load_distance_csv(path)
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    n = len(rows)
-    if all(len(r) == n for r in rows):
-        m = np.asarray(rows)
-        if np.allclose(np.diag(m), 0.0) and np.array_equal(m, m.T):
-            return validate_metric(rows)
-    return space_from_points(rows)
+    m = np.asarray(rows)
+    if kind == "matrix" or (kind == "auto" and m.shape[0] == m.shape[1]
+                            and np.allclose(np.diag(m), 0.0)
+                            and np.array_equal(m, m.T)):
+        return validate_metric(m)
+    return space_from_points(m)

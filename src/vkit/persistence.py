@@ -19,6 +19,12 @@ underlying set of measures agree; the diagram computed here is declared
 the diagram of both pictures, and instead of a (nonexistent) second
 computation path the suite checks functoriality of the sublevel inclusion
 maps across nested thresholds.
+
+The bottleneck distance (:func:`diagram_distance`) compares such
+diagrams, e.g. to check stability under perturbation.  It is exact: a
+binary search over the entries of one numpy cost matrix, deciding each
+threshold by a maximum bipartite matching, computed as a unit-capacity
+maximum flow by scipy's Dinic solver (Hopcroft-Karp's phase bound).
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from .complexes import FilteredComplex, Simplex
 
@@ -196,76 +204,50 @@ def betti_at(K: FilteredComplex, r: float, dim: int) -> int:
 # -- bottleneck distance ------------------------------------------------
 
 
-def _bipartite_max_matching(n_left: int, n_right: int,
-                            adj: list[list[int]]) -> int:
-    """Maximum matching size by Kuhn's augmenting paths, searched depth-first
-    on explicit stacks so that long paths cannot hit the recursion limit."""
-    match_r = [-1] * n_right
-    size = 0
-    for root in range(n_left):
-        seen = [False] * n_right
-        stack = [(root, iter(adj[root]))]   # left vertices of the alternating path
-        via: list[int] = []                 # via[k] joins stack[k] to stack[k + 1]
-        while stack:
-            v = next((v for v in stack[-1][1] if not seen[v]), None)
-            if v is None:                   # dead end: back up one left vertex
-                stack.pop()
-                del via[len(stack) - 1:]
-                continue
-            seen[v] = True
-            if match_r[v] == -1:            # free right vertex: flip the path
-                for (u, _), w in zip(stack, via + [v]):
-                    match_r[w] = u
-                size += 1
-                break
-            via.append(v)
-            stack.append((match_r[v], iter(adj[match_r[v]])))
-    return size
-
-
 def _finite_bottleneck(A: list[tuple[float, float]],
                        B: list[tuple[float, float]]) -> float:
     if not A and not B:
         return 0.0
-
-    def pair_cost(a, b):
-        return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-    def diag_cost(a):
-        return (a[1] - a[0]) / 2.0
-
-    candidates = {0.0}
-    candidates.update(pair_cost(a, b) for a in A for b in B)
-    candidates.update(diag_cost(a) for a in A)
-    candidates.update(diag_cost(b) for b in B)
-    thresholds = sorted(candidates)
-    nA, nB = len(A), len(B)
+    a = np.array(A, dtype=np.float64).reshape(-1, 2)
+    b = np.array(B, dtype=np.float64).reshape(-1, 2)
+    nA, nB = len(a), len(b)
     size = nA + nB
+    # rows: A points then one diagonal slot per B point; columns: B points
+    # then one diagonal slot per A point.  A matching of A to B extends to a
+    # perfect one iff every unmatched point fits its own diagonal slot, and
+    # then the slots of matched pairs pair along the transposed pair block,
+    # so that block serves the slots as well as a complete one would
+    cost = np.full((size, size), INF)
+    cost[:nA, :nB] = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                                np.abs(a[:, None, 1] - b[None, :, 1]))
+    cost[nA:, nB:] = cost[:nA, :nB].T
+    cost[np.arange(nA), nB + np.arange(nA)] = (a[:, 1] - a[:, 0]) / 2.0
+    cost[nA + np.arange(nB), np.arange(nB)] = (b[:, 1] - b[:, 0]) / 2.0
+    # every row and every column needs an entry within the threshold; on
+    # diagrams a small perturbation apart this bound is the distance itself
+    lower = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    thresholds = np.unique(cost[np.isfinite(cost) & (cost >= lower)])
+    source, sink = 2 * size, 2 * size + 1
+    ends = np.arange(size)
 
     def feasible(theta: float) -> bool:
-        # left: A points then diagonal slots for B; right: B points then
-        # diagonal slots for A; diagonal slots pair with each other freely
-        adj: list[list[int]] = []
-        for i, a in enumerate(A):
-            row = [j for j, b in enumerate(B) if pair_cost(a, b) <= theta]
-            if diag_cost(a) <= theta:
-                row.append(nB + i)
-            adj.append(row)
-        for j, b in enumerate(B):
-            row = list(range(nB, nB + nA))
-            if diag_cost(b) <= theta:
-                row.append(j)
-            adj.append(row)
-        return _bipartite_max_matching(size, size, adj) == size
+        # unit-capacity network source -> rows -> columns -> sink, on which
+        # Dinic's blocking flows are the phases of Hopcroft-Karp
+        rows, cols = np.nonzero(cost <= theta)
+        tails = np.concatenate([np.full(size, source), rows, size + ends])
+        heads = np.concatenate([ends, size + cols, np.full(size, sink)])
+        network = csr_matrix((np.ones(len(tails), dtype=np.int32), (tails, heads)),
+                             shape=(sink + 1, sink + 1))
+        return maximum_flow(network, source, sink, method="dinic").flow_value == size
 
-    lo, hi = 0, len(thresholds) - 1
+    lo, hi, mid = 0, len(thresholds) - 1, 0        # probe the bound first
     while lo < hi:
-        mid = (lo + hi) // 2
         if feasible(thresholds[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return thresholds[lo]
+        mid = (lo + hi) // 2
+    return float(thresholds[lo])
 
 
 def diagram_distance(D1: PersistenceDiagram, D2: PersistenceDiagram) -> float:
@@ -273,8 +255,13 @@ def diagram_distance(D1: PersistenceDiagram, D2: PersistenceDiagram) -> float:
 
     Essential classes (death +inf) must match each other within a
     dimension; mismatched counts give +inf, matched ones contribute their
-    sorted birth differences.  Finite parts binary-search the smallest
-    feasible threshold among the candidate costs.
+    sorted birth differences.  The finite part of each dimension is one
+    dense cost matrix (pair costs, each point's half-persistence to its own
+    diagonal slot): the distance is the smallest entry at which the entries
+    within it admit a perfect matching, found by binary search over the
+    entries from the row/column lower bound up, each step one maximum-flow
+    test with scipy's Dinic solver, so the matching neither recurses nor
+    loops in Python.
     """
     dims = {q for q, _, _ in D1.intervals} | {q for q, _, _ in D2.intervals}
     best = 0.0

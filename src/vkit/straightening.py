@@ -133,7 +133,7 @@ class Labeling:
         return self.cover.resolve(element_id)
 
     def star_of_vertex(self, v: Lattice) -> list[SimplexKey]:
-        return [s.key for s in self.tri.simplices_containing_vertex(v)]
+        return [s.key for s in self.tri.simplices_containing_fraction(v, self.tri.p)]
 
     def labels_at_vertex(self, v: Lattice) -> list:
         return sorted({self.ell[k] for k in self.star_of_vertex(v)})
@@ -328,13 +328,15 @@ class CertificationLog:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 
 
-def _vertex_key(v: Lattice) -> str:
+def vertex_key(v: Lattice) -> str:
+    """The canonical ``"i,j,..."`` key of a lattice vertex, used in
+    certification records and in the vertex maps of specs and summaries."""
     return ",".join(str(c) for c in v)
 
 
 def _simplex_key(k: SimplexKey) -> str:
     base, perm = k
-    return _vertex_key(base) + "|" + _vertex_key(perm)
+    return vertex_key(base) + "|" + vertex_key(perm)
 
 
 def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
@@ -376,17 +378,17 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
         try:
             vp = pump_vertex(smap, lab, v, p, track_times)
         except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap
-            log.add("pump", _vertex_key(v), 0.0, p, False)
+            log.add("pump", vertex_key(v), 0.0, p, False)
             raise PipelineError("pump_vertex", exc)
         values[v] = vp.result
         q_v = 1.0 - len(vp.labels) * (1.0 - p)
         region_mass = smap.value_on_subgrid(coarse, v).mass_of(vp.region)
-        log.add("mass_bound", _vertex_key(v), region_mass, q_v, region_mass > q_v)
+        log.add("mass_bound", vertex_key(v), region_mass, q_v, region_mass > q_v)
         for (t, _), floor in zip(vp.track, vp.floors):
-            log.add("track", f"{_vertex_key(v)}:t={t}", floor, p, floor > p)
+            log.add("track", f"{vertex_key(v)}:t={t}", floor, p, floor > p)
         if coarse.is_boundary_vertex(v):
             drift = barycentric_distance(vp.result, smap.value_on_subgrid(coarse, v))
-            log.add("boundary", _vertex_key(v), drift, 0.0,
+            log.add("boundary", vertex_key(v), drift, 0.0,
                     (not vp.identity) or drift == 0.0)
 
     try:

@@ -60,6 +60,14 @@ class TestPersist:
         assert main(["persist", "--input", str(csv), "--input-kind", "matrix",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("kind", ["auto", "points", "matrix"])
+    def test_ragged_rows_are_named_for_every_kind(self, tmp_path, capsys, kind):
+        csv = tmp_path / "ragged.csv"
+        csv.write_text("0,1\n1,0,2\n")
+        assert main(["persist", "--input", str(csv), "--input-kind", kind,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "rows have inconsistent column counts" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row, named", [("nan,1", "nan"), ("inf,1", "inf")])
     def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys, row, named):
         csv = tmp_path / "bad.csv"
@@ -80,6 +88,19 @@ class TestPersist:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "3921225 candidate 3-simplices exceed the guard" in capsys.readouterr().err
+
+    def test_nan_threshold_is_an_input_error(self, tmp_path, capsys, square_csv):
+        out = tmp_path / "o"
+        assert main(["persist", "--input", str(square_csv), "--r", "nan",
+                     "--out", str(out)]) == 2
+        assert "--r must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_threshold_gives_an_empty_diagram(self, tmp_path, square_csv, r):
+        out = tmp_path / "o"
+        assert main(["persist", "--input", str(square_csv), "--r", r, "--out", str(out)]) == 0
+        assert (out / "diagram.csv").read_text() == "dim,birth,death\n"
 
     def test_byte_identical_reruns(self, tmp_path, square_csv):
         outs = []
@@ -388,6 +409,12 @@ class TestVerify:
     def test_zero_trials_is_a_vacuous_pass(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         assert "vacuous" in capsys.readouterr().err
+
+    def test_negative_trials_is_an_input_error(self, capsys):
+        assert main(["verify", "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "--trials must be >= 0, got -3" in captured.err
+        assert captured.out == ""
 
     def test_corrupted_metric_input_fails(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -107,12 +108,23 @@ class TestStars:
                 assert worst <= star_bound(n)
 
     def test_exact_rational_incidence_agrees_with_stars(self):
-        tri = build_fk(2, 2)
-        for v in tri.vertices():
-            via_fraction = {s.key for s in
-                            tri.simplices_containing_fraction(v, tri.p)}
-            via_star = {s.key for s in tri.simplices_containing_vertex(v)}
-            assert via_fraction == via_star
+        def star(tri, v):
+            # reference: every simplex of the up to 2^n cells at v that has v
+            # among its vertices
+            keys = []
+            for delta in product((0, 1), repeat=tri.n):
+                base = tuple(c - d for c, d in zip(v, delta))
+                if all(0 <= b <= tri.p - 1 for b in base):
+                    keys += [(base, perm) for perm in permutations(range(tri.n))
+                             if v in FKSimplex(base, perm).vertices()]
+            return keys
+
+        for n, p in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 1)]:
+            tri = build_fk(n, p)
+            for v in tri.vertices():
+                got = [s.key for s in tri.simplices_containing_fraction(v, tri.p)]
+                assert len(got) == len(set(got))
+                assert set(got) == set(star(tri, v))
 
 
 class TestExactLocation:

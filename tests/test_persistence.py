@@ -7,9 +7,8 @@ import pytest
 from vkit.complexes import build_cech, build_vietoris, build_vr
 from vkit.metric import Cover, space_from_points
 from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow,
-                              _bipartite_max_matching, _cofaces,
-                              _filtration_layers, betti_at, compute_diagram,
-                              diagram_distance)
+                              _cofaces, _filtration_layers, betti_at,
+                              compute_diagram, diagram_distance)
 from vkit.verify import random_space
 
 
@@ -200,19 +199,26 @@ class TestBottleneck:
                             best = min(best, cost)
             return best if best is not math.inf else 0.0
 
-        for _ in range(15):
-            A = [(b, b + g) for b, g in rng.uniform(0.1, 1.0, size=(int(rng.integers(0, 4)), 2))]
-            B = [(b, b + g) for b, g in rng.uniform(0.1, 1.0, size=(int(rng.integers(0, 4)), 2))]
+        def bars(integral):
+            # integer bars tie pair costs with diagonal costs
+            size = (int(rng.integers(0, 4)), 2)
+            draws = rng.integers(0, 4, size=size).astype(float) if integral \
+                else rng.uniform(0.1, 1.0, size=size)
+            return [(float(b), float(b + g)) for b, g in draws]
+
+        for trial in range(30):
+            A, B = bars(trial % 2 == 1), bars(trial % 2 == 1)
             D1 = PersistenceDiagram.of([(0, b, d) for b, d in A])
             D2 = PersistenceDiagram.of([(0, b, d) for b, d in B])
-            assert diagram_distance(D1, D2) == pytest.approx(brute(A, B), abs=1e-12)
+            # both sides compute the same IEEE costs, so they agree exactly
+            assert diagram_distance(D1, D2) == brute(A, B)
 
-    def test_long_augmenting_path_does_not_recurse(self):
-        # left i < N prefers right i and may move to right i + 1; left N
-        # only fits right 0, so its augmenting path crosses all N pairs
+    def test_diagrams_past_the_recursion_limit(self):
+        # the size at which a recursive augmenting-path search fails
         N = sys.getrecursionlimit() + 100
-        adj = [[i, i + 1] for i in range(N)] + [[0]]
-        assert _bipartite_max_matching(N + 1, N + 1, adj) == N + 1
+        D1 = PersistenceDiagram.of([(1, float(i), float(i + 10)) for i in range(N)])
+        D2 = PersistenceDiagram.of([(1, i + 0.25, i + 10.25) for i in range(N)])
+        assert diagram_distance(D1, D2) == 0.25
 
     def test_stability_smoke(self, rng):
         import numpy as np
