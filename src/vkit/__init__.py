@@ -3,19 +3,18 @@ Wasserstein geometry of finitely supported measures, metric-thickening
 covers, Freudenthal-Kuhn triangulations, simplexwise straightening, and
 persistent homology over Z/2."""
 
-from .complexes import FilteredComplex, RealizationPoint, build_cech, build_vietoris, build_vr, is_simplex
-from .fk import FKSimplex, FKTriangulation, build_fk, estimate_lebesgue, star_bound, subordinate_to
-from .measures import (Coupling, FiniteMeasure, barycentric_distance,
-                       common_mass_coupling, convex_combine, dirac, wasserstein)
-from .metric import (Cover, FiniteMetricSpace, cover_elements_containing,
-                     distance_to_complement, space_from_points, validate_metric)
+from .complexes import FilteredComplex, build_cech, build_vietoris, build_vr
+from .fk import FKSimplex, FKTriangulation, star_bound
+from .measures import (Coupling, FiniteMeasure, barycentric_distance, convex_combine, dirac,
+                       wasserstein)
+from .metric import (Cover, FiniteMetricSpace, distance_to_complement, space_from_points,
+                     validate_metric)
 from .persistence import PersistenceDiagram, betti_at, compute_diagram, diagram_distance
 from .straightening import (CertificationLog, Labeling, SampledMap,
                             SimplexwiseAffineMap, choose_p, intersection_mass_bound,
                             label_simplices, linearize, prism_retract, pump_vertex,
                             straighten)
-from .thickening import (BumpFunction, ThickenedElement, build_bump, compare_metrics,
-                         has_mcp, in_m_u, pump, pump_coordinate, pump_homotopy,
-                         shrink_to_inner)
+from .thickening import (BumpFunction, build_bump, compare_metrics, has_mcp, pump,
+                         pump_coordinate, pump_homotopy, shrink_to_inner)
 
 __version__ = "0.1.0"

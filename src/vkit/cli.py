@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import ComplexTooLarge, build_cech, build_vr
-from .fk import FKTriangulation, build_fk, check_grid
+from .fk import FKTriangulation, check_grid
 from .generators import GENERATORS
 from .measures import FiniteMeasure
 from .metric import (Cover, FiniteMetricSpace, MetricValidationError,
@@ -97,7 +97,7 @@ def cmd_fk(args: argparse.Namespace) -> int:
         return _fail_input(str(exc))
     if args.n > 4:
         return _fail_input("mesh export supports n <= 4")
-    tri = build_fk(args.n, args.res)
+    tri = FKTriangulation(args.n, args.res)
     out = _outdir(args)
     (out / "mesh.off").write_text(tri.to_off())
     first = next(tri.simplices())
@@ -217,6 +217,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         return _fail_input(f"--trials must be >= 0, got {args.trials}")
+    if args.seed < 0:
+        return _fail_input(f"--seed must be >= 0, got {args.seed}")
     failures = 0
     rows = []
     if args.input is not None:

@@ -8,14 +8,13 @@ strictly below r, so one built complex serves all thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .metric import Cover, CoverKind, FiniteMetricSpace, UnboundedCover
-from .measures import FiniteMeasure
+from .metric import Cover, FiniteMetricSpace, UnboundedCover
 
 Simplex = tuple[int, ...]
 
@@ -31,16 +30,12 @@ class FilteredComplex:
 
     simplices: dict[Simplex, float]
     k_max: int
-    space: FiniteMetricSpace | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.simplices)
 
     def vertices(self) -> list[int]:
         return sorted(s[0] for s in self.simplices if len(s) == 1)
-
-    def simplices_of_dim(self, d: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == d + 1)
 
     def value_of(self, S: Iterable[int]) -> float:
         return self.simplices[tuple(sorted(set(S)))]
@@ -71,17 +66,6 @@ class FilteredComplex:
                 if self.simplices[face] > v:
                     raise ValueError(f"face {face} enters after coface {s}")
 
-    def export_text(self) -> str:
-        """One simplex per line: 'v0 v1 ... vk ; value'."""
-        lines = []
-        for s, v in self.in_filtration_order():
-            lines.append(" ".join(str(i) for i in s) + f" ; {v!r}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def is_simplex(K: FilteredComplex, S: Iterable[int]) -> bool:
-    return K.is_simplex(S)
-
 
 class ComplexTooLarge(ValueError):
     """A clique expansion would build more simplices than the guard allows."""
@@ -107,12 +91,14 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
         raise ValueError("k_max must be nonnegative")
     simps: dict[Simplex, float] = {}
     if r <= 0.0:
-        return FilteredComplex(simps, k_max, space)
+        return FilteredComplex(simps, k_max)
     n = space.n_points
     frontier = [((j,), seed(j)) for j in range(n)]
     simps.update((s, 0.0) for s, _ in frontier)
     below: list = [range(j) for j in range(n)]      # every pair is a candidate edge
     for dim in range(1, k_max + 1):
+        if not frontier:            # no (dim-1)-simplex to extend, however large k_max is
+            break
         candidates = [sorted(set(below[s[0]]).intersection(*(below[v] for v in s[1:])))
                       for s, _ in frontier]
         count = sum(map(len, candidates))
@@ -131,7 +117,7 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
         if dim == 1:
             below = [{u for u in range(j) if (u, j) in simps} for j in range(n)]
         frontier = nxt
-    return FilteredComplex(simps, k_max, space)
+    return FilteredComplex(simps, k_max)
 
 
 def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
@@ -173,14 +159,11 @@ def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComple
 def build_vietoris(space: FiniteMetricSpace, cov: Cover, k_max: int) -> FilteredComplex:
     """Vietoris complex of a cover: simplices are subsets of some element.
 
-    Unfiltered (every simplex at value 0).  Requires a cover whose elements
-    can be listed; diameter covers are implicit and are exactly the
-    Vietoris-Rips construction, so use :func:`build_vr` for those.
+    Unfiltered (every simplex at value 0).  The Vietoris complex of the
+    cover by all sets of diameter below r is :func:`build_vr`.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    if cov.kind is CoverKind.DIAMETER:
-        raise ValueError("diameter covers are implicit; build_vr is their Vietoris complex")
     bound = cov.diameter_bound()
     if not (bound < float("inf")):
         raise UnboundedCover("cover reports no finite diameter bound")
@@ -190,16 +173,4 @@ def build_vietoris(space: FiniteMetricSpace, cov: Cover, k_max: int) -> Filtered
         for size in range(1, min(k_max + 1, len(members)) + 1):
             for sub in combinations(members, size):
                 simps[sub] = 0.0
-    return FilteredComplex(simps, k_max, space)
-
-
-@dataclass(frozen=True)
-class RealizationPoint:
-    """A point of the geometric realization: a measure carried by one simplex."""
-
-    complex: FilteredComplex
-    measure: FiniteMeasure
-
-    def __post_init__(self):
-        if not self.complex.is_simplex(self.measure.support):
-            raise ValueError("measure support is not a simplex of the complex")
+    return FilteredComplex(simps, k_max)

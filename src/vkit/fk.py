@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,11 +189,6 @@ class FKTriangulation:
         return "\n".join(lines) + "\n"
 
 
-def build_fk(n: int, p: int) -> FKTriangulation:
-    """Triangulation of the unit n-cube at resolution p (cells per axis)."""
-    return FKTriangulation(n, p)
-
-
 def check_grid(n, res, dense_depth=None) -> int:
     """Refuse a grid of more than ``FK_CELL_GUARD`` simplices, n! * (depth * res)^n,
     before anything is built or sampled on it, and return the depth: a map
@@ -217,12 +212,6 @@ def star_bound(n: int) -> int:
     return (2 ** n) * math.factorial(n)
 
 
-def subordinate_to(tri: FKTriangulation,
-                   assignment: Mapping[SimplexKey, object]) -> bool:
-    """True iff every n-simplex is assigned a (non-None) cover element id."""
-    return all(assignment.get(s.key) is not None for s in tri.simplices())
-
-
 def facet_counts(tri: FKTriangulation) -> dict[tuple[Lattice, ...], int]:
     """How many n-simplices share each (n-1)-face (enumerates everything)."""
     counts: dict[tuple[Lattice, ...], int] = {}
@@ -244,7 +233,7 @@ def is_boundary_face(tri: FKTriangulation, face: Iterable[Lattice]) -> bool:
     return False
 
 
-def default_resolutions(p_max: int = 1024) -> list[int]:
+def default_resolutions(p_max: int) -> list[int]:
     """Doubling sweep 1, 2, 4, ... capped at p_max."""
     out = []
     p = 1
@@ -283,28 +272,3 @@ def subordinate_resolution(samples: Sequence[tuple[Sequence[int], int]], den: in
         if emptied is None:
             return p, shared
     raise NoLabel(emptied)
-
-
-def estimate_lebesgue(bitsets: np.ndarray, p_max: int = 1024,
-                      resolutions: Sequence[int] | None = None) -> float:
-    """Largest certified-at-samples mesh size sqrt(n)/p for the given cover data.
-
-    ``bitsets`` holds the admissible-element bitmask of every sample of a
-    regular grid (axis k sampled at j/(shape[k]-1)).  Sweeps resolutions
-    coarse-to-fine (doubling by default) and returns the mesh size of the
-    first one whose every sampled simplex admits a common cover element; 0
-    signals that none of the tested resolutions works.
-    """
-    dens = tuple(s - 1 for s in bitsets.shape)
-    if any(d < 1 for d in dens):
-        raise ValueError("grid needs at least 2 samples per axis")
-    den = math.lcm(*dens)
-    scale = tuple(den // d for d in dens)
-    samples = [(tuple(i * k for i, k in zip(idx, scale)), int(bitsets[idx]))
-               for idx in np.ndindex(*bitsets.shape)]
-    ps = list(resolutions) if resolutions is not None else default_resolutions(p_max)
-    try:
-        p, _ = subordinate_resolution(samples, den, ps)
-    except NoLabel:
-        return 0.0
-    return math.sqrt(bitsets.ndim) / p

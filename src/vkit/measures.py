@@ -82,11 +82,6 @@ class FiniteMeasure:
     def to_json(self) -> str:
         return json.dumps({"support": list(self.support), "weights": list(self.weights)})
 
-    @staticmethod
-    def from_json(space: FiniteMetricSpace, text: str) -> "FiniteMeasure":
-        data = json.loads(text)
-        return FiniteMeasure(space, tuple(data["support"]), tuple(data["weights"]))
-
 
 def dirac(space: FiniteMetricSpace, x: int) -> FiniteMeasure:
     """Unit mass at a single point."""
@@ -160,14 +155,6 @@ class Coupling:
         d = self.space.dist[np.ix_(self.rows, self.cols)]
         return float((self.mass * d).sum())
 
-    def off_diagonal_mass(self) -> float:
-        total = 0.0
-        for i, x in enumerate(self.rows):
-            for j, y in enumerate(self.cols):
-                if x != y:
-                    total += float(self.mass[i, j])
-        return total
-
     def transpose(self) -> "Coupling":
         return Coupling(self.space, self.cols, self.rows, self.mass.T.copy())
 
@@ -204,39 +191,3 @@ def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure) -> tuple[float, Coupling]:
         value, plan = _solve_transport(nu, mu)
         return value, plan.transpose()
     return _solve_transport(mu, nu)
-
-
-def common_mass_coupling(mu: FiniteMeasure, nu: FiniteMeasure) -> Coupling:
-    """Feasible plan fixing min(mu(x), nu(x)) on the diagonal.
-
-    Residual supply and demand (which live on disjoint point sets once the
-    shared mass is pinned) are matched greedily in index order.  The
-    off-diagonal mass equals half the barycentric distance.
-    """
-    if mu.space is not nu.space:
-        raise ValueError("measures live on different spaces")
-    rows, cols = mu.support, nu.support
-    plan = np.zeros((len(rows), len(cols)))
-    res_a = list(mu.weights)
-    res_b = list(nu.weights)
-    col_of = {y: j for j, y in enumerate(cols)}
-    for i, x in enumerate(rows):
-        j = col_of.get(x)
-        if j is not None:
-            shared = min(res_a[i], res_b[j])
-            plan[i, j] = shared
-            res_a[i] -= shared
-            res_b[j] -= shared
-    i = j = 0
-    while i < len(rows) and j < len(cols):
-        if res_a[i] <= 0.0:
-            i += 1
-            continue
-        if res_b[j] <= 0.0:
-            j += 1
-            continue
-        moved = min(res_a[i], res_b[j])
-        plan[i, j] += moved
-        res_a[i] -= moved
-        res_b[j] -= moved
-    return Coupling(mu.space, rows, cols, plan)

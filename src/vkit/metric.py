@@ -1,11 +1,12 @@
-"""Finite metric spaces, covers of them, and cover-level predicates.
+"""Finite metric spaces and covers of them.
 
 A :class:`FiniteMetricSpace` is a validated distance matrix over an indexed
 point set, optionally carrying Euclidean coordinates.  A :class:`Cover` is a
-family of subsets of the point set, given either implicitly (all sets of
-diameter below a threshold, or all open balls of a fixed radius) or as an
-explicit list of index subsets.  Implicit covers are never enumerated; they
-exist only through the membership predicate :func:`cover_elements_containing`.
+family of subsets of the point set: the open balls of a fixed radius about
+every point, or an explicit list of index subsets.  Either kind lists its
+elements (:meth:`Cover.enumerable_elements`).  The cover by all sets of
+diameter below r is not a :class:`Cover`: its Vietoris complex is the
+Vietoris-Rips complex, built directly by ``complexes.build_vr``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,7 +68,8 @@ class TriangleViolation(MetricValidationError):
 
 
 class EmptySet(ValueError):
-    """A cover membership query needs a nonempty vertex set."""
+    """A point set that must be nonempty (a cover element, or the set whose
+    complement a distance is taken to) is empty."""
 
 
 class UnboundedCover(ValueError):
@@ -184,7 +185,6 @@ def distance_to_complement(space: FiniteMetricSpace, U: Iterable[int], x: int) -
 
 
 class CoverKind(Enum):
-    DIAMETER = "diameter"
     BALL = "ball"
     EXPLICIT = "explicit"
 
@@ -193,8 +193,6 @@ class CoverKind(Enum):
 class Cover:
     """A cover of a finite metric space.
 
-    * ``DIAMETER``: all subsets of diameter strictly below ``radius``
-      (implicit; membership tested, never enumerated).
     * ``BALL``: the open balls ``{x : d(z, x) < radius}`` centered at every
       point z; element ids are the center indices.
     * ``EXPLICIT``: a listed family of index subsets; element ids are list
@@ -207,14 +205,6 @@ class Cover:
     element_sets: tuple[frozenset[int], ...] | None = None
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def by_diameter(space: FiniteMetricSpace, r: float) -> "Cover":
-        if not (r > 0.0):
-            raise ValueError("diameter cover needs r > 0 to cover every point")
-        if math.isinf(r):
-            raise UnboundedCover("r must be finite")
-        return Cover(space, CoverKind.DIAMETER, radius=float(r))
 
     @staticmethod
     def by_balls(space: FiniteMetricSpace, r: float) -> "Cover":
@@ -246,62 +236,20 @@ class Cover:
 
     def diameter_bound(self) -> float:
         """Supremum of element diameters (exact on a finite space)."""
-        if self.kind is CoverKind.DIAMETER:
-            below = [self.space.d(i, j)
-                     for i, j in combinations(self.space.points(), 2)
-                     if self.space.d(i, j) < self.radius]
-            return max(below, default=0.0)
-        if self.kind is CoverKind.BALL:
-            return max(self.space.diam_of(self.resolve(z)) for z in self.space.points())
-        return max(self.space.diam_of(e) for e in self.element_sets)
+        return max(self.space.diam_of(e) for _, e in self.enumerable_elements())
 
     def resolve(self, element_id) -> frozenset[int]:
         """Point set of a cover element named by its identifier."""
         if self.kind is CoverKind.EXPLICIT:
             return self.element_sets[element_id]
-        if self.kind is CoverKind.BALL:
-            z = int(element_id)
-            return frozenset(x for x in self.space.points() if self.space.d(z, x) < self.radius)
-        # diameter covers: the synthetic witness is the queried set itself
-        return frozenset(element_id)
+        z = int(element_id)
+        return frozenset(x for x in self.space.points() if self.space.d(z, x) < self.radius)
 
     def enumerable_elements(self) -> list[tuple[object, frozenset[int]]]:
-        """(id, point set) pairs, for cover kinds with listable elements."""
+        """(id, point set) pairs of all elements, in id order."""
         if self.kind is CoverKind.EXPLICIT:
             return [(i, e) for i, e in enumerate(self.element_sets)]
-        if self.kind is CoverKind.BALL:
-            return [(z, self.resolve(z)) for z in self.space.points()]
-        raise ValueError("diameter covers are implicit and cannot be enumerated")
-
-    def elements_containing(self, S: Iterable[int]) -> list:
-        """Identifiers of all elements containing the set S.
-
-        Strict comparisons throughout (open convention): a set of diameter
-        exactly r is not inside any diameter-cover element, and a witness at
-        distance exactly r does not certify ball membership.
-        """
-        s = sorted(set(int(i) for i in S))
-        if not s:
-            raise EmptySet("membership query needs a nonempty set")
-        for i in s:
-            if not (0 <= i < self.space.n_points):
-                raise IndexError(f"point index {i} out of range")
-        if self.kind is CoverKind.DIAMETER:
-            if self.space.diam_of(s) < self.radius:
-                return [tuple(s)]
-            return []
-        if self.kind is CoverKind.BALL:
-            out = []
-            for z in self.space.points():
-                if max(self.space.d(z, x) for x in s) < self.radius:
-                    out.append(z)
-            return out
-        return [i for i, e in enumerate(self.element_sets) if set(s) <= e]
-
-
-def cover_elements_containing(cov: Cover, S: Iterable[int]) -> list:
-    """All cover elements containing S; see :meth:`Cover.elements_containing`."""
-    return cov.elements_containing(S)
+        return [(z, self.resolve(z)) for z in self.space.points()]
 
 
 # -- file formats ------------------------------------------------------

@@ -77,7 +77,10 @@ class PersistenceDiagram:
 
 def _filtration_layers(K: FilteredComplex, top: int) -> list[list[tuple[float, Simplex]]]:
     """(value, simplex) pairs of each dimension 0..top in filtration order,
-    (value, then dim, then lex), which within one dimension is (value, lex)."""
+    (value, then dim, then lex), which within one dimension is (value, lex).
+    The layers stop at dimension min(top, dim K + 1): those above dim K are
+    empty, and only the first of them is made."""
+    top = min(top, max(map(len, K.simplices), default=0))
     layers: list[list[tuple[float, Simplex]]] = [[] for _ in range(top + 1)]
     for s, v in K.simplices.items():
         if len(s) <= top + 1:
@@ -115,7 +118,7 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     layers = _filtration_layers(K, max_dim + 1)
     intervals = []
     died: set[int] = set()
-    for d in range(max_dim + 1):
+    for d in range(len(layers) - 1):
         layer, upper = layers[d], layers[d + 1]
         cofaces = _cofaces(layer, upper)
         owner: dict[int, int] = {}

@@ -26,8 +26,8 @@ import numpy as np
 
 from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
                  default_resolutions, star_bound, subordinate_resolution)
-from .measures import FiniteMeasure, barycentric_distance, mix
-from .metric import Cover, FiniteMetricSpace
+from .measures import FiniteMeasure, barycentric_distance
+from .metric import Cover
 from .thickening import build_bump, pump, pump_homotopy, shrink_to_inner
 
 TRACK_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -98,10 +98,6 @@ class SampledMap:
     def grid(self) -> FKTriangulation:
         """The sampled lattice, as the grid of resolution depth * tri.p."""
         return FKTriangulation(self.tri.n, self.depth * self.tri.p)
-
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return next(iter(self.values.values())).space
 
     @staticmethod
     def from_function(tri: FKTriangulation,
@@ -271,13 +267,6 @@ class SimplexwiseAffineMap:
     tri: FKTriangulation
     values: dict[Lattice, FiniteMeasure]
     labeling: Labeling | None = None
-
-    def evaluate(self, y: Sequence[float]) -> FiniteMeasure:
-        simplex, coords = self.tri.locate(y)
-        verts = simplex.vertices()
-        space = self.values[verts[0]].space
-        return mix(space, [(float(coords[i]), self.values[verts[i]])
-                           for i in range(len(verts))])
 
 
 def linearize(values: Mapping[Lattice, FiniteMeasure], lab: Labeling,

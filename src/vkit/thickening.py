@@ -95,26 +95,6 @@ def build_bump(space: FiniteMetricSpace, plateau: Iterable[int],
     return bump
 
 
-@dataclass(frozen=True)
-class ThickenedElement:
-    """Open neighborhood of M_U in the thickening: measures with mu(U) > p."""
-
-    base: frozenset[int]
-    p: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError("threshold p must lie in (0, 1)")
-
-    def contains(self, mu: FiniteMeasure) -> bool:
-        return mu.mass_of(self.base) > self.p
-
-
-def in_m_u(mu: FiniteMeasure, U: Iterable[int]) -> bool:
-    """True iff the support of mu lies inside U."""
-    return mu.support_set() <= frozenset(int(x) for x in U)
-
-
 def has_mcp(measures: Iterable[FiniteMeasure], p: float, U: Iterable[int]) -> bool:
     """Mass concentration: every measure puts mass strictly above p on U."""
     if not (0.0 < p < 1.0):

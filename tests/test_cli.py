@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import string
+import time
 import warnings
 
 import numpy as np
@@ -101,6 +102,21 @@ class TestPersist:
         out = tmp_path / "o"
         assert main(["persist", "--input", str(square_csv), "--r", r, "--out", str(out)]) == 0
         assert (out / "diagram.csv").read_text() == "dim,birth,death\n"
+
+    @pytest.mark.parametrize("filtration, top", [("vr", "1"), ("cech", "2")])
+    def test_kmax_far_above_the_complex_costs_nothing(self, tmp_path, filtration, top):
+        # 5 points span at most a 4-simplex: the expansion stops there and
+        # the diagram is the one any --kmax >= 5 gives, however large
+        csv = tmp_path / "five.csv"
+        csv.write_text(SQUARE_CSV + "3,0\n")
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["persist", "--input", str(csv), "--filtration", filtration,
+                     "--kmax", str(10 ** 6), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert (out / "diagram.csv").read_text() == (
+            "dim,birth,death\n" + "0,0.0,1.0\n" * 3 + "0,0.0,2.0\n0,0.0,inf\n"
+            f"{top},1.0,{math.sqrt(2)!r}\n")
 
     def test_byte_identical_reruns(self, tmp_path, square_csv):
         outs = []
@@ -414,6 +430,12 @@ class TestVerify:
         assert main(["verify", "--trials", "-3"]) == 2
         captured = capsys.readouterr()
         assert "--trials must be >= 0, got -3" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        assert main(["verify", "--trials", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
     def test_corrupted_metric_input_fails(self, tmp_path):

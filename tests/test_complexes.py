@@ -1,21 +1,24 @@
 import math
+from itertools import combinations
 
 import pytest
 
 from vkit import complexes
-from vkit.complexes import (ComplexTooLarge, RealizationPoint, build_cech,
-                            build_vietoris, build_vr, is_simplex)
-from vkit.measures import FiniteMeasure
+from vkit.complexes import ComplexTooLarge, build_cech, build_vietoris, build_vr
 from vkit.metric import Cover, space_from_points
 from vkit.oracles import cech_subset_scan, vr_subset_scan
 from vkit.verify import random_space
 
 
+def dim_count(K, d):
+    return sum(1 for s in K.simplices if len(s) == d + 1)
+
+
 class TestBuildVR:
     def test_equilateral_at_side_length_is_edge_free(self, equilateral):
         K = build_vr(equilateral, 1.0, 2)
-        assert len(K.simplices_of_dim(0)) == 3
-        assert len(K.simplices_of_dim(1)) == 0
+        assert dim_count(K, 0) == 3
+        assert dim_count(K, 1) == 0
 
     def test_equilateral_just_above_side_fills(self, equilateral):
         K = build_vr(equilateral, 1.01, 2)
@@ -24,9 +27,9 @@ class TestBuildVR:
 
     def test_square_below_diagonal_keeps_the_cycle_open(self, square):
         K = build_vr(square, 1.2, 2)
-        assert len(K.simplices_of_dim(0)) == 4
-        assert len(K.simplices_of_dim(1)) == 4
-        assert len(K.simplices_of_dim(2)) == 0
+        assert dim_count(K, 0) == 4
+        assert dim_count(K, 1) == 4
+        assert dim_count(K, 2) == 0
 
     def test_nonpositive_threshold_gives_empty_complex(self, square):
         assert len(build_vr(square, 0.0, 2)) == 0
@@ -121,26 +124,28 @@ class TestBuildVietoris:
         assert K.is_simplex({0, 1}) and K.is_simplex({1, 2})
         assert not K.is_simplex({0, 1, 2}) and not K.is_simplex({0, 2})
 
-    def test_diameter_cover_is_rejected(self, line3):
-        with pytest.raises(ValueError):
-            build_vietoris(line3, Cover.by_diameter(line3, 1.5), 2)
+    def test_cover_by_all_small_diameter_sets_gives_the_vr_complex(self, rng):
+        # the cover by every set of diameter below r, listed explicitly, has
+        # the open VR complex at r as its Vietoris complex
+        for _ in range(20):
+            space = random_space(rng, min_points=3, max_points=6)
+            r = float(rng.uniform(0.2, 1.5)) * max(space.d(0, x) for x in space.points())
+            small = [S for size in range(1, space.n_points + 1)
+                     for S in combinations(space.points(), size) if space.diam_of(S) < r]
+            K = build_vietoris(space, Cover.explicit(space, small), 3)
+            assert set(K.simplices) == {s for s, _ in build_vr(space, r, 3).sublevel(r)}
 
 
-class TestMembershipAndRealization:
+class TestMembership:
     def test_faces_of_stored_simplices(self, square):
         K = build_vr(square, 1.5, 2)
-        assert is_simplex(K, {0, 1})
-        assert is_simplex(K, set())
-        assert not is_simplex(K, {0, 1, 2, 3})
+        assert K.is_simplex({0, 1})
+        assert K.is_simplex(set())
+        assert not K.is_simplex({0, 1, 2, 3})
 
-    def test_realization_point_needs_a_carrier_simplex(self, square):
-        K = build_vr(square, 1.2, 2)
-        RealizationPoint(K, FiniteMeasure(square, (0, 1), (0.5, 0.5)))
-        with pytest.raises(ValueError):
-            RealizationPoint(K, FiniteMeasure(square, (0, 2), (0.5, 0.5)))
-
-    def test_export_text_format(self, line3):
-        K = build_vr(line3, 1.5, 1)
-        lines = K.export_text().splitlines()
-        assert lines[0] == "0 ; 0.0"
-        assert lines[-1] == "1 2 ; 1.0"
+    def test_value_of_is_the_entry_threshold(self, line3):
+        K = build_vr(line3, 2.5, 2)
+        assert K.value_of({0}) == 0.0
+        assert K.value_of({2, 1}) == 1.0
+        assert K.value_of({0, 1, 2}) == 2.0
+        assert [s for s, _ in K.sublevel(2.0)] == [(0,), (1,), (2,), (0, 1), (1, 2)]

@@ -6,33 +6,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vkit.fk import (FKSimplex, OutOfDomain, build_fk,
-                     default_resolutions, estimate_lebesgue, facet_counts,
-                     is_boundary_face, star_bound, subordinate_to)
+from vkit.fk import (FKSimplex, FKTriangulation, NoLabel, OutOfDomain,
+                     default_resolutions, facet_counts, is_boundary_face, star_bound,
+                     subordinate_resolution)
 
 from exact_locator import simplex_keys_containing
 
 
 class TestEnumeration:
     def test_two_segments_on_the_interval(self):
-        tri = build_fk(1, 2)
+        tri = FKTriangulation(1, 2)
         keys = [s.key for s in tri.simplices()]
         assert keys == [((0,), (0,)), ((1,), (0,))]
         assert tri.scaled_vertices(FKSimplex((0,), (0,))).tolist() == [[0.0], [0.5]]
 
     def test_unit_square_splits_into_the_two_axis_order_triangles(self):
-        tri = build_fk(2, 1)
+        tri = FKTriangulation(2, 1)
         verts = {s.key: s.vertices() for s in tri.simplices()}
         assert verts[((0, 0), (0, 1))] == ((0, 0), (1, 0), (1, 1))
         assert verts[((0, 0), (1, 0))] == ((0, 0), (0, 1), (1, 1))
 
     def test_counts(self):
-        assert build_fk(3, 2).simplex_count == 48
-        assert sum(1 for _ in build_fk(3, 2).simplices()) == 48
+        assert FKTriangulation(3, 2).simplex_count == 48
+        assert sum(1 for _ in FKTriangulation(3, 2).simplices()) == 48
 
     def test_volume_partition(self):
         for n, p in [(1, 3), (2, 2), (3, 2)]:
-            tri = build_fk(n, p)
+            tri = FKTriangulation(n, p)
             total = 0.0
             for s in tri.simplices():
                 verts = tri.scaled_vertices(s)
@@ -41,7 +41,7 @@ class TestEnumeration:
 
     def test_every_simplex_has_diameter_root_n_over_p(self):
         for n, p in [(1, 2), (2, 3), (3, 2)]:
-            tri = build_fk(n, p)
+            tri = FKTriangulation(n, p)
             for s in tri.simplices():
                 verts = tri.scaled_vertices(s)
                 diam = max(np.linalg.norm(a - b)
@@ -51,39 +51,39 @@ class TestEnumeration:
 
 class TestLocate:
     def test_sorts_the_larger_fraction_first(self):
-        tri = build_fk(2, 1)
+        tri = FKTriangulation(2, 1)
         simplex, coords = tri.locate([0.3, 0.7])
         assert simplex.vertices() == ((0, 0), (0, 1), (1, 1))
         assert coords.tolist() == pytest.approx([0.3, 0.4, 0.3], abs=1e-15)
 
     def test_lattice_vertex_gets_full_weight_on_base(self):
-        tri = build_fk(3, 2)
+        tri = FKTriangulation(3, 2)
         simplex, coords = tri.locate([0.0, 0.0, 0.0])
         assert simplex.base == (0, 0, 0)
         assert coords[0] == 1.0 and coords[1:].tolist() == [0.0, 0.0, 0.0]
 
     def test_barycenter_round_trip(self):
-        tri = build_fk(3, 2)
+        tri = FKTriangulation(3, 2)
         simplex, _ = tri.locate([0.3, 0.6, 0.1])
         center = tri.point_of(simplex, np.full(4, 0.25))
         _, coords = tri.locate(center)
         assert coords.tolist() == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_far_corner(self):
-        tri = build_fk(2, 2)
+        tri = FKTriangulation(2, 2)
         simplex, coords = tri.locate([1.0, 1.0])
         assert simplex.base == (1, 1)
         assert tri.point_of(simplex, coords).tolist() == [1.0, 1.0]
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            build_fk(2, 1).locate([0.5, 1.2])
+            FKTriangulation(2, 1).locate([0.5, 1.2])
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, n, p, seed):
         rng = np.random.default_rng(seed)
-        tri = build_fk(n, p)
+        tri = FKTriangulation(n, p)
         y = rng.uniform(0.0, 1.0, size=n)
         simplex, coords = tri.locate(y)
         assert (coords >= 0.0).all()
@@ -93,17 +93,17 @@ class TestLocate:
 
 class TestStars:
     def test_interior_vertex_counts(self):
-        assert build_fk(1, 2).vertex_star_size((1,)) == 2
-        assert build_fk(2, 2).vertex_star_size((1, 1)) == 6
+        assert FKTriangulation(1, 2).vertex_star_size((1,)) == 2
+        assert FKTriangulation(2, 2).vertex_star_size((1, 1)) == 6
 
     def test_corner_sees_one_cell(self):
-        assert build_fk(2, 2).vertex_star_size((0, 0)) == 2
-        assert build_fk(3, 2).vertex_star_size((0, 0, 0)) == 6
+        assert FKTriangulation(2, 2).vertex_star_size((0, 0)) == 2
+        assert FKTriangulation(3, 2).vertex_star_size((0, 0, 0)) == 6
 
     def test_star_bound_is_exhaustive(self):
         for n in (1, 2, 3):
             for p in (1, 2, 3):
-                tri = build_fk(n, p)
+                tri = FKTriangulation(n, p)
                 worst = max(tri.vertex_star_size(v) for v in tri.vertices())
                 assert worst <= star_bound(n)
 
@@ -120,7 +120,7 @@ class TestStars:
             return keys
 
         for n, p in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 1)]:
-            tri = build_fk(n, p)
+            tri = FKTriangulation(n, p)
             for v in tri.vertices():
                 got = [s.key for s in tri.simplices_containing_fraction(v, tri.p)]
                 assert len(got) == len(set(got))
@@ -138,13 +138,13 @@ class TestExactLocation:
         # den takes every residue mod p, so p need not divide it; nums reach
         # 0 and den, so lattice points and faces are drawn too
         nums = [d % (den + 1) for d in draws[:n]]
-        tri = build_fk(n, p)
+        tri = FKTriangulation(n, p)
         got = [s.key for s in tri.simplices_containing_fraction(nums, den)]
         assert got == simplex_keys_containing(n, p, nums, (den,) * n)
         assert got and len(got) == len(set(got))
 
     def test_points_off_the_cube_are_refused(self):
-        tri = build_fk(2, 3)
+        tri = FKTriangulation(2, 3)
         for nums in [(-1, 0), (0, 8), (8, 7)]:
             with pytest.raises(OutOfDomain):
                 tri.simplices_containing_fraction(nums, 7)
@@ -153,61 +153,51 @@ class TestExactLocation:
 class TestFacets:
     def test_interior_facets_shared_by_two_simplices(self):
         for n, p in [(1, 3), (2, 2), (2, 3), (3, 2)]:
-            tri = build_fk(n, p)
+            tri = FKTriangulation(n, p)
             for face, count in facet_counts(tri).items():
                 assert count == (1 if is_boundary_face(tri, face) else 2)
 
 
-class TestSubordination:
-    def test_total_assignment(self):
-        tri = build_fk(2, 1)
-        full = {s.key: 0 for s in tri.simplices()}
-        assert subordinate_to(tri, full)
-        partial = dict(full)
-        partial[next(iter(partial))] = None
-        assert not subordinate_to(tri, partial)
-
-
-class TestEstimateLebesgue:
-    def _slab_bitsets(self, grid: int, left_end: float, right_start: float) -> np.ndarray:
-        out = np.empty(grid, dtype=object)
+class TestSubordinateResolution:
+    @staticmethod
+    def _slab_samples(grid: int, left_end: float, right_start: float):
+        # grid points i/(grid-1) of [0, 1]; bit 0: element [0, left_end],
+        # bit 1: element [right_start, 1]
+        samples = []
         for i in range(grid):
             y = i / (grid - 1)
-            mask = 0
-            if y <= left_end:
-                mask |= 1
-            if y >= right_start:
-                mask |= 2
-            out[i] = mask
-        return out
+            samples.append(((i,), (1 if y <= left_end else 0) | (2 if y >= right_start else 0)))
+        return samples, grid - 1
 
     def test_single_element_cover_resolves_at_the_coarsest_grid(self):
-        bitsets = np.empty((3, 3), dtype=object)
-        bitsets[...] = 1
-        assert estimate_lebesgue(bitsets) == math.sqrt(2)
+        samples = [(idx, 1) for idx in product(range(3), repeat=2)]
+        p, masks = subordinate_resolution(samples, 2, default_resolutions(1024))
+        assert p == 1
+        assert set(masks.values()) == {1}
 
-    def test_misaligned_slab_bounds_the_mesh_by_the_overlap(self):
+    def test_misaligned_slab_is_first_subordinate_at_resolution_eight(self):
         # elements [0, 0.4] and [0.3, 1]: overlap width 0.1
-        bitsets = self._slab_bitsets(65, 0.4, 0.3)
-        eps = estimate_lebesgue(bitsets)
-        assert 0.0 < eps <= 2 * 0.1
-        assert eps == 1.0 / 8.0  # first doubling resolution that fits
+        samples, den = self._slab_samples(65, 0.4, 0.3)
+        p, masks = subordinate_resolution(samples, den, default_resolutions(1024))
+        assert p == 8           # first doubling resolution that fits
+        assert len(masks) == 8 and all(masks.values())
 
-    def test_disjoint_memberships_return_zero(self):
-        bitsets = np.empty(5, dtype=object)
-        for i in range(5):
-            bitsets[i] = 1 if i < 2 else (2 if i > 2 else 0)
-        assert estimate_lebesgue(bitsets, p_max=16) == 0.0
+    @pytest.mark.parametrize("stride", [32, 64])
+    def test_slab_extruded_along_a_second_axis_is_first_subordinate_at_resolution_eight(
+            self, stride):
+        # the slab above along axis 0; axis 1 sampled only at every stride-th
+        # lattice point, so at resolution 8 some simplices pass with no sample
+        slab, den = self._slab_samples(65, 0.4, 0.3)
+        samples = [((i, j), mask) for (i,), mask in slab for j in range(0, den + 1, stride)]
+        p, masks = subordinate_resolution(samples, den, default_resolutions(1024))
+        assert p == 8
+        assert 0 < len(masks) < FKTriangulation(2, 8).simplex_count
+        assert all(masks.values())
 
-    @pytest.mark.parametrize("shape", [(65, 5), (65, 4)])
-    def test_axes_sampled_at_different_steps_share_one_denominator(self, shape):
-        # the slab of the 1-d test along axis 0; axis 1 is sampled coarser,
-        # at a step that need not divide the first (lcm(64, 3) = 192)
-        slab = self._slab_bitsets(shape[0], 0.4, 0.3)
-        bitsets = np.empty(shape, dtype=object)
-        for j in range(shape[1]):
-            bitsets[:, j] = slab
-        assert estimate_lebesgue(bitsets) == math.sqrt(2) / 8.0
+    def test_disjoint_memberships_raise_no_label(self):
+        samples = [((i,), 1 if i < 2 else (2 if i > 2 else 0)) for i in range(5)]
+        with pytest.raises(NoLabel):
+            subordinate_resolution(samples, 4, default_resolutions(16))
 
     def test_resolution_sweep_is_doubling(self):
         assert default_resolutions(10) == [1, 2, 4, 8]
@@ -215,7 +205,7 @@ class TestEstimateLebesgue:
 
 class TestOffExport:
     def test_header_and_sizes(self):
-        tri = build_fk(2, 1)
+        tri = FKTriangulation(2, 1)
         lines = tri.to_off().splitlines()
         assert lines[0] == "OFF"
         assert lines[1] == "4 2 0"
@@ -223,7 +213,7 @@ class TestOffExport:
         assert lines[-1].startswith("3 ")
 
     def test_vertex_indices_reference_the_lex_order(self):
-        tri = build_fk(1, 2)
+        tri = FKTriangulation(1, 2)
         lines = tri.to_off().splitlines()
         assert lines[2:5] == ["0.0", "0.5", "1.0"]
         assert lines[5:] == ["2 0 1", "2 1 2"]

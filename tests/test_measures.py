@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkit.measures import (FiniteMeasure, barycentric_distance,
-                           common_mass_coupling, convex_combine, dirac,
-                           wasserstein)
+from vkit.measures import FiniteMeasure, barycentric_distance, convex_combine, dirac, wasserstein
 from vkit.metric import space_from_points
 from vkit.oracles import wasserstein_bruteforce
 from vkit.verify import random_measure, random_space
+
+from common_mass import common_mass_coupling, off_diagonal_mass
 
 
 class TestFiniteMeasure:
@@ -45,7 +46,7 @@ class TestFiniteMeasure:
 
     def test_json_round_trip(self, line3):
         mu = FiniteMeasure(line3, (0, 2), (0.25, 0.75))
-        assert FiniteMeasure.from_json(line3, mu.to_json()) == mu
+        assert FiniteMeasure(line3, **json.loads(mu.to_json())) == mu
 
 
 class TestConvexCombine:
@@ -93,7 +94,7 @@ class TestWasserstein:
         mu = FiniteMeasure(line3, (0, 1), (0.4, 0.6))
         d, plan = wasserstein(mu, mu)
         assert d <= 1e-12
-        assert plan.off_diagonal_mass() <= 1e-12
+        assert off_diagonal_mass(plan) <= 1e-12
 
     def test_symmetric_by_construction(self, rng):
         for _ in range(20):
@@ -125,12 +126,12 @@ class TestCommonMassCoupling:
         mu = FiniteMeasure(line3, (0, 1), (0.4, 0.6))
         plan = common_mass_coupling(mu, mu)
         plan.check_marginals(mu, mu)
-        assert plan.off_diagonal_mass() == 0.0
+        assert off_diagonal_mass(plan) == 0.0
 
     def test_disjoint_diracs(self, line3):
         mu, nu = dirac(line3, 0), dirac(line3, 2)
         plan = common_mass_coupling(mu, nu)
-        assert plan.off_diagonal_mass() == 1.0
+        assert off_diagonal_mass(plan) == 1.0
         assert plan.mass[0, 0] == 1.0  # the only cell is (0 -> 2)
 
     def test_partial_overlap(self, line3):
@@ -140,8 +141,8 @@ class TestCommonMassCoupling:
         plan.check_marginals(mu, nu)
         assert plan.mass[0, 0] == 0.5          # diagonal (0, 0)
         assert plan.mass[1, 0] == 0.5          # 1 -> 0 remainder
-        assert plan.off_diagonal_mass() == 0.5
-        assert plan.off_diagonal_mass() == barycentric_distance(mu, nu) / 2
+        assert off_diagonal_mass(plan) == 0.5
+        assert off_diagonal_mass(plan) == barycentric_distance(mu, nu) / 2
 
     def test_off_diagonal_mass_is_half_l1_randomized(self, rng):
         for _ in range(30):
@@ -149,7 +150,7 @@ class TestCommonMassCoupling:
             mu, nu = random_measure(rng, space), random_measure(rng, space)
             plan = common_mass_coupling(mu, nu)
             plan.check_marginals(mu, nu)
-            assert plan.off_diagonal_mass() == pytest.approx(
+            assert off_diagonal_mass(plan) == pytest.approx(
                 barycentric_distance(mu, nu) / 2, abs=1e-12)
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from vkit.metric import (TRIANGLE_TOL, Cover, EmptySet, MetricValidationError,
                          NegativeDistance, NonFinite, NonSymmetric, NonzeroDiagonal,
-                         TriangleViolation, cover_elements_containing,
-                         distance_to_complement, space_from_points,
+                         TriangleViolation, distance_to_complement, space_from_points,
                          validate_metric)
 
 
@@ -116,27 +115,36 @@ class TestValidateMetric:
         assert space.n_points == n
 
 
+def containing(cov, S):
+    """Ids of the cover elements that contain the set S."""
+    return [eid for eid, elem in cov.enumerable_elements() if set(S) <= elem]
+
+
 class TestCoverMembership:
-    def test_diameter_cover_is_strictly_open(self, equilateral):
-        cov = Cover.by_diameter(equilateral, 1.0)
-        assert cover_elements_containing(cov, {0, 1}) == []
-
-    def test_diameter_cover_witness(self, equilateral):
-        cov = Cover.by_diameter(equilateral, 1.5)
-        assert cover_elements_containing(cov, {0, 1, 2}) == [(0, 1, 2)]
-
     def test_ball_cover_square_corners_uncovered(self, square):
         # best witness is a corner at max distance sqrt(2) >= 1.2
         cov = Cover.by_balls(square, 1.2)
-        assert cover_elements_containing(cov, {0, 1, 2, 3}) == []
+        assert containing(cov, {0, 1, 2, 3}) == []
 
     def test_ball_cover_square_corners_covered_at_larger_radius(self, square):
         cov = Cover.by_balls(square, 1.5)
-        assert cover_elements_containing(cov, {0, 1, 2, 3}) == [0, 1, 2, 3]
+        assert containing(cov, {0, 1, 2, 3}) == [0, 1, 2, 3]
 
-    def test_empty_query_rejected(self, square):
+    def test_ball_at_exactly_the_radius_is_open(self, line3):
+        # d(0, 1) = 1: the ball of radius 1 about 0 leaves 1 out
+        cov = Cover.by_balls(line3, 1.0)
+        assert cov.resolve(0) == frozenset({0})
+        assert cov.resolve(1) == frozenset({1})
+
+    def test_ball_cover_lists_one_element_per_centre(self, square):
+        cov = Cover.by_balls(square, 1.2)
+        elems = cov.enumerable_elements()
+        assert [z for z, _ in elems] == list(square.points())
+        assert all(z in elem and elem == cov.resolve(z) for z, elem in elems)
+
+    def test_empty_cover_element_rejected(self, square):
         with pytest.raises(EmptySet):
-            cover_elements_containing(Cover.by_balls(square, 1.0), set())
+            Cover.explicit(square, [[0, 1, 2, 3], []])
 
     def test_explicit_cover_must_cover(self, line3):
         with pytest.raises(ValueError):
@@ -144,12 +152,11 @@ class TestCoverMembership:
 
     def test_explicit_membership(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2], [0, 1, 2]])
-        assert cover_elements_containing(cov, {1}) == [0, 1, 2]
-        assert cover_elements_containing(cov, {0, 2}) == [2]
+        assert containing(cov, {1}) == [0, 1, 2]
+        assert containing(cov, {0, 2}) == [2]
 
     def test_diameter_bound(self, line3):
         assert Cover.explicit(line3, [[0, 1], [1, 2]]).diameter_bound() == 1.0
-        assert Cover.by_diameter(line3, 1.5).diameter_bound() == 1.0
         assert Cover.by_balls(line3, 1.5).diameter_bound() == 2.0
 
     def test_membership_matches_bruteforce(self, rng):
@@ -162,10 +169,7 @@ class TestCoverMembership:
             ball = Cover.by_balls(space, r)
             expect = [z for z in range(n)
                       if max(space.d(z, x) for x in S) < r]
-            assert cover_elements_containing(ball, S) == expect
-            diam = Cover.by_diameter(space, r)
-            want = [tuple(S)] if space.diam_of(S) < r else []
-            assert cover_elements_containing(diam, S) == want
+            assert containing(ball, S) == expect
 
 
 class TestDistanceToComplement:

@@ -8,7 +8,7 @@ from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
                              two_ball_map)
 from vkit.measures import FiniteMeasure, dirac
 from vkit.metric import Cover, space_from_points
-from vkit.straightening import (BoundViolated, NoLabel, PipelineError,
+from vkit.straightening import (BoundViolated, CertificationLog, NoLabel, PipelineError,
                                 SampledMap, choose_p, intersection_mass_bound,
                                 label_simplices, linearize, prism_retract,
                                 pump_vertex, straighten)
@@ -171,7 +171,7 @@ class TestPumpVertex:
         assert lab.ell[((0,), (0,))] == 0       # element {0} qualifies first
         vp = pump_vertex(smap, lab, (0,), 0.85)
         assert not vp.identity
-        assert vp.result == dirac(smap.space, 0)
+        assert vp.result == dirac(smap.values[(0,)].space, 0)
         masses = [m.weight_of(0) for _, m in vp.track]
         assert masses == pytest.approx([0.9, 0.925, 0.95, 0.975, 1.0], abs=1e-12)
         assert vp.floors == tuple(min(m.mass_of(lab.element_set(b)) for b in vp.labels)
@@ -191,48 +191,40 @@ class TestPumpVertex:
 
 
 class TestLinearize:
-    def test_constant_values_give_a_constant_map(self, line3):
+    def test_certified_map_keeps_the_vertex_values_and_labels(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
         tri = FKTriangulation(1, 2)
         mu = FiniteMeasure(line3, (0, 1), (0.25, 0.75))
         smap = SampledMap.from_function(tri, lambda y: mu)
         lab = label_simplices(smap, cov, 0.9)
-        gmap = linearize({v: mu for v in tri.vertices()}, lab)
-        assert gmap.evaluate([0.37]) == mu
-
-    def test_edge_interpolates_dirac_endpoints(self, line3):
-        cov = Cover.explicit(line3, [[0, 1, 2]])
-        tri = FKTriangulation(1, 1)
-        values = {(0,): dirac(line3, 0), (1,): dirac(line3, 1)}
-        smap = SampledMap.from_function(tri, lambda y: values[(round(y[0]),)],
-                                        dense_depth=None)
-        lab = label_simplices(smap, cov, 0.9)
+        values = {v: mu for v in tri.vertices()}
         gmap = linearize(values, lab)
-        mid = gmap.evaluate([0.5])
-        assert mid.support == (0, 1)
-        assert mid.weights == pytest.approx((0.5, 0.5), abs=1e-15)
-        assert gmap.evaluate([0.0]) == values[(0,)]
+        assert gmap.tri == lab.tri and gmap.values == values and gmap.labeling is lab
 
-    def test_barycenter_weights_are_arithmetic_means(self, line3):
-        cov = Cover.explicit(line3, [[0, 1, 2]])
+    def test_log_records_one_passing_check_per_simplex(self, line3):
+        cov = Cover.explicit(line3, [[0, 1], [1, 2]])
         tri = FKTriangulation(2, 1)
-        corners = {
-            (0, 0): FiniteMeasure(line3, (0, 1), (0.5, 0.5)),
-            (1, 0): FiniteMeasure(line3, (0, 2), (0.25, 0.75)),
-            (0, 1): dirac(line3, 1),
-            (1, 1): FiniteMeasure(line3, (0, 1, 2), (0.2, 0.3, 0.5)),
-        }
-        smap = SampledMap.from_function(tri, lambda y: corners[
-            (round(y[0]), round(y[1]))], dense_depth=None)
-        lab = label_simplices(smap, cov, 0.5)
-        gmap = linearize(corners, lab)
-        simplex, _ = gmap.tri.locate([0.6, 0.3])
-        verts = simplex.vertices()
-        center = np.mean(gmap.tri.scaled_vertices(simplex), axis=0)
-        out = gmap.evaluate(center)
-        for x in range(3):
-            mean = sum(corners[v].weight_of(x) for v in verts) / 3
-            assert out.weight_of(x) == pytest.approx(mean, abs=1e-12)
+        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 1), dense_depth=None)
+        lab = label_simplices(smap, cov, 0.9)
+        log = CertificationLog()
+        linearize({v: dirac(line3, 1) for v in tri.vertices()}, lab, log)
+        assert [(r["stage"], r["quantity"], r["pass"]) for r in log.records] == \
+            [("linearize", 0, True)] * tri.simplex_count
+
+    def test_log_ends_at_the_offending_simplex(self, line3):
+        cov = Cover.explicit(line3, [[0], [1, 2]])
+        tri = FKTriangulation(1, 2)
+        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0), dense_depth=None)
+        lab = label_simplices(smap, cov, 0.9)
+        values = {(0,): dirac(line3, 0), (1,): dirac(line3, 0),
+                  (2,): FiniteMeasure(line3, (0, 1, 2), (0.5, 0.25, 0.25))}
+        log = CertificationLog()
+        from vkit.straightening import NotSubordinate
+        with pytest.raises(NotSubordinate) as err:
+            linearize(values, lab, log)
+        assert err.value.simplex == ((1,), (0,))
+        assert err.value.offending == frozenset({1, 2})
+        assert [(r["quantity"], r["pass"]) for r in log.records] == [(0, True), (2, False)]
 
     def test_escaping_support_is_rejected(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])

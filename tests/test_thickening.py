@@ -6,17 +6,14 @@ import pytest
 from vkit.measures import FiniteMeasure, ZeroMass, dirac
 from vkit.metric import space_from_points, validate_metric
 from vkit.thickening import (DegenerateGap, NoMCP, build_bump, compare_metrics,
-                             has_mcp, in_m_u, pump, pump_coordinate,
-                             pump_homotopy, shrink_to_inner)
+                             has_mcp, pump, pump_coordinate, pump_homotopy,
+                             shrink_to_inner)
 from vkit.verify import random_bump, random_measure, random_space
+
+from common_mass import common_mass_coupling
 
 
 class TestMembershipPredicates:
-    def test_in_m_u(self, line3):
-        assert in_m_u(dirac(line3, 0), {0, 1})
-        assert not in_m_u(dirac(line3, 2), {0, 1})
-        assert not in_m_u(FiniteMeasure(line3, (0, 1), (0.5, 0.5)), {0})
-
     def test_has_mcp_is_strict(self, line3):
         mu = FiniteMeasure(line3, (0, 1), (0.85, 0.15))
         assert has_mcp([mu], 0.8, {0})
@@ -24,16 +21,6 @@ class TestMembershipPredicates:
 
     def test_dirac_always_concentrates(self, line3):
         assert has_mcp([dirac(line3, 0)], 0.999, {0})
-
-
-class TestThickenedElement:
-    def test_membership_is_strictly_above_p(self, line3):
-        from vkit.thickening import ThickenedElement
-        elem = ThickenedElement(frozenset({0, 1}), 0.8)
-        assert elem.contains(FiniteMeasure(line3, (0, 2), (0.9, 0.1)))
-        assert not elem.contains(FiniteMeasure(line3, (0, 2), (0.8, 0.2)))
-        with pytest.raises(ValueError):
-            ThickenedElement(frozenset({0}), 1.0)
 
 
 class TestBuildBump:
@@ -154,7 +141,7 @@ class TestPumpHomotopy:
             for t in (0.0, 0.25, 0.5, 0.75, 1.0):
                 out = pump_homotopy(mu, phi, t)
                 assert out.support_set() <= mu.support_set()
-                assert in_m_u(out, U)
+                assert out.support_set() <= frozenset(U)
 
 
 class TestShrinkToInner:
@@ -214,3 +201,14 @@ class TestCompareMetrics:
             space = random_space(rng)
             mu, nu = overlapping_measures(rng, space)
             assert compare_metrics(mu, nu).holds
+
+    def test_common_mass_plan_witnesses_the_bound(self, rng):
+        # d_W <= cost of the plan keeping the common mass in place <= bound
+        for _ in range(50):
+            space = random_space(rng)
+            mu, nu = random_measure(rng, space), random_measure(rng, space)
+            plan = common_mass_coupling(mu, nu)
+            plan.check_marginals(mu, nu)
+            rep = compare_metrics(mu, nu)
+            assert rep.d_w <= plan.cost() + 1e-9
+            assert plan.cost() <= rep.bound + 1e-9
