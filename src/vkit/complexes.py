@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .metric import Cover, FiniteMetricSpace, UnboundedCover
+from .metric import Cover, FiniteMetricSpace
 
 Simplex = tuple[int, ...]
 
@@ -156,7 +156,7 @@ def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComple
     return _expand(space, r, k_max, lambda j: D[j], witness)
 
 
-def build_vietoris(space: FiniteMetricSpace, cov: Cover, k_max: int) -> FilteredComplex:
+def build_vietoris(cov: Cover, k_max: int) -> FilteredComplex:
     """Vietoris complex of a cover: simplices are subsets of some element.
 
     Unfiltered (every simplex at value 0).  The Vietoris complex of the
@@ -164,11 +164,8 @@ def build_vietoris(space: FiniteMetricSpace, cov: Cover, k_max: int) -> Filtered
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    bound = cov.diameter_bound()
-    if not (bound < float("inf")):
-        raise UnboundedCover("cover reports no finite diameter bound")
     simps: dict[Simplex, float] = {}
-    for _, elem in cov.enumerable_elements():
+    for elem in cov.elements:
         members = sorted(elem)
         for size in range(1, min(k_max + 1, len(members)) + 1):
             for sub in combinations(members, size):

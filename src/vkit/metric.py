@@ -1,12 +1,12 @@
 """Finite metric spaces and covers of them.
 
 A :class:`FiniteMetricSpace` is a validated distance matrix over an indexed
-point set, optionally carrying Euclidean coordinates.  A :class:`Cover` is a
-family of subsets of the point set: the open balls of a fixed radius about
-every point, or an explicit list of index subsets.  Either kind lists its
-elements (:meth:`Cover.enumerable_elements`).  The cover by all sets of
-diameter below r is not a :class:`Cover`: its Vietoris complex is the
-Vietoris-Rips complex, built directly by ``complexes.build_vr``.
+point set, optionally carrying Euclidean coordinates.  A :class:`Cover` is
+the tuple of its element sets, each element named by its position: the open
+balls of a fixed radius about every point (ids are the centres), or an
+explicit list of index subsets.  The cover by all sets of diameter below r
+is not a :class:`Cover`: its Vietoris complex is the Vietoris-Rips complex,
+built directly by ``complexes.build_vr``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,7 +72,7 @@ class EmptySet(ValueError):
 
 
 class UnboundedCover(ValueError):
-    """Cover cannot report a finite bound on element diameters."""
+    """A ball cover was asked for an infinite radius."""
 
 
 @dataclass(frozen=True)
@@ -184,35 +183,23 @@ def distance_to_complement(space: FiniteMetricSpace, U: Iterable[int], x: int) -
     return float(min(space.d(x, y) for y in outside))
 
 
-class CoverKind(Enum):
-    BALL = "ball"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class Cover:
-    """A cover of a finite metric space.
+    """A cover of a finite metric space by its element sets; an element's
+    id is its position in ``elements``."""
 
-    * ``BALL``: the open balls ``{x : d(z, x) < radius}`` centered at every
-      point z; element ids are the center indices.
-    * ``EXPLICIT``: a listed family of index subsets; element ids are list
-      positions.
-    """
-
-    space: FiniteMetricSpace
-    kind: CoverKind
-    radius: float | None = None
-    element_sets: tuple[frozenset[int], ...] | None = None
-
-    # -- constructors -------------------------------------------------
+    elements: tuple[frozenset[int], ...]
 
     @staticmethod
     def by_balls(space: FiniteMetricSpace, r: float) -> "Cover":
+        """The open balls ``{x : d(z, x) < r}`` in centre order, so a ball's
+        id is its centre z."""
         if not (r > 0.0):
             raise ValueError("ball cover needs r > 0 to cover every point")
         if math.isinf(r):
             raise UnboundedCover("r must be finite")
-        return Cover(space, CoverKind.BALL, radius=float(r))
+        return Cover(tuple(frozenset(np.flatnonzero(row < float(r)).tolist())
+                           for row in space.dist))
 
     @staticmethod
     def explicit(space: FiniteMetricSpace, elements: Iterable[Iterable[int]]) -> "Cover":
@@ -230,26 +217,7 @@ class Cover:
         missing = set(space.points()) - covered
         if missing:
             raise ValueError(f"points not covered: {sorted(missing)}")
-        return Cover(space, CoverKind.EXPLICIT, element_sets=sets)
-
-    # -- queries -------------------------------------------------------
-
-    def diameter_bound(self) -> float:
-        """Supremum of element diameters (exact on a finite space)."""
-        return max(self.space.diam_of(e) for _, e in self.enumerable_elements())
-
-    def resolve(self, element_id) -> frozenset[int]:
-        """Point set of a cover element named by its identifier."""
-        if self.kind is CoverKind.EXPLICIT:
-            return self.element_sets[element_id]
-        z = int(element_id)
-        return frozenset(x for x in self.space.points() if self.space.d(z, x) < self.radius)
-
-    def enumerable_elements(self) -> list[tuple[object, frozenset[int]]]:
-        """(id, point set) pairs of all elements, in id order."""
-        if self.kind is CoverKind.EXPLICIT:
-            return [(i, e) for i, e in enumerate(self.element_sets)]
-        return [(z, self.resolve(z)) for z in self.space.points()]
+        return Cover(sets)
 
 
 # -- file formats ------------------------------------------------------

@@ -1,13 +1,14 @@
 """Simplexwise straightening of sampled maps into a Vietoris complex.
 
 Pipeline: pick a mass threshold from the dimension, find a grid resolution
-whose simplices are subordinate to the cover (at samples), label every
-top simplex with a cover element it concentrates on, pump each vertex
-measure into the intersection of the labels around it, and linearize
-simplexwise.  Every stage emits pass/fail records into a certification
-log; the end certificate is that each top simplex carries its vertex
-supports inside a single cover element, i.e. the linearized map lands in
-the Vietoris complex of the cover.
+whose simplices are subordinate to the cover (at samples) and label every
+top simplex with the id of a cover element it concentrates on, both in the
+one sweep of :func:`label_simplices`, pump each vertex measure into the
+intersection of the labels around it, and linearize simplexwise.  Every
+stage emits pass/fail records into a certification log; the end
+certificate is that each top simplex carries its vertex supports inside a
+single cover element, i.e. the linearized map lands in the Vietoris
+complex of the cover.
 
 Only vertex (0-skeleton) measures are pumped; higher-skeleton deformation
 is witnessed by sampled homotopy tracks whose membership thresholds are
@@ -123,69 +124,49 @@ class Labeling:
 
     tri: FKTriangulation
     cover: Cover
-    ell: dict[SimplexKey, object]
+    ell: dict[SimplexKey, int]
 
-    def element_set(self, element_id) -> frozenset[int]:
-        return self.cover.resolve(element_id)
+    def element_set(self, element_id: int) -> frozenset[int]:
+        return self.cover.elements[element_id]
 
     def star_of_vertex(self, v: Lattice) -> list[SimplexKey]:
         return [s.key for s in self.tri.simplices_containing_fraction(v, self.tri.p)]
 
-    def labels_at_vertex(self, v: Lattice) -> list:
+    def labels_at_vertex(self, v: Lattice) -> list[int]:
         return sorted({self.ell[k] for k in self.star_of_vertex(v)})
-
-    def region_at_vertex(self, v: Lattice) -> frozenset[int]:
-        """Intersection of the cover elements labeling the star of v."""
-        region: frozenset[int] | None = None
-        for lab in self.labels_at_vertex(v):
-            elem = self.element_set(lab)
-            region = elem if region is None else (region & elem)
-        assert region is not None, "every vertex lies in some top simplex"
-        return region
 
 
 def label_simplices(smap: SampledMap, cov: Cover, p: float,
-                    tri: FKTriangulation | None = None) -> Labeling:
-    """Label each top simplex with the smallest-id element all its samples
-    concentrate on (mass strictly above p).
-
-    ``tri`` may be a coarser triangulation whose resolution divides the
-    sampled one; the samples of a coarse simplex are all points of the
-    sampled lattice inside it (assignment is exact, so a sample on a
-    shared face counts for every incident simplex).  Raises
-    :class:`NoLabel` when some simplex admits no element; callers refine
-    the grid and retry.
-    """
-    target = tri if tri is not None else smap.tri
-    if smap.tri.p % target.p != 0:
-        raise ValueError("labeling grid must divide the sampled grid")
-    return _sweep_labels(smap, cov, p, [target.p])
-
-
-def _sweep_labels(smap: SampledMap, cov: Cover, p: float,
-                  resolutions: Sequence[int]) -> Labeling:
+                    resolutions: Sequence[int] | None = None) -> Labeling:
     """Labeling at the first resolution whose simplices are subordinate.
 
-    Each sample's mask (bit i: mass strictly above p on the i-th element) is
-    computed once.  Vertex samples come first, then the dense ones, each in
-    lex order, so a resolution the vertices already reject is dropped
-    before any dense sample is visited.  A simplex is labelled with the
-    lowest bit of its shared mask: the smallest-id element all its samples
-    concentrate on.
+    ``resolutions`` must divide the sampled one; by default they are the
+    doubling resolutions dividing it, then the sampled resolution itself.
+    The samples of a simplex are all points of the sampled lattice inside
+    it (assignment is exact, so a sample on a shared face counts for every
+    incident simplex).  Each sample's mask (bit i: mass strictly above p on
+    element i) is computed once.  Vertex samples come first, then the dense
+    ones, each in lex order, so a resolution the vertices already reject is
+    dropped before any dense sample is visited.  A simplex is labelled with
+    the lowest bit of its shared mask: the smallest-id element all its
+    samples concentrate on.  Raises :class:`NoLabel` when no resolution
+    works.
     """
-    elements = cov.enumerable_elements()
+    if resolutions is None:
+        resolutions = sorted({q for q in default_resolutions(smap.tri.p)
+                              if smap.tri.p % q == 0} | {smap.tri.p})
+    if any(smap.tri.p % q for q in resolutions):
+        raise ValueError("labeling grid must divide the sampled grid")
 
     def mask_of(mu: FiniteMeasure) -> int:
-        return sum(1 << bit for bit, (_, elem) in enumerate(elements)
-                   if mu.mass_of(elem) > p)
+        return sum(1 << i for i, elem in enumerate(cov.elements) if mu.mass_of(elem) > p)
 
     depth = smap.depth
     order = sorted(smap.values, key=lambda w: (any(c % depth for c in w), w))
     samples = [(w, mask_of(smap.values[w])) for w in order]
     res, masks = subordinate_resolution(samples, smap.grid.p, resolutions)
     tri = FKTriangulation(smap.tri.n, res)
-    ell = {s.key: elements[(masks[s.key] & -masks[s.key]).bit_length() - 1][0]
-           for s in tri.simplices()}
+    ell = {s.key: (masks[s.key] & -masks[s.key]).bit_length() - 1 for s in tri.simplices()}
     return Labeling(tri, cov, ell)
 
 
@@ -222,42 +203,40 @@ class VertexPump:
     region: frozenset[int]
     floors: tuple[float, ...]   # per track sample: min over labels of the element mass
     identity: bool
-    shrink_index: int | None = None
 
 
-def pump_vertex(smap: SampledMap, lab: Labeling, v: Lattice, p: float,
-                track_times: Sequence[float] = TRACK_TIMES) -> VertexPump:
+def pump_vertex(smap: SampledMap, lab: Labeling, v: Lattice, p: float) -> VertexPump:
     """Deform the measure at v so its support enters the label region.
 
     The region is the intersection of the elements labeling the simplices
     around v.  Measures already supported there are returned unchanged with
     a constant track (the pump fixes them).  Otherwise the region is
     shrunk away from its complement, a bump over the shrunken set drives
-    the pump, and the linear homotopy is sampled at ``track_times``; every
+    the pump, and the linear homotopy is sampled at ``TRACK_TIMES``; every
     sample keeps mass above p on every label because pumping only adds
     mass to each of them.
     """
     mu = smap.value_on_subgrid(lab.tri, v)
     labels = tuple(lab.labels_at_vertex(v))
-    region = lab.region_at_vertex(v)
     label_sets = [lab.element_set(b) for b in labels]
+    region = frozenset.intersection(*label_sets)
 
     def floors_of(track):
         return tuple(min(m.mass_of(es) for es in label_sets) for _, m in track)
 
     if mu.support_set() <= region:
-        track = tuple((t, mu) for t in track_times)
+        track = tuple((t, mu) for t in TRACK_TIMES)
         return VertexPump(v, mu, track, labels, region, floors_of(track), True)
     q = 1.0 - len(labels) * (1.0 - p)
     if q <= 0.0:
         raise ValueError(f"threshold p={p} too low for {len(labels)} labels; "
                          "need p > 1 - 1/(2^n n!)")
     intersection_mass_bound(mu, label_sets, p)
-    idx, inner = shrink_to_inner([mu], q, region)
+    _, inner = shrink_to_inner([mu], q, region)
     bump = build_bump(mu.space, (), inner)
     pumped = pump(mu, bump)
-    track = tuple((t, pump_homotopy(mu, bump, t)) for t in track_times)
-    return VertexPump(v, pumped, track, labels, region, floors_of(track), False, idx)
+    track = tuple((t, pump_homotopy(mu, bump, t)) for t in TRACK_TIMES)
+    return VertexPump(v, pumped, track, labels, region, floors_of(track), False)
 
 
 @dataclass(frozen=True)
@@ -328,14 +307,13 @@ def _simplex_key(k: SimplexKey) -> str:
     return vertex_key(base) + "|" + vertex_key(perm)
 
 
-def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
-               track_times: Sequence[float] = TRACK_TIMES,
-               ) -> tuple[SimplexwiseAffineMap, CertificationLog]:
+def straighten(smap: SampledMap, cov: Cover,
+               p_mass: float | None = None) -> tuple[SimplexwiseAffineMap, CertificationLog]:
     """End-to-end straightening of a sampled map over a cover.
 
     Stages: choose the mass threshold, sweep grid resolutions for a
-    subordinate one (labeling its top simplices in the same pass over the
-    samples), pump every vertex, linearize.
+    subordinate one with :func:`label_simplices` (labeling its top simplices
+    in the same pass over the samples), pump every vertex, linearize.
     The log gets one record per membership check, per track sample, per
     boundary vertex (already-subordinate boundary values must come through
     unchanged), and per simplex certificate.  Stage failures raise
@@ -349,10 +327,8 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
     if not (p_lo < p < 1.0):
         raise PipelineError("choose_p", ValueError(f"p={p} outside ({p_lo}, 1)"))
 
-    candidates = sorted({q for q in default_resolutions(smap.tri.p)
-                         if smap.tri.p % q == 0} | {smap.tri.p})
     try:
-        lab = _sweep_labels(smap, cov, p, candidates)
+        lab = label_simplices(smap, cov, p)
     except NoLabel as exc:
         log.add("estimate_lebesgue", "mesh", 0.0, 0.0, False)
         raise PipelineError("estimate_lebesgue", exc)
@@ -365,7 +341,7 @@ def straighten(smap: SampledMap, cov: Cover, p_mass: float | None = None,
     values: dict[Lattice, FiniteMeasure] = {}
     for v in sorted(coarse.vertices()):
         try:
-            vp = pump_vertex(smap, lab, v, p, track_times)
+            vp = pump_vertex(smap, lab, v, p)
         except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap
             log.add("pump", vertex_key(v), 0.0, p, False)
             raise PipelineError("pump_vertex", exc)

@@ -109,18 +109,18 @@ class TestExpansionAtTwelvePoints:
 class TestBuildVietoris:
     def test_single_element_cover_gives_full_skeleton(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
-        K = build_vietoris(line3, cov, 2)
+        K = build_vietoris(cov, 2)
         assert K.is_simplex({0, 1, 2})
         assert len(K) == 7
 
     def test_singleton_cover_gives_vertices_only(self, line3):
         cov = Cover.explicit(line3, [[0], [1], [2]])
-        K = build_vietoris(line3, cov, 2)
+        K = build_vietoris(cov, 2)
         assert len(K) == 3
 
     def test_two_overlapping_elements(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
-        K = build_vietoris(line3, cov, 2)
+        K = build_vietoris(cov, 2)
         assert K.is_simplex({0, 1}) and K.is_simplex({1, 2})
         assert not K.is_simplex({0, 1, 2}) and not K.is_simplex({0, 2})
 
@@ -132,8 +132,25 @@ class TestBuildVietoris:
             r = float(rng.uniform(0.2, 1.5)) * max(space.d(0, x) for x in space.points())
             small = [S for size in range(1, space.n_points + 1)
                      for S in combinations(space.points(), size) if space.diam_of(S) < r]
-            K = build_vietoris(space, Cover.explicit(space, small), 3)
+            K = build_vietoris(Cover.explicit(space, small), 3)
             assert set(K.simplices) == {s for s, _ in build_vr(space, r, 3).sublevel(r)}
+
+    def test_ball_cover_gives_the_intrinsic_cech_complex(self, rng):
+        # a set lies in an open ball of radius r iff its Cech value, the
+        # smallest radius of a ball about a point containing it, is below r
+        for _ in range(40):
+            space = random_space(rng, max_points=8)
+            r = float(rng.uniform(0.2, 2.5))
+            k = int(rng.integers(0, 4))
+            assert set(build_vietoris(Cover.by_balls(space, r), k).simplices) == \
+                set(build_cech(space, r, k).simplices)
+
+    @pytest.mark.parametrize("r", [1.0, math.sqrt(2), 2.0])
+    def test_ball_cover_of_a_grid_at_a_tied_radius_gives_the_cech_complex(self, r):
+        grid = space_from_points([[i, j] for i in range(3) for j in range(3)])
+        assert (grid.dist == r).any()        # the open balls leave these pairs out
+        assert set(build_vietoris(Cover.by_balls(grid, r), 3).simplices) == \
+            set(build_cech(grid, r, 3).simplices)
 
 
 class TestMembership:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from vkit.metric import (TRIANGLE_TOL, Cover, EmptySet, MetricValidationError,
                          NegativeDistance, NonFinite, NonSymmetric, NonzeroDiagonal,
-                         TriangleViolation, distance_to_complement, space_from_points,
-                         validate_metric)
+                         TriangleViolation, UnboundedCover, distance_to_complement,
+                         space_from_points, validate_metric)
 
 
 def reference_first_violation(m):
@@ -117,7 +117,7 @@ class TestValidateMetric:
 
 def containing(cov, S):
     """Ids of the cover elements that contain the set S."""
-    return [eid for eid, elem in cov.enumerable_elements() if set(S) <= elem]
+    return [eid for eid, elem in enumerate(cov.elements) if set(S) <= elem]
 
 
 class TestCoverMembership:
@@ -133,14 +133,21 @@ class TestCoverMembership:
     def test_ball_at_exactly_the_radius_is_open(self, line3):
         # d(0, 1) = 1: the ball of radius 1 about 0 leaves 1 out
         cov = Cover.by_balls(line3, 1.0)
-        assert cov.resolve(0) == frozenset({0})
-        assert cov.resolve(1) == frozenset({1})
+        assert cov.elements[0] == frozenset({0})
+        assert cov.elements[1] == frozenset({1})
 
     def test_ball_cover_lists_one_element_per_centre(self, square):
         cov = Cover.by_balls(square, 1.2)
-        elems = cov.enumerable_elements()
-        assert [z for z, _ in elems] == list(square.points())
-        assert all(z in elem and elem == cov.resolve(z) for z, elem in elems)
+        assert len(cov.elements) == square.n_points
+        assert all(cov.elements[z] == {x for x in square.points() if square.d(z, x) < 1.2}
+                   for z in square.points())
+
+    @pytest.mark.parametrize("r, error, message", [
+        (0.0, ValueError, "r > 0"), (-1.0, ValueError, "r > 0"),
+        (math.nan, ValueError, "r > 0"), (math.inf, UnboundedCover, "r must be finite")])
+    def test_ball_radius_must_be_positive_and_finite(self, line3, r, error, message):
+        with pytest.raises(error, match=message):
+            Cover.by_balls(line3, r)
 
     def test_empty_cover_element_rejected(self, square):
         with pytest.raises(EmptySet):
@@ -154,10 +161,6 @@ class TestCoverMembership:
         cov = Cover.explicit(line3, [[0, 1], [1, 2], [0, 1, 2]])
         assert containing(cov, {1}) == [0, 1, 2]
         assert containing(cov, {0, 2}) == [2]
-
-    def test_diameter_bound(self, line3):
-        assert Cover.explicit(line3, [[0, 1], [1, 2]]).diameter_bound() == 1.0
-        assert Cover.by_balls(line3, 1.5).diameter_bound() == 2.0
 
     def test_membership_matches_bruteforce(self, rng):
         for _ in range(25):

@@ -106,7 +106,7 @@ class TestLabelSimplices:
             tri = FKTriangulation(n, res)
             smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0),
                                             dense_depth=None)
-            lab = label_simplices(smap, cov, 0.5)
+            lab = label_simplices(smap, cov, 0.5, [tri.p])
             bound = (2 ** n) * _math.factorial(n)
             for v in tri.vertices():
                 assert len(lab.star_of_vertex(v)) <= bound
@@ -124,9 +124,16 @@ class TestLabelSimplices:
         smap = SampledMap.from_function(fine, fn, dense_depth=None)
         with pytest.raises(NoLabel):
             # at resolution 1 the only cell sees both Diracs
-            label_simplices(smap, cov, 0.9, FKTriangulation(1, 1))
-        lab = label_simplices(smap, cov, 0.9, FKTriangulation(1, 2))
+            label_simplices(smap, cov, 0.9, [1])
+        lab = label_simplices(smap, cov, 0.9, [2])
         assert lab.ell[((0,), (0,))] == 0 and lab.ell[((1,), (0,))] == 1
+
+    def test_resolutions_must_divide_the_sampled_one(self, line3):
+        cov = Cover.explicit(line3, [[0, 1, 2]])
+        smap = SampledMap.from_function(FKTriangulation(1, 4), lambda y: dirac(line3, 0))
+        with pytest.raises(ValueError, match="must divide"):
+            label_simplices(smap, cov, 0.9, [2, 3])
+        assert label_simplices(smap, cov, 0.9).tri.p == 1    # the default starts at 1
 
 
 class TestIntersectionMassBound:
@@ -183,7 +190,7 @@ class TestPumpVertex:
         tri = FKTriangulation(1, 2)
         mu = FiniteMeasure(line3, (0, 1), (0.5, 0.5))
         smap = SampledMap.from_function(tri, lambda y: mu)
-        lab = label_simplices(smap, cov, 0.9)
+        lab = label_simplices(smap, cov, 0.9, [tri.p])
         vp = pump_vertex(smap, lab, (1,), 0.9)
         assert vp.identity
         assert vp.result is mu
@@ -196,7 +203,7 @@ class TestLinearize:
         tri = FKTriangulation(1, 2)
         mu = FiniteMeasure(line3, (0, 1), (0.25, 0.75))
         smap = SampledMap.from_function(tri, lambda y: mu)
-        lab = label_simplices(smap, cov, 0.9)
+        lab = label_simplices(smap, cov, 0.9, [tri.p])
         values = {v: mu for v in tri.vertices()}
         gmap = linearize(values, lab)
         assert gmap.tri == lab.tri and gmap.values == values and gmap.labeling is lab
@@ -215,7 +222,7 @@ class TestLinearize:
         cov = Cover.explicit(line3, [[0], [1, 2]])
         tri = FKTriangulation(1, 2)
         smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0), dense_depth=None)
-        lab = label_simplices(smap, cov, 0.9)
+        lab = label_simplices(smap, cov, 0.9, [tri.p])
         values = {(0,): dirac(line3, 0), (1,): dirac(line3, 0),
                   (2,): FiniteMeasure(line3, (0, 1, 2), (0.5, 0.25, 0.25))}
         log = CertificationLog()
@@ -249,7 +256,7 @@ def reference_labels(smap, cov, p, tri):
             samples.setdefault(key, []).append(mu)
     labels = {}
     for s in tri.simplices():
-        ids = [eid for eid, elem in cov.enumerable_elements()
+        ids = [eid for eid, elem in enumerate(cov.elements)
                if all(mu.mass_of(elem) > p for mu in samples[s.key])]
         if not ids:
             return None
@@ -271,7 +278,7 @@ class TestResolutionSweep:
         _, cover, smap = gen(**kwargs)
         p = choose_p(smap.tri.n)
         gmap, _ = straighten(smap, cover)
-        lab = label_simplices(smap, cover, p, gmap.tri)
+        lab = label_simplices(smap, cover, p, [gmap.tri.p])
         assert gmap.labeling.ell == lab.ell == reference_labels(smap, cover, p, gmap.tri)
         # and the chosen resolution is the first one the reference can label
         for q in default_resolutions(gmap.tri.p - 1):
@@ -295,7 +302,7 @@ class TestResolutionSweep:
         assert gmap.tri.p == 2
         assert gmap.labeling.ell == {((0,), (0,)): 0, ((1,), (0,)): 1}
         with pytest.raises(NoLabel):
-            label_simplices(smap, cov, choose_p(1), FKTriangulation(1, 1))
+            label_simplices(smap, cov, choose_p(1), [1])
 
     def test_vertex_samples_are_visited_before_dense_ones(self, line3):
         # lattice 0..6 at res 2, depth 3; the vertices 3 and 6 already empty
