@@ -179,6 +179,8 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
 
 
 def cmd_straighten(args: argparse.Namespace) -> int:
+    if args.pmass is not None and not math.isfinite(args.pmass):
+        return _fail_input("--pmass must be a finite number")
     try:
         with open(args.input) as fh:
             spec = json.load(fh)

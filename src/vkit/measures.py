@@ -2,9 +2,9 @@
 
 A measure is a weighted sum of Dirac masses on points of a
 :class:`~vkit.metric.FiniteMetricSpace`.  Two distances are implemented:
-the exact 1-Wasserstein distance (a transportation LP) and the barycentric
-l1 distance between weight vectors.  Couplings are explicit transport plans
-with validated marginals.
+the exact 1-Wasserstein distance (a transportation simplex in pure Python)
+and the barycentric l1 distance between weight vectors.  Couplings are
+explicit transport plans with validated marginals.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .metric import FiniteMetricSpace
 
 WEIGHT_SUM_EXACT = 1e-12      # accept the stored weights as-is below this
 WEIGHT_SUM_RENORM = 1e-9      # renormalize up to this, reject beyond
 MARGINAL_TOL = 1e-10
+REDUCED_COST_TOL = 1e-12     # a cell enters the basis below this
+MAX_PIVOTS = 10_000          # Bland's rule terminates; this bounds round-off and huge supports
 
 
 class ZeroMass(ValueError):
@@ -160,30 +161,99 @@ class Coupling:
 
 
 def _solve_transport(mu: FiniteMeasure, nu: FiniteMeasure) -> tuple[float, Coupling]:
-    a = np.asarray(mu.weights)
-    b = np.asarray(nu.weights)
+    """Transportation simplex (Peyre-Cuturi, Computational Optimal Transport,
+    2019, ch. 3; the network-simplex view of Bonneel et al., SIGGRAPH Asia
+    2011) on the basis tree of the bipartite graph rows x columns."""
+    a, b = mu.weights, nu.weights
     m, n = len(a), len(b)
-    d = mu.space.dist[np.ix_(mu.support, nu.support)]
-    c = d.reshape(m * n)
-    A = np.zeros((m + n, m * n))
-    for i in range(m):
-        A[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        A[m + j, j::n] = 1.0
-    res = linprog(c, A_eq=A, b_eq=np.concatenate([a, b]), method="highs")
-    if not res.success:  # transportation LPs are always feasible and bounded
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = np.maximum(res.x.reshape(m, n), 0.0)
-    return float(res.fun), Coupling(mu.space, mu.support, nu.support, plan)
+    cost = mu.space.dist[np.ix_(mu.support, nu.support)].tolist()
+    # north-west corner: a staircase of m + n - 1 cells, zero-flow cells kept,
+    # so the basis is a spanning tree even when the start is degenerate
+    flow: dict[tuple[int, int], float] = {}
+    i = j = 0
+    supply, demand = a[0], b[0]
+    for _ in range(m + n - 1):
+        x = min(supply, demand)
+        flow[i, j] = x
+        supply -= x
+        demand -= x
+        if i < m - 1 and (j == n - 1 or supply <= demand):
+            i += 1
+            supply = a[i]
+        elif j < n - 1:
+            j += 1
+            demand = b[j]
+    pivots = 0
+    while True:
+        # tree nodes are rows 0..m-1 and columns m..m+n-1
+        adj: list[list[int]] = [[] for _ in range(m + n)]
+        for i, j in flow:
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+        # MODI potentials u_i + v_j = c_ij (pot[i] = u_i, pot[m + j] = v_j),
+        # rooted at row 0
+        pot = [0.0] * (m + n)
+        prev: dict[int, int] = {0: -1}
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if nxt not in prev:
+                    prev[nxt] = node
+                    i, j = (node, nxt - m) if node < m else (nxt, node - m)
+                    pot[nxt] = cost[i][j] - pot[node]
+                    stack.append(nxt)
+        # Bland's rule: the first improving cell in row-major order enters
+        enter = next(((i, j) for i in range(m) for j in range(n)
+                      if cost[i][j] - pot[i] - pot[m + j] < -REDUCED_COST_TOL
+                      and (i, j) not in flow), None)
+        if enter is None:
+            break
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise RuntimeError(f"transportation simplex exceeded {MAX_PIVOTS} pivots")
+        # the entering cell closes one cycle with the tree paths from its row
+        # and its column to the root; the cycle's tree edges, walked from the
+        # column, alternate minus / plus
+        i0, j0 = enter
+        up_row, node = [], i0
+        while node != -1:
+            up_row.append(node)
+            node = prev[node]
+        up_col, node = [], m + j0
+        on_row_path = set(up_row)
+        while node not in on_row_path:
+            up_col.append(node)
+            node = prev[node]
+        walk = up_col + [node] + up_row[:up_row.index(node)][::-1]
+        edges = [(x, y - m) if x < m else (y, x - m) for x, y in zip(walk, walk[1:])]
+        minus, plus = edges[0::2], edges[1::2]
+        # leaving cell: the smallest-index minus cell that attains theta
+        theta, leave = min((flow[c], c) for c in minus)
+        for c in minus:
+            flow[c] -= theta
+        for c in plus:
+            flow[c] += theta
+        del flow[leave]
+        flow[enter] = theta
+    plan = np.zeros((m, n))
+    for (i, j), x in flow.items():
+        plan[i, j] = x
+    value = math.fsum(x * cost[i][j] for (i, j), x in flow.items())
+    return value, Coupling(mu.space, mu.support, nu.support, plan)
 
 
 def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure) -> tuple[float, Coupling]:
     """Exact 1-Wasserstein distance and one optimal coupling.
 
-    Solved as the transportation LP min sum(gamma_ij * d(x_i, y_j)) over
-    plans with marginals mu, nu (simplex method, optimum at a polytope
-    vertex).  Arguments are ordered canonically before solving, so the
-    result is symmetric in (mu, nu) by construction.
+    Solves the transportation LP min sum(gamma_ij * d(x_i, y_j)) over plans
+    with marginals mu, nu by the transportation simplex: a north-west-corner
+    start, MODI potentials on the basis tree and cycle pivots under Bland's
+    rule, which cannot cycle on degenerate inputs.  The plan is the optimum
+    at a vertex of the transportation polytope, so its positive cells number
+    at most m + n - 1 and contain no cycle.  More than ``MAX_PIVOTS`` pivots
+    raise ``RuntimeError``.  Arguments are ordered canonically before
+    solving, so the result is symmetric in (mu, nu) by construction.
     """
     if mu.space is not nu.space:
         raise ValueError("measures live on different spaces")

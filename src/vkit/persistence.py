@@ -35,8 +35,6 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .complexes import FilteredComplex, Simplex
 
@@ -211,6 +209,10 @@ def _finite_bottleneck(A: list[tuple[float, float]],
                        B: list[tuple[float, float]]) -> float:
     if not A and not B:
         return 0.0
+    # imported here: loading scipy.sparse would add to every vkit start-up
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     a = np.array(A, dtype=np.float64).reshape(-1, 2)
     b = np.array(B, dtype=np.float64).reshape(-1, 2)
     nA, nB = len(a), len(b)

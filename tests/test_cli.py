@@ -3,9 +3,13 @@ import functools
 import inspect
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,25 @@ class TestStraighten:
         assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_stage"] == "estimate_lebesgue"
+
+    @pytest.mark.parametrize("pmass", ["nan", "inf", "-inf"])
+    def test_nonfinite_pmass_is_an_input_error(self, tmp_path, capsys, pmass):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 1}))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), f"--pmass={pmass}",
+                     "--out", str(out)]) == 2
+        assert "error: --pmass must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pmass", ["0.1", "1.0", "2"])
+    def test_finite_pmass_out_of_range_fails_at_choose_p(self, tmp_path, pmass):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 1}))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), "--pmass", pmass,
+                     "--out", str(out)]) == 3
+        assert json.loads((out / "summary.json").read_text())["failed_stage"] == "choose_p"
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = tmp_path / "map.json"
@@ -450,6 +473,18 @@ class TestEnvironment:
         # every path is serial, so no thread count is read from the environment
         monkeypatch.setenv("VKIT_THREADS", "abc")
         assert main(["persist", "--input", str(square_csv), "--out", str(tmp_path / "o")]) == 0
+
+    def test_import_loads_neither_the_lp_solver_nor_sparse_graphs(self):
+        # every vkit call pays this import; count the heavy scipy modules
+        # rather than time it, so start-up cost cannot creep back unnoticed
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import vkit.cli, sys; print(sorted(m for m in sys.modules if m in "
+                 "{'scipy.optimize', 'scipy.sparse', 'scipy.sparse.csgraph'}))")
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -6,12 +6,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vkit import measures
 from vkit.measures import FiniteMeasure, barycentric_distance, convex_combine, dirac, wasserstein
-from vkit.metric import space_from_points
+from vkit.metric import space_from_points, validate_metric
 from vkit.oracles import wasserstein_bruteforce
 from vkit.verify import random_measure, random_space
 
 from common_mass import common_mass_coupling, off_diagonal_mass
+
+
+def assert_vertex_plan(plan):
+    """A vertex of the transportation polytope: the positive cells number
+    at most m + n - 1 and form a forest of the rows x columns graph."""
+    m, n = plan.mass.shape
+    cells = list(zip(*np.nonzero(plan.mass > 0.0)))
+    assert len(cells) <= m + n - 1
+    root = list(range(m + n))           # union-find over rows, then columns
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in cells:
+        ri, rj = find(int(i)), find(m + int(j))
+        assert ri != rj, f"positive cells close a cycle at ({i}, {j})"
+        root[ri] = rj
+
+
+def uniform(space, support):
+    return FiniteMeasure(space, tuple(support), (1.0 / len(support),) * len(support))
+
+
+# every distance 1: all plans of equal mass movement cost the same
+TETRAHEDRON = validate_metric([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+SQUARE = space_from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+DEGENERATE_PAIRS = {
+    "uniform-square-opposite-sides": (uniform(SQUARE, [0, 1]), uniform(SQUARE, [2, 3])),
+    "uniform-square-all-vs-pair": (uniform(SQUARE, [0, 1, 2, 3]), uniform(SQUARE, [1, 3])),
+    "uniform-square-all-vs-all": (uniform(SQUARE, [0, 1, 2, 3]), uniform(SQUARE, [0, 1, 2, 3])),
+    "square-diracs": (dirac(SQUARE, 0), dirac(SQUARE, 2)),
+    "tetrahedron-disjoint-halves": (uniform(TETRAHEDRON, [0, 1]), uniform(TETRAHEDRON, [2, 3])),
+    "tetrahedron-all-vs-dirac": (uniform(TETRAHEDRON, [0, 1, 2, 3]), dirac(TETRAHEDRON, 3)),
+    "tetrahedron-all-vs-triple": (uniform(TETRAHEDRON, [0, 1, 2, 3]),
+                                  uniform(TETRAHEDRON, [1, 2, 3])),
+    "square-permuted-weights": (FiniteMeasure(SQUARE, (0, 1, 2, 3), (0.1, 0.2, 0.3, 0.4)),
+                                FiniteMeasure(SQUARE, (0, 1, 2, 3), (0.4, 0.3, 0.2, 0.1))),
+    "tetrahedron-permuted-weights": (
+        FiniteMeasure(TETRAHEDRON, (0, 1, 2, 3), (0.25, 0.25, 0.125, 0.375)),
+        FiniteMeasure(TETRAHEDRON, (0, 1, 2, 3), (0.125, 0.375, 0.25, 0.25))),
+}
 
 
 class TestFiniteMeasure:
@@ -78,8 +123,9 @@ class TestWasserstein:
     def test_diracs_recover_the_metric(self, square):
         for i in range(4):
             for j in range(4):
-                d, _ = wasserstein(dirac(square, i), dirac(square, j))
+                d, plan = wasserstein(dirac(square, i), dirac(square, j))
                 assert abs(d - square.d(i, j)) <= 1e-12
+                assert_vertex_plan(plan)
 
     def test_split_mass_to_midpoint(self, line3):
         # oracle-verified: both half masses travel distance 1
@@ -89,12 +135,14 @@ class TestWasserstein:
         assert d == pytest.approx(1.0, abs=1e-12)
         assert d == pytest.approx(wasserstein_bruteforce(mu, nu), abs=1e-12)
         plan.check_marginals(mu, nu)
+        assert_vertex_plan(plan)
 
     def test_identical_measures_give_zero_diagonal_plan(self, line3):
         mu = FiniteMeasure(line3, (0, 1), (0.4, 0.6))
         d, plan = wasserstein(mu, mu)
         assert d <= 1e-12
         assert off_diagonal_mass(plan) <= 1e-12
+        assert_vertex_plan(plan)
 
     def test_symmetric_by_construction(self, rng):
         for _ in range(20):
@@ -109,7 +157,60 @@ class TestWasserstein:
             nu = random_measure(rng, space, max_support=4)
             lp, plan = wasserstein(mu, nu)
             plan.check_marginals(mu, nu)
+            assert_vertex_plan(plan)
             assert lp == pytest.approx(wasserstein_bruteforce(mu, nu), abs=1e-9)
+
+    def test_optimal_plan_is_a_polytope_vertex(self, rng):
+        for _ in range(200):
+            space = random_space(rng)
+            mu, nu = random_measure(rng, space), random_measure(rng, space)
+            for plan in (wasserstein(mu, nu)[1], wasserstein(nu, mu)[1]):
+                assert_vertex_plan(plan)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_PAIRS))
+    def test_degenerate_inputs_terminate_at_the_optimum(self, name):
+        mu, nu = DEGENERATE_PAIRS[name]
+        d, plan = wasserstein(mu, nu)
+        plan.check_marginals(mu, nu)
+        assert_vertex_plan(plan)
+        assert abs(d - wasserstein_bruteforce(mu, nu)) <= 1e-9
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        # the north-west corner pairs 0 -> 2 and 1 -> 3 (cost sqrt 2); the
+        # optimum crosses over (cost 1), so reaching it takes a pivot
+        mu, nu = DEGENERATE_PAIRS["uniform-square-opposite-sides"]
+        assert wasserstein(mu, nu)[0] == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(measures, "MAX_PIVOTS", 0)
+        with pytest.raises(RuntimeError, match="exceeded 0 pivots"):
+            wasserstein(mu, nu)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_oracle_on_tied_distances(self, data):
+        # distinct points of a small integer grid: many distances tie
+        grid = [(x, y) for x in range(3) for y in range(3)]
+        points = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=6, unique=True))
+        space = space_from_points([list(p) for p in points])
+
+        def measure():
+            support = data.draw(st.lists(st.integers(0, len(points) - 1),
+                                         min_size=1, max_size=4, unique=True))
+            counts = data.draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                        max_size=len(support)))
+            total = sum(counts)
+            return FiniteMeasure(space, tuple(sorted(support)),
+                                 tuple(c / total for c in counts))
+
+        mu, nu = measure(), measure()
+        d_ab, plan_ab = wasserstein(mu, nu)
+        d_ba, plan_ba = wasserstein(nu, mu)
+        d_self, plan_self = wasserstein(mu, mu)
+        assert abs(d_ab - wasserstein_bruteforce(mu, nu)) <= 1e-9
+        assert d_ab == d_ba
+        assert d_self <= 1e-12
+        plan_ab.check_marginals(mu, nu)
+        plan_ba.check_marginals(nu, mu)
+        plan_self.check_marginals(mu, mu)
 
     def test_triangle_inequality_randomized(self, rng):
         for _ in range(40):
