@@ -175,7 +175,16 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
         values[vertex] = FiniteMeasure(
             space, tuple(_listed(m.get("support"), (int,), f"vertex {key!r} support")),
             tuple(_listed(m.get("weights"), (int, float), f"vertex {key!r} weights")))
-    return space, cover, SampledMap(FKTriangulation(n, res), values)
+    tri = FKTriangulation(n, res)
+    off_grid = set(values).difference(tri.vertices())
+    if off_grid:
+        raise ValueError(f"vertex values off the grid, e.g. {min(off_grid)}")
+    missing = [v for v in tri.vertices() if v not in values]
+    if missing:
+        raise ValueError(f"missing vertex values, e.g. {missing[0]}")
+    smap = SampledMap.from_function(tri, lambda y: values[tuple(round(c * res) for c in y)],
+                                    dense_depth=None)
+    return space, cover, smap
 
 
 def cmd_straighten(args: argparse.Namespace) -> int:

@@ -243,32 +243,62 @@ def default_resolutions(p_max: int) -> list[int]:
     return out
 
 
-def subordinate_resolution(samples: Sequence[tuple[Sequence[int], int]], den: int,
-                           resolutions: Sequence[int],
-                           ) -> tuple[int, dict[SimplexKey, int]]:
-    """First resolution at which every sampled simplex shares an element,
-    with the shared bitmask of each sampled simplex.
+def lattice_points(n: int, size: int) -> np.ndarray:
+    """The points of {0, ..., size - 1}^n, one per row, in lexicographic order."""
+    return np.indices((size,) * n).reshape(n, -1).T
 
-    A sample ``(nums, mask)`` is the exact point (nums[i]/den)_i and the
-    bitmask of cover elements admissible there.  Simplices with no sample
-    pass vacuously, so samples should be at least as fine as the
-    resolutions.  Raises :class:`NoLabel` naming the simplex that emptied
-    at the last resolution when none works.
+
+def subordinate_resolution(masks: np.ndarray, depth: int, resolutions: Sequence[int],
+                           ) -> tuple[int, np.ndarray]:
+    """First resolution at which every simplex shares an element, with the
+    shared mask of each simplex, one row per simplex in ``simplices`` order.
+
+    ``masks`` has shape ``(den + 1,) * n + (elements,)``: ``masks[w]`` marks
+    the cover elements admissible at the point w/den.  The samples of a
+    simplex are the lattice points of its closed realization.  Each
+    resolution must divide ``den / depth``, so a simplex translated by whole
+    cells translates its samples: per axis order they are one fixed pattern
+    of offsets from the base, and a shared mask is one and-reduction over
+    the gathered pattern.
+
+    Raises :class:`NoLabel` when no resolution works, naming the simplex
+    that empties first at the last one when the samples are visited one by
+    one: the points with every coordinate a multiple of ``depth`` first,
+    then the others, each in lex order; of the simplices one sample
+    empties, the first in ``simplices`` order, which is the order
+    ``simplices_containing_fraction`` lists them in.
     """
-    n = len(samples[0][0])
-    emptied = None
-    for p in resolutions:
-        tri = FKTriangulation(n, p)
-        shared: dict[SimplexKey, int] = {}
-        emptied = None
-        for nums, mask in samples:
-            for s in tri.simplices_containing_fraction(nums, den):
-                shared[s.key] = shared.get(s.key, mask) & mask
-                if shared[s.key] == 0:
-                    emptied = s.key
-                    break
-            if emptied is not None:
-                break
-        if emptied is None:
-            return p, shared
-    raise NoLabel(emptied)
+    n = masks.ndim - 1
+    den = masks.shape[0] - 1
+    flat = masks.reshape(-1, masks.shape[-1])
+    strides = (den + 1) ** np.arange(n - 1, -1, -1)
+    dense = (lattice_points(n, den + 1) % depth).any(axis=1)
+    if den % depth or any((den // depth) % q for q in resolutions):
+        raise ValueError(f"resolutions {list(resolutions)} must divide the sampled grid "
+                         f"{den // depth}")
+    perms = list(permutations(range(n)))
+    idx = None
+    for q in resolutions:
+        d = den // q
+        offsets = lattice_points(n, d + 1)
+        # the pattern of axis order pi: the offsets descending when read in pi
+        # order, in visit order, which translation by d * base keeps
+        patterns = [offsets[(offsets[:, list(pi[:-1])] >= offsets[:, list(pi[1:])]).all(axis=1)]
+                    @ strides for pi in perms]
+        pattern = np.stack([np.concatenate([pat[~dense[pat]], pat[dense[pat]]])
+                            for pat in patterns])
+        bases = (lattice_points(n, q) * d) @ strides
+        idx = bases[:, None, None] + pattern[None]          # (bases, axis orders, samples)
+        shared = np.bitwise_and.reduce(flat[idx], axis=2)
+        if shared.any(axis=-1).all():
+            return q, shared.reshape(-1, flat.shape[1])
+    if idx is None:
+        raise NoLabel(None)
+    # the visit rank of the sample at which each simplex's running mask
+    # empties, past every rank for a simplex it never empties
+    visit = dense * len(flat) + np.arange(len(flat))
+    nonempty = np.bitwise_and.accumulate(flat[idx], axis=2).any(axis=-1)
+    rank = np.pad(visit[idx], ((0, 0), (0, 0), (0, 1)), constant_values=2 * len(flat))
+    k = int(np.argmin(np.take_along_axis(rank, nonempty.sum(axis=2, keepdims=True), axis=2)))
+    base = np.unravel_index(k // len(perms), (q,) * n)
+    raise NoLabel((tuple(int(c) for c in base), perms[k % len(perms)]))

@@ -4,17 +4,22 @@ Each generator returns (space, cover, sampled map).  The measure paths are
 piecewise-linear in the weights, so cell-by-cell mass thresholds can be
 checked by hand; the optional leak parameter spreads a small uniform mass
 over the whole space, which keeps labels valid but forces genuine
-(non-identity) pumps at the vertices.
+(non-identity) pumps at the vertices.  The moving paths are evaluated on
+the whole sampled lattice at once, with the arithmetic ``mix`` and
+``FiniteMeasure`` would do point by point, so the weights are the same
+floats.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fk import FKTriangulation
-from .measures import FiniteMeasure, dirac, mix
+from .measures import WEIGHT_SUM_EXACT, FiniteMeasure, dirac
 from .metric import Cover, FiniteMetricSpace, space_from_points
-from .straightening import DENSE_DEPTH, SampledMap
+from .straightening import DENSE_DEPTH, SampledMap, sample_points
 
 
 def line3_space() -> FiniteMetricSpace:
@@ -27,24 +32,46 @@ def far_clusters_space() -> FiniteMetricSpace:
     return space_from_points([[0.0], [1.0], [10.0], [11.0]])
 
 
-def _with_leak(space: FiniteMetricSpace, mu: FiniteMeasure, leak: float) -> FiniteMeasure:
+def _check_leak(leak: float) -> None:
+    if not 0.0 <= leak <= 1.0:
+        raise ValueError(f"'leak' must be a number in [0, 1], got {leak!r}")
+
+
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """``FiniteMeasure``'s renormalization, row by row: a row whose exact sum
+    is further than ``WEIGHT_SUM_EXACT`` from 1 is divided by it.  numpy's
+    row sums are within a few ulps of the exact ones, so only the rows they
+    put near that tolerance are summed exactly."""
+    for i in np.flatnonzero(np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_EXACT / 2):
+        total = math.fsum(weights[i])
+        if abs(total - 1.0) > WEIGHT_SUM_EXACT:
+            weights[i] /= total
+    return weights
+
+
+def _with_leak(weights: np.ndarray, leak: float) -> np.ndarray:
+    """Each row mixed with the uniform measure, (1 - leak) mu + leak / n."""
     if leak == 0.0:
-        return mu
-    n = space.n_points
-    uniform = FiniteMeasure(space, tuple(range(n)), tuple(1.0 / n for _ in range(n)))
-    return mix(space, [(1.0 - leak, mu), (leak, uniform)])
+        return weights
+    n = weights.shape[1]
+    return _normalized((1.0 - leak) * weights + leak * (1.0 / n))
 
 
-def _segment_path(space: FiniteMetricSpace, u: float,
-                  stops: list[tuple[float, int]]) -> FiniteMeasure:
-    """Piecewise-linear Dirac interpolation through (parameter, point) stops."""
-    if u <= stops[0][0]:
-        return dirac(space, stops[0][1])
+def _segment_path(u: np.ndarray, stops: list[tuple[float, int]], n_points: int) -> np.ndarray:
+    """Piecewise-linear Dirac interpolation through (parameter, point) stops,
+    one weight row per parameter in ``u``: weight 1 - s on a segment's first
+    point, then s added on its second."""
+    weights = np.zeros((u.size, n_points))
+    todo = u > stops[0][0]
+    weights[~todo, stops[0][1]] = 1.0
     for (u0, a), (u1, b) in zip(stops, stops[1:]):
-        if u <= u1:
-            s = (u - u0) / (u1 - u0)
-            return mix(space, [(1.0 - s, dirac(space, a)), (s, dirac(space, b))])
-    return dirac(space, stops[-1][1])
+        rows = todo & (u <= u1)
+        s = (u[rows] - u0) / (u1 - u0)
+        weights[rows, a] = 1.0 - s
+        weights[rows, b] += s
+        todo &= ~rows
+    weights[todo, stops[-1][1]] = 1.0
+    return _normalized(weights)
 
 
 def constant_map(n: int = 1, res: int = 4, point: int = 0,
@@ -63,43 +90,41 @@ def sliding_dirac_map(n: int = 1, res: int = 8, leak: float = 0.0,
 
     The measure path moves 0 -> 1 -> 2 linearly in the weights; with
     res = 8 the map is sampled at 9 grid vertices and every edge of the
-    grid stays inside one ball of radius 1.5.
+    grid stays inside one ball of radius 1.5.  ``leak`` lies in [0, 1].
     """
     if n != 1:
         raise ValueError("sliding Dirac benchmark is one-dimensional")
+    _check_leak(leak)
     space = line3_space()
     cover = Cover.by_balls(space, 1.5)
     tri = FKTriangulation(1, res)
-
-    def fn(y: np.ndarray) -> FiniteMeasure:
-        path = _segment_path(space, float(y[0]), [(0.0, 0), (0.5, 1), (1.0, 2)])
-        return _with_leak(space, path, leak)
-
-    return space, cover, SampledMap.from_function(tri, fn, dense_depth)
+    depth, points = sample_points(tri, dense_depth)
+    path = _segment_path(points[:, 0], [(0.0, 0), (0.5, 1), (1.0, 2)], space.n_points)
+    return space, cover, SampledMap(tri, space, _with_leak(path, leak), depth)
 
 
 def two_ball_map(n: int = 1, res: int | None = None, leak: float = 0.0,
                  dense_depth: int | None = DENSE_DEPTH):
-    """Transit between two overlapping explicit cover elements (n = 1 or 2).
+    """Transit between two overlapping explicit cover elements (n = 1, 2 or 3).
 
     The path rests on the shared point for parameters in [3/8, 5/8], so no
     grid cell at the chosen resolutions ever mixes the two moving phases;
     the n-dimensional version drives the same path by the coordinate mean.
+    ``leak`` lies in [0, 1]; above 3(1 - p), with p the dimension's mass
+    threshold, no sample clears it and labeling fails.
     """
-    if n not in (1, 2):
-        raise ValueError("two-ball benchmark supports n in {1, 2}")
+    if n not in (1, 2, 3):
+        raise ValueError("two-ball benchmark supports n in {1, 2, 3}")
+    _check_leak(leak)
     if res is None:
         res = 8 if n == 1 else 4
     space = line3_space()
     cover = Cover.explicit(space, [[0, 1], [1, 2]])
     tri = FKTriangulation(n, res)
+    depth, points = sample_points(tri, dense_depth)
     stops = [(0.0, 0), (0.375, 1), (0.625, 1), (1.0, 2)]
-
-    def fn(y: np.ndarray) -> FiniteMeasure:
-        u = float(np.mean(y))
-        return _with_leak(space, _segment_path(space, u, stops), leak)
-
-    return space, cover, SampledMap.from_function(tri, fn, dense_depth)
+    path = _segment_path(points.mean(axis=1), stops, space.n_points)
+    return space, cover, SampledMap(tri, space, _with_leak(path, leak), depth)
 
 
 def spread_map(n: int = 1, res: int = 4, dense_depth: int | None = DENSE_DEPTH):

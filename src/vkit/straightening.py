@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
-                 default_resolutions, star_bound, subordinate_resolution)
+                 default_resolutions, lattice_points, star_bound, subordinate_resolution)
 from .measures import FiniteMeasure, barycentric_distance
-from .metric import Cover
+from .metric import Cover, FiniteMetricSpace
 from .thickening import build_bump, pump, pump_homotopy, shrink_to_inner
 
 TRACK_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -72,28 +72,38 @@ def choose_p(n: int) -> float:
     return 1.0 - 1.0 / (2.0 * star_bound(n))
 
 
-@dataclass(frozen=True)
-class SampledMap:
-    """A map from the unit cube into measures, sampled on one lattice.
+def sample_points(tri: FKTriangulation, dense_depth: int | None) -> tuple[int, np.ndarray]:
+    """The depth, and the cube points of the lattice ``dense_depth`` times
+    finer than ``tri`` (None: its vertices) one per row in lex order, once
+    the guard has passed."""
+    depth = check_grid(tri.n, tri.p, dense_depth)
+    fine = depth * tri.p
+    return depth, lattice_points(tri.n, fine + 1) / fine
 
-    ``values`` holds a measure at every point of the grid of resolution
-    ``depth * tri.p``.  The points with all coordinates multiples of
-    ``depth`` are the vertices of ``tri``; the others, dense samples, are
-    exactly the depth-``depth`` barycentric points of its top simplices.
-    Integer coordinates assign samples to coarser simplices without ties."""
+
+@dataclass(frozen=True, eq=False)
+class SampledMap:
+    """A map from the unit cube into measures on ``space``, sampled on one
+    lattice.
+
+    ``weights`` holds one row of point weights per point of the grid of
+    resolution ``depth * tri.p``, in lex order.  The points with all
+    coordinates multiples of ``depth`` are the vertices of ``tri``; the
+    others, dense samples, are exactly the depth-``depth`` barycentric
+    points of its top simplices.  Integer coordinates assign samples to
+    coarser simplices without ties.  A row becomes a
+    :class:`FiniteMeasure` only where one is read, once per point."""
 
     tri: FKTriangulation
-    values: dict[Lattice, FiniteMeasure]
+    space: FiniteMetricSpace
+    weights: np.ndarray
     depth: int = 1
+    _values: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        grid = self.grid
-        off_grid = set(self.values).difference(grid.vertices())
-        if off_grid:
-            raise ValueError(f"vertex values off the grid, e.g. {min(off_grid)}")
-        missing = [v for v in grid.vertices() if v not in self.values]
-        if missing:
-            raise ValueError(f"missing vertex values, e.g. {missing[0]}")
+        shape = (self.grid.vertex_count, self.space.n_points)
+        if self.weights.shape != shape:
+            raise ValueError(f"weights of shape {self.weights.shape}, expected {shape}")
 
     @property
     def grid(self) -> FKTriangulation:
@@ -106,16 +116,34 @@ class SampledMap:
                       dense_depth: int | None = DENSE_DEPTH) -> "SampledMap":
         """Sample ``fn`` once per point of the lattice ``dense_depth`` times
         finer than ``tri`` (None: its vertices), once the guard has passed."""
-        depth = check_grid(tri.n, tri.p, dense_depth)
-        grid = FKTriangulation(tri.n, depth * tri.p)
-        return SampledMap(tri, {w: fn(grid.vertex_point(w)) for w in grid.vertices()}, depth)
+        depth, points = sample_points(tri, dense_depth)
+        measures = [fn(y) for y in points]
+        space = measures[0].space
+        weights = np.zeros((len(measures), space.n_points))
+        for row, mu in zip(weights, measures):
+            if mu.space is not space:
+                raise ValueError("all measures must live on the same space")
+            row[list(mu.support)] = mu.weights
+        return SampledMap(tri, space, weights, depth)
+
+    def value_at(self, w: Lattice) -> FiniteMeasure:
+        """The measure at a point of the sampled lattice."""
+        grid = self.grid
+        if len(w) != grid.n or not all(0 <= c <= grid.p for c in w):
+            raise ValueError(f"{w} is no point of the sampled lattice")
+        if w not in self._values:
+            row = self.weights[grid.vertex_index(w)]
+            support = np.flatnonzero(row)
+            self._values[w] = FiniteMeasure(self.space, tuple(support.tolist()),
+                                            tuple(row[support].tolist()))
+        return self._values[w]
 
     def value_on_subgrid(self, coarse: FKTriangulation, v: Lattice) -> FiniteMeasure:
         """Value at a vertex of a coarser grid whose resolution divides ours."""
         step = self.tri.p // coarse.p
         if coarse.p * step != self.tri.p:
             raise ValueError("coarse resolution must divide the sampled one")
-        return self.values[tuple(c * step * self.depth for c in v)]
+        return self.value_at(tuple(c * step * self.depth for c in v))
 
 
 @dataclass(frozen=True)
@@ -136,6 +164,24 @@ class Labeling:
         return sorted({self.ell[k] for k in self.star_of_vertex(v)})
 
 
+def sample_masks(smap: SampledMap, cov: Cover, p: float) -> np.ndarray:
+    """Per sample and cover element, whether the sample's mass on the
+    element is strictly above p, exactly as ``mass_of`` decides it.
+
+    The masses of each element are one sum over its columns of the weights
+    for all samples at once.  numpy sums in its own order, within a few
+    ulps of the exact sum, so the entries that close to p are summed again
+    with ``math.fsum``, as ``mass_of`` sums them.
+    """
+    columns = [sorted(elem) for elem in cov.elements]
+    mass = np.stack([smap.weights[:, cols].sum(axis=1) for cols in columns], axis=1)
+    masks = mass > p
+    near = np.abs(mass - p) <= 4 * smap.space.n_points * np.finfo(float).eps
+    for w, i in zip(*np.nonzero(near)):
+        masks[w, i] = math.fsum(smap.weights[w, columns[i]]) > p
+    return masks
+
+
 def label_simplices(smap: SampledMap, cov: Cover, p: float,
                     resolutions: Sequence[int] | None = None) -> Labeling:
     """Labeling at the first resolution whose simplices are subordinate.
@@ -143,30 +189,23 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     ``resolutions`` must divide the sampled one; by default they are the
     doubling resolutions dividing it, then the sampled resolution itself.
     The samples of a simplex are all points of the sampled lattice inside
-    it (assignment is exact, so a sample on a shared face counts for every
-    incident simplex).  Each sample's mask (bit i: mass strictly above p on
-    element i) is computed once.  Vertex samples come first, then the dense
-    ones, each in lex order, so a resolution the vertices already reject is
-    dropped before any dense sample is visited.  A simplex is labelled with
-    the lowest bit of its shared mask: the smallest-id element all its
-    samples concentrate on.  Raises :class:`NoLabel` when no resolution
-    works.
+    it (a sample on a shared face counts for every incident simplex).
+    :func:`~vkit.fk.subordinate_resolution` sweeps the resolutions over the
+    masks of :func:`sample_masks`.  A simplex is labelled with the
+    smallest-id element all its samples concentrate on.  Raises
+    :class:`NoLabel` when no resolution works, naming the simplex that
+    empties first at the last one when vertex samples are visited first,
+    then the dense ones, each in lex order.
     """
     if resolutions is None:
         resolutions = sorted({q for q in default_resolutions(smap.tri.p)
                               if smap.tri.p % q == 0} | {smap.tri.p})
-    if any(smap.tri.p % q for q in resolutions):
-        raise ValueError("labeling grid must divide the sampled grid")
-
-    def mask_of(mu: FiniteMeasure) -> int:
-        return sum(1 << i for i, elem in enumerate(cov.elements) if mu.mass_of(elem) > p)
-
-    depth = smap.depth
-    order = sorted(smap.values, key=lambda w: (any(c % depth for c in w), w))
-    samples = [(w, mask_of(smap.values[w])) for w in order]
-    res, masks = subordinate_resolution(samples, smap.grid.p, resolutions)
-    tri = FKTriangulation(smap.tri.n, res)
-    ell = {s.key: (masks[s.key] & -masks[s.key]).bit_length() - 1 for s in tri.simplices()}
+    n = smap.tri.n
+    masks = sample_masks(smap, cov, p)
+    res, shared = subordinate_resolution(masks.reshape((smap.grid.p + 1,) * n + (-1,)),
+                                         smap.depth, resolutions)
+    tri = FKTriangulation(n, res)
+    ell = dict(zip((s.key for s in tri.simplices()), shared.argmax(axis=1).tolist()))
     return Labeling(tri, cov, ell)
 
 

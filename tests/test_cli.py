@@ -213,6 +213,49 @@ class TestStraighten:
                      "--out", str(out)]) == 3
         assert json.loads((out / "summary.json").read_text())["failed_stage"] == "choose_p"
 
+    @pytest.mark.parametrize("generator", ["two_ball", "sliding_dirac"])
+    @pytest.mark.parametrize("leak", [-0.5, 1.5, 1e308, math.nan, math.inf])
+    def test_leak_outside_the_unit_interval_is_named(self, tmp_path, capsys, generator, leak):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": generator, "leak": leak}))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 2
+        assert "'leak' must be a number in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_full_leak_is_accepted_and_fails_at_labeling(self, tmp_path):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "leak": 1.0}))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 3
+        assert json.loads((out / "summary.json").read_text())["failed_stage"] == \
+            "estimate_lebesgue"
+
+    def test_three_dimensional_two_ball_certifies(self, tmp_path):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 3, "res": 4, "leak": 0.02}))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["all_pass"] is True and summary["dimension"] == 3
+
+    def test_three_dimensional_leak_above_the_margin_fails_at_labeling(self, tmp_path):
+        # p = 1 - 1/96 at n = 3: a leak above 3(1 - p), about 0.031, leaves no
+        # cover element with mass above p at any sample
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 3, "res": 4, "leak": 0.04}))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 3
+        assert json.loads((out / "summary.json").read_text())["failed_stage"] == \
+            "estimate_lebesgue"
+
+    def test_three_dimensional_guard_counts_the_dense_depth(self, tmp_path, capsys):
+        # 3! * (3 * 19)^3 = 1,111,158 simplices at the default depth
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "two_ball", "n": 3, "res": 19}))
+        assert main(["straighten", "--input", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "3! * 57^3 simplices exceed the resource guard" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = tmp_path / "map.json"
         spec.write_text(json.dumps({"generator": "two_ball", "n": 1, "leak": 0.05}))
@@ -368,7 +411,7 @@ BAD_PARAM = {
     "n": NOT_AN_INT | st.integers(max_value=0),
     "res": NOT_AN_INT.filter(lambda v: v is not None) | st.integers(max_value=0),
     "point": NOT_AN_INT | st.integers().filter(lambda i: not 0 <= i < 3),
-    "leak": NOT_A_NUMBER,
+    "leak": NOT_A_NUMBER | st.sampled_from([-0.5, 1.5, 1e308, math.nan]),
     "dense_depth": NOT_AN_INT.filter(lambda v: v is not None) | st.integers(max_value=0),
 }
 BAD_GENERATOR_NAME = JSON.filter(lambda v: not (type(v) is str and v in GENERATORS)).map(

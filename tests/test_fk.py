@@ -11,6 +11,7 @@ from vkit.fk import (FKSimplex, FKTriangulation, NoLabel, OutOfDomain,
                      subordinate_resolution)
 
 from exact_locator import simplex_keys_containing
+from scalar_sweep import subordinate_resolution_by_samples
 
 
 class TestEnumeration:
@@ -158,49 +159,90 @@ class TestFacets:
                 assert count == (1 if is_boundary_face(tri, face) else 2)
 
 
+def _as_ints(shared):
+    """Boolean mask rows as integer bitmasks (bit i: element i)."""
+    return [sum(1 << int(i) for i in np.flatnonzero(row)) for row in shared]
+
+
 class TestSubordinateResolution:
     @staticmethod
-    def _slab_samples(grid: int, left_end: float, right_start: float):
-        # grid points i/(grid-1) of [0, 1]; bit 0: element [0, left_end],
-        # bit 1: element [right_start, 1]
-        samples = []
-        for i in range(grid):
-            y = i / (grid - 1)
-            samples.append(((i,), (1 if y <= left_end else 0) | (2 if y >= right_start else 0)))
-        return samples, grid - 1
+    def _slab_masks(grid: int, left_end: float, right_start: float):
+        # grid points i/(grid-1) of [0, 1]; column 0: element [0, left_end],
+        # column 1: element [right_start, 1]
+        y = np.arange(grid) / (grid - 1)
+        return np.column_stack([y <= left_end, y >= right_start]), grid - 1
 
     def test_single_element_cover_resolves_at_the_coarsest_grid(self):
-        samples = [(idx, 1) for idx in product(range(3), repeat=2)]
-        p, masks = subordinate_resolution(samples, 2, default_resolutions(1024))
+        p, masks = subordinate_resolution(np.ones((3, 3, 1), bool), 1, default_resolutions(2))
         assert p == 1
-        assert set(masks.values()) == {1}
+        assert _as_ints(masks) == [1, 1]
 
     def test_misaligned_slab_is_first_subordinate_at_resolution_eight(self):
         # elements [0, 0.4] and [0.3, 1]: overlap width 0.1
-        samples, den = self._slab_samples(65, 0.4, 0.3)
-        p, masks = subordinate_resolution(samples, den, default_resolutions(1024))
+        masks, den = self._slab_masks(65, 0.4, 0.3)
+        p, shared = subordinate_resolution(masks, 1, default_resolutions(den))
         assert p == 8           # first doubling resolution that fits
-        assert len(masks) == 8 and all(masks.values())
+        assert len(shared) == 8 and all(_as_ints(shared))
 
     @pytest.mark.parametrize("stride", [32, 64])
     def test_slab_extruded_along_a_second_axis_is_first_subordinate_at_resolution_eight(
             self, stride):
         # the slab above along axis 0; axis 1 sampled only at every stride-th
-        # lattice point, so at resolution 8 some simplices pass with no sample
-        slab, den = self._slab_samples(65, 0.4, 0.3)
-        samples = [((i, j), mask) for (i,), mask in slab for j in range(0, den + 1, stride)]
-        p, masks = subordinate_resolution(samples, den, default_resolutions(1024))
+        # lattice point, and an unsampled point admits every element, so at
+        # resolution 8 the simplices no sample reaches keep the all-ones mask
+        slab, den = self._slab_masks(65, 0.4, 0.3)
+        masks = np.ones((den + 1, den + 1, 2), bool)
+        masks[:, ::stride] = slab[:, None]
+        p, shared = subordinate_resolution(masks, 1, default_resolutions(den))
         assert p == 8
-        assert 0 < len(masks) < FKTriangulation(2, 8).simplex_count
-        assert all(masks.values())
+        samples = [((i, j), mask) for i, mask in enumerate(_as_ints(slab))
+                   for j in range(0, den + 1, stride)]
+        ref_p, ref = subordinate_resolution_by_samples(samples, den, default_resolutions(den))
+        keys = [s.key for s in FKTriangulation(2, 8).simplices()]
+        assert ref_p == 8 and 0 < len(ref) < len(keys)
+        assert _as_ints(shared) == [ref.get(k, 0b11) for k in keys]
+        assert all(_as_ints(shared))
 
     def test_disjoint_memberships_raise_no_label(self):
-        samples = [((i,), 1 if i < 2 else (2 if i > 2 else 0)) for i in range(5)]
-        with pytest.raises(NoLabel):
-            subordinate_resolution(samples, 4, default_resolutions(16))
+        masks = np.array([[i < 2, i > 2] for i in range(5)])
+        with pytest.raises(NoLabel) as err:
+            subordinate_resolution(masks, 1, default_resolutions(4))
+        assert err.value.simplex == ((1,), (0,))   # the first cell around the empty sample
+
+    def test_resolutions_must_divide_the_sampled_grid(self):
+        with pytest.raises(ValueError, match="must divide"):
+            subordinate_resolution(np.ones((13, 1), bool), 3, [1, 3])
 
     def test_resolution_sweep_is_doubling(self):
         assert default_resolutions(10) == [1, 2, 4, 8]
+
+
+class TestSweepByTranslation:
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.integers(1, 3),
+           st.floats(0.5, 1.0), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    @example(2, 3, 2, 1, 0.98, 7, None)
+    def test_matches_the_sample_by_sample_sweep(self, n, depth, res, elements, density,
+                                                 seed, data):
+        den = depth * res
+        masks = np.random.default_rng(seed).random((den + 1,) * n + (elements,)) < density
+        divisors = [q for q in range(1, res + 1) if res % q == 0]
+        resolutions = (sorted(divisors) if data is None else
+                       data.draw(st.lists(st.sampled_from(divisors), min_size=1, unique=True)))
+        # vertex samples first, then the dense ones, each in lex order
+        order = sorted(product(range(den + 1), repeat=n),
+                       key=lambda w: (any(c % depth for c in w), w))
+        samples = [(w, _as_ints([masks[w]])[0]) for w in order]
+        try:
+            expected = subordinate_resolution_by_samples(samples, den, resolutions)
+        except NoLabel as exc:
+            with pytest.raises(NoLabel) as err:
+                subordinate_resolution(masks, depth, resolutions)
+            assert err.value.simplex == exc.simplex
+            return
+        p, shared = subordinate_resolution(masks, depth, resolutions)
+        keys = [s.key for s in FKTriangulation(n, p).simplices()]
+        assert (p, dict(zip(keys, _as_ints(shared)))) == expected
 
 
 class TestOffExport:

@@ -11,9 +11,10 @@ from vkit.metric import Cover, space_from_points
 from vkit.straightening import (BoundViolated, CertificationLog, NoLabel, PipelineError,
                                 SampledMap, choose_p, intersection_mass_bound,
                                 label_simplices, linearize, prism_retract,
-                                pump_vertex, straighten)
+                                pump_vertex, sample_masks, straighten)
 
 from exact_locator import simplex_keys_containing
+from per_sample_maps import reference_weights, sliding_dirac_measure, two_ball_measure
 
 
 class TestChooseP:
@@ -39,8 +40,8 @@ class TestSampledMap:
 
         smap = SampledMap.from_function(FKTriangulation(n, res), fn, depth)
         fine = (depth or 1) * res
-        assert len(calls) == len(set(calls)) == (fine + 1) ** n == len(smap.values)
-        assert set(calls) == {tuple(c / fine for c in w) for w in smap.values}
+        assert len(calls) == len(set(calls)) == (fine + 1) ** n == len(smap.weights)
+        assert set(calls) == {tuple(c / fine for c in w) for w in smap.grid.vertices()}
 
     def test_grid_vertices_are_the_multiples_of_the_depth(self, line3):
         def fn(y):
@@ -49,8 +50,8 @@ class TestSampledMap:
         smap = SampledMap.from_function(FKTriangulation(1, 2), fn, 3)
         assert smap.grid.p == 6
         assert [smap.value_on_subgrid(smap.tri, (i,)).support for i in range(3)] == [(1,)] * 3
-        assert smap.value_on_subgrid(FKTriangulation(1, 1), (1,)) is smap.values[(6,)]
-        assert sum(mu.support == (0,) for mu in smap.values.values()) == 4
+        assert smap.value_on_subgrid(FKTriangulation(1, 1), (1,)) is smap.value_at((6,))
+        assert sum(smap.value_at(w).support == (0,) for w in smap.grid.vertices()) == 4
 
     def test_the_guard_counts_the_sampled_lattice(self, line3):
         def never(y):
@@ -60,6 +61,124 @@ class TestSampledMap:
             SampledMap.from_function(FKTriangulation(2, 4), never, 10 ** 4)
         with pytest.raises(ValueError, match="dense_depth"):
             SampledMap.from_function(FKTriangulation(1, 4), never, 0)
+
+    def test_values_are_read_from_the_lattice_only(self, line3):
+        smap = SampledMap.from_function(FKTriangulation(2, 2), lambda y: dirac(line3, 0), 2)
+        for w in [(5, 0), (0, -1), (1,), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="no point of the sampled lattice"):
+                smap.value_at(w)
+        with pytest.raises(ValueError, match="expected"):
+            SampledMap(smap.tri, line3, smap.weights[1:], smap.depth)
+
+
+LEAKS = [0.0, 0.05, 0.0713, 1.0]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestGeneratorWeights:
+    @pytest.mark.parametrize("leak", LEAKS)
+    @pytest.mark.parametrize("n, res, depth", [(1, 8, 3), (1, 13, None), (1, 24, 2),
+                                               (2, 4, 3), (2, 7, 1), (2, 12, 3),
+                                               (3, 2, 3), (3, 5, 2)])
+    def test_two_ball_rows_are_the_per_sample_measures(self, n, res, depth, leak):
+        space, _, smap = two_ball_map(n=n, res=res, leak=leak, dense_depth=depth)
+        assert _same_bits(smap.weights, reference_weights(smap, two_ball_measure(space, leak)))
+
+    @pytest.mark.parametrize("leak", LEAKS)
+    @pytest.mark.parametrize("res, depth", [(8, 3), (13, None), (24, 2), (40, 3)])
+    def test_sliding_dirac_rows_are_the_per_sample_measures(self, res, depth, leak):
+        space, _, smap = sliding_dirac_map(res=res, leak=leak, dense_depth=depth)
+        assert _same_bits(smap.weights,
+                          reference_weights(smap, sliding_dirac_measure(space, leak)))
+
+    def test_rows_are_renormalized_as_measures_are(self, line3):
+        from vkit.generators import _normalized
+        rows = np.array([[0.5, 0.5 + 4e-12, 0.0], [0.25, 0.75 - 4e-13, 0.0], [0.3, 0.3, 0.4]])
+        expected = [FiniteMeasure(line3, (0, 1, 2), tuple(r)).weights for r in rows.tolist()]
+        got = _normalized(rows.copy())
+        assert [tuple(w for w in r if w) for r in got.tolist()] == expected
+        assert got[0].tolist() != rows[0].tolist() and got[1:].tolist() == rows[1:].tolist()
+
+    @pytest.mark.parametrize("gen", [sliding_dirac_map, two_ball_map])
+    @pytest.mark.parametrize("leak", [-0.5, 1.5, 1e308, math.nan, math.inf, -math.inf])
+    def test_leak_outside_the_unit_interval_is_refused(self, gen, leak):
+        with pytest.raises(ValueError, match="'leak' must be a number in \\[0, 1\\]"):
+            gen(leak=leak)
+
+    def test_two_ball_takes_three_dimensions_and_no_more(self):
+        assert two_ball_map(n=3)[2].grid.p == 12
+        with pytest.raises(ValueError, match="n in {1, 2, 3}"):
+            two_ball_map(n=4)
+
+
+class TestSampleMasks:
+    @pytest.mark.parametrize("gen, kwargs", [
+        (constant_map, {"n": 2}), (sliding_dirac_map, {"leak": 0.0713}),
+        (two_ball_map, {"n": 2, "res": 6, "leak": 0.05}),
+        (two_ball_map, {"n": 3, "res": 2, "leak": 0.0713}), (spread_map, {"n": 2})])
+    def test_every_mask_is_the_strict_mass_test(self, gen, kwargs):
+        _, cover, smap = gen(**kwargs)
+        for p in (0.5, choose_p(smap.tri.n)):
+            masks = sample_masks(smap, cover, p)
+            expected = [[smap.value_at(w).mass_of(elem) > p for elem in cover.elements]
+                        for w in smap.grid.vertices()]
+            assert masks.tolist() == expected
+
+    # Element {0, 1, 2} of each row: every order of summing the three
+    # weights rounds one ulp off their exact sum, above it in the first row
+    # and below it in the second, so a float sum alone decides these wrong.
+    @pytest.mark.parametrize("row, side", [((0.014, 0.182, 0.735, 0.069), 1.0),
+                                           ((0.074, 0.625, 0.209, 0.092), -1.0)])
+    def test_masses_within_an_ulp_of_p_are_decided_exactly(self, row, side):
+        a, b, c = row[:3]
+        exact = math.fsum(row[:3])
+        assert {(a + b) + c, a + (b + c), (a + c) + b} == {np.nextafter(exact, exact + side)}
+        space = space_from_points([[0.0], [1.0], [2.0], [3.0]])
+        cover = Cover.explicit(space, [[0, 1, 2], [3]])
+        smap = SampledMap(FKTriangulation(1, 1), space, np.array([row, row]))
+        # at this p numpy's sum and the exact sum fall on opposite sides
+        split = exact if side > 0 else np.nextafter(exact, 0.0)
+        assert (np.sum(row[:3]) > split) != (exact > split)
+        for p in (np.nextafter(exact, 0.0), exact, np.nextafter(exact, 1.0)):
+            masks = sample_masks(smap, cover, p)
+            assert masks[:, 0].tolist() == [exact > p] * 2
+
+
+class TestWork:
+    """Deterministic counts of the work behind a sampled map and its labels."""
+
+    @staticmethod
+    def _count(monkeypatch, cls, name):
+        calls = []
+        real = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_generators_build_no_measure_per_lattice_point(self, monkeypatch):
+        built = self._count(monkeypatch, FiniteMeasure, "__post_init__")
+        _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
+        assert smap.weights.shape == (73 ** 2, 3)
+        assert len(built) == 0
+        gmap, log = straighten(smap, cover)
+        assert log.all_pass()
+        # the map builds one measure per coarse vertex it is read at; the rest
+        # are pumps and their tracks, far fewer than the 5,329 samples
+        assert len(smap._values) == gmap.tri.vertex_count
+        assert len(built) < len(smap.weights) // 10
+
+    def test_labeling_locates_no_sample(self, monkeypatch):
+        _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
+        located = self._count(monkeypatch, FKTriangulation, "simplices_containing_fraction")
+        lab = label_simplices(smap, cover, choose_p(2))
+        assert lab.tri.p == 4 and len(located) == 0
 
 
 class TestLabelSimplices:
@@ -178,7 +297,7 @@ class TestPumpVertex:
         assert lab.ell[((0,), (0,))] == 0       # element {0} qualifies first
         vp = pump_vertex(smap, lab, (0,), 0.85)
         assert not vp.identity
-        assert vp.result == dirac(smap.values[(0,)].space, 0)
+        assert vp.result == dirac(smap.space, 0)
         masses = [m.weight_of(0) for _, m in vp.track]
         assert masses == pytest.approx([0.9, 0.925, 0.95, 0.975, 1.0], abs=1e-12)
         assert vp.floors == tuple(min(m.mass_of(lab.element_set(b)) for b in vp.labels)
@@ -193,8 +312,9 @@ class TestPumpVertex:
         lab = label_simplices(smap, cov, 0.9, [tri.p])
         vp = pump_vertex(smap, lab, (1,), 0.9)
         assert vp.identity
-        assert vp.result is mu
-        assert all(m is mu for _, m in vp.track)
+        assert vp.result is smap.value_on_subgrid(lab.tri, (1,))
+        assert vp.result == mu
+        assert all(m is vp.result for _, m in vp.track)
 
 
 class TestLinearize:
@@ -251,7 +371,7 @@ def reference_labels(smap, cov, p, tri):
     locator; None when some simplex has none."""
     samples = {}
     dens = (smap.depth * smap.tri.p,) * tri.n
-    for w, mu in smap.values.items():
+    for w, mu in ((w, smap.value_at(w)) for w in smap.grid.vertices()):
         for key in simplex_keys_containing(tri.n, tri.p, w, dens):
             samples.setdefault(key, []).append(mu)
     labels = {}
@@ -269,6 +389,7 @@ GENERATOR_CASES = [
     (sliding_dirac_map, {}), (sliding_dirac_map, {"leak": 0.05}),
     (two_ball_map, {}), (two_ball_map, {"leak": 0.05}),
     (two_ball_map, {"n": 2}), (two_ball_map, {"n": 2, "leak": 0.05}),
+    (two_ball_map, {"n": 3, "leak": 0.02}),
 ]
 
 
@@ -348,6 +469,13 @@ class TestStraighten:
         stages = log.stage_counts()
         assert stages["track"]["fail"] == 0
         assert stages["linearize"]["fail"] == 0
+
+    def test_three_dimensional_benchmark(self):
+        _, cover, smap = two_ball_map(n=3, res=4, leak=0.02)
+        gmap, log = straighten(smap, cover)
+        assert log.all_pass()
+        assert gmap.tri.n == 3
+        assert log.stage_counts()["linearize"]["pass"] == gmap.tri.simplex_count
 
     def test_spread_benchmark_names_the_failing_stage(self):
         _, cover, smap = spread_map()
