@@ -14,7 +14,7 @@ from .straightening import (CertificationLog, Labeling, SampledMap,
                             SimplexwiseAffineMap, choose_p, intersection_mass_bound,
                             label_simplices, linearize, prism_retract, pump_vertex,
                             straighten)
-from .thickening import (BumpFunction, build_bump, compare_metrics, has_mcp, pump,
-                         pump_coordinate, pump_homotopy, shrink_to_inner)
+from .thickening import (BumpFunction, build_bump, compare_metrics, pump, pump_coordinate,
+                         pump_homotopy, shrink_to_inner)
 
 __version__ = "0.1.0"

@@ -143,8 +143,8 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ValueError(f"generator parameter {key!r} must be {names}, got {value!r}")
         full = {key: kwargs.get(key, param.default) for key, param in params.items()}
-        # from_function's guard, run here too so a refused spec never reaches the
-        # generator; a None res lets two_ball pick its default, guarded where it samples
+        # the guard the generators run where they sample, run here first so a refused
+        # spec never reaches them; a None res lets two_ball pick its default
         if full["res"] is not None:
             check_grid(full["n"], full["res"], full["dense_depth"])
         return GENERATORS[name](**kwargs)
@@ -182,9 +182,10 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
     missing = [v for v in tri.vertices() if v not in values]
     if missing:
         raise ValueError(f"missing vertex values, e.g. {missing[0]}")
-    smap = SampledMap.from_function(tri, lambda y: values[tuple(round(c * res) for c in y)],
-                                    dense_depth=None)
-    return space, cover, smap
+    weights = np.zeros((tri.vertex_count, space.n_points))
+    for row, v in zip(weights, tri.vertices()):
+        row[list(values[v].support)] = values[v].weights
+    return space, cover, SampledMap(tri, space, weights)
 
 
 def cmd_straighten(args: argparse.Namespace) -> int:

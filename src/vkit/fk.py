@@ -96,9 +96,6 @@ class FKTriangulation:
             idx = idx * (self.p + 1) + c
         return idx
 
-    def vertex_point(self, v: Lattice) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64) / self.p
-
     def scaled_vertices(self, simplex: FKSimplex) -> np.ndarray:
         return np.asarray(simplex.vertices(), dtype=np.float64) / self.p
 

@@ -4,20 +4,20 @@ Each generator returns (space, cover, sampled map).  The measure paths are
 piecewise-linear in the weights, so cell-by-cell mass thresholds can be
 checked by hand; the optional leak parameter spreads a small uniform mass
 over the whole space, which keeps labels valid but forces genuine
-(non-identity) pumps at the vertices.  The moving paths are evaluated on
-the whole sampled lattice at once, with the arithmetic ``mix`` and
-``FiniteMeasure`` would do point by point, so the weights are the same
-floats.
+(non-identity) pumps at the vertices.  Every generator fills the weight
+array of its sampled map directly: the constant maps repeat one measure's
+row, and the moving paths are evaluated on the whole sampled lattice at
+once with the arithmetic ``mix`` does point by point.  Their rows sum to 1
+within a few ulps, which ``FiniteMeasure`` keeps as it is, so the weights
+are the same floats as the per-point measures'.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .fk import FKTriangulation
-from .measures import WEIGHT_SUM_EXACT, FiniteMeasure, dirac
+from .measures import FiniteMeasure, dirac
 from .metric import Cover, FiniteMetricSpace, space_from_points
 from .straightening import DENSE_DEPTH, SampledMap, sample_points
 
@@ -37,24 +37,12 @@ def _check_leak(leak: float) -> None:
         raise ValueError(f"'leak' must be a number in [0, 1], got {leak!r}")
 
 
-def _normalized(weights: np.ndarray) -> np.ndarray:
-    """``FiniteMeasure``'s renormalization, row by row: a row whose exact sum
-    is further than ``WEIGHT_SUM_EXACT`` from 1 is divided by it.  numpy's
-    row sums are within a few ulps of the exact ones, so only the rows they
-    put near that tolerance are summed exactly."""
-    for i in np.flatnonzero(np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_EXACT / 2):
-        total = math.fsum(weights[i])
-        if abs(total - 1.0) > WEIGHT_SUM_EXACT:
-            weights[i] /= total
-    return weights
-
-
 def _with_leak(weights: np.ndarray, leak: float) -> np.ndarray:
     """Each row mixed with the uniform measure, (1 - leak) mu + leak / n."""
     if leak == 0.0:
         return weights
     n = weights.shape[1]
-    return _normalized((1.0 - leak) * weights + leak * (1.0 / n))
+    return (1.0 - leak) * weights + leak * (1.0 / n)
 
 
 def _segment_path(u: np.ndarray, stops: list[tuple[float, int]], n_points: int) -> np.ndarray:
@@ -71,7 +59,15 @@ def _segment_path(u: np.ndarray, stops: list[tuple[float, int]], n_points: int) 
         weights[rows, b] += s
         todo &= ~rows
     weights[todo, stops[-1][1]] = 1.0
-    return _normalized(weights)
+    return weights
+
+
+def _constant(tri: FKTriangulation, mu: FiniteMeasure, dense_depth: int | None) -> SampledMap:
+    """The map taking the value mu at every point of the sampled lattice."""
+    depth, points = sample_points(tri, dense_depth)
+    weights = np.zeros((len(points), mu.space.n_points))
+    weights[:, list(mu.support)] = mu.weights
+    return SampledMap(tri, mu.space, weights, depth)
 
 
 def constant_map(n: int = 1, res: int = 4, point: int = 0,
@@ -79,9 +75,7 @@ def constant_map(n: int = 1, res: int = 4, point: int = 0,
     """Constant Dirac map; every stage of the pipeline is trivial."""
     space = line3_space()
     cover = Cover.by_balls(space, 1.5)
-    tri = FKTriangulation(n, res)
-    smap = SampledMap.from_function(tri, lambda y: dirac(space, point), dense_depth)
-    return space, cover, smap
+    return space, cover, _constant(FKTriangulation(n, res), dirac(space, point), dense_depth)
 
 
 def sliding_dirac_map(n: int = 1, res: int = 8, leak: float = 0.0,
@@ -136,10 +130,8 @@ def spread_map(n: int = 1, res: int = 4, dense_depth: int | None = DENSE_DEPTH):
     """
     space = far_clusters_space()
     cover = Cover.by_balls(space, 1.5)
-    tri = FKTriangulation(n, res)
     half = FiniteMeasure(space, (0, 2), (0.5, 0.5))
-    smap = SampledMap.from_function(tri, lambda y: half, dense_depth)
-    return space, cover, smap
+    return space, cover, _constant(FKTriangulation(n, res), half, dense_depth)
 
 
 GENERATORS = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
                  default_resolutions, lattice_points, star_bound, subordinate_resolution)
 from .measures import FiniteMeasure, barycentric_distance
 from .metric import Cover, FiniteMetricSpace
-from .thickening import build_bump, pump, pump_homotopy, shrink_to_inner
+from .thickening import build_bump, pump_homotopy, shrink_to_inner
 
 TRACK_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DENSE_DEPTH = 3
@@ -92,13 +92,12 @@ class SampledMap:
     others, dense samples, are exactly the depth-``depth`` barycentric
     points of its top simplices.  Integer coordinates assign samples to
     coarser simplices without ties.  A row becomes a
-    :class:`FiniteMeasure` only where one is read, once per point."""
+    :class:`FiniteMeasure` only where it is read."""
 
     tri: FKTriangulation
     space: FiniteMetricSpace
     weights: np.ndarray
     depth: int = 1
-    _values: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         shape = (self.grid.vertex_count, self.space.n_points)
@@ -110,33 +109,14 @@ class SampledMap:
         """The sampled lattice, as the grid of resolution depth * tri.p."""
         return FKTriangulation(self.tri.n, self.depth * self.tri.p)
 
-    @staticmethod
-    def from_function(tri: FKTriangulation,
-                      fn: Callable[[np.ndarray], FiniteMeasure],
-                      dense_depth: int | None = DENSE_DEPTH) -> "SampledMap":
-        """Sample ``fn`` once per point of the lattice ``dense_depth`` times
-        finer than ``tri`` (None: its vertices), once the guard has passed."""
-        depth, points = sample_points(tri, dense_depth)
-        measures = [fn(y) for y in points]
-        space = measures[0].space
-        weights = np.zeros((len(measures), space.n_points))
-        for row, mu in zip(weights, measures):
-            if mu.space is not space:
-                raise ValueError("all measures must live on the same space")
-            row[list(mu.support)] = mu.weights
-        return SampledMap(tri, space, weights, depth)
-
     def value_at(self, w: Lattice) -> FiniteMeasure:
         """The measure at a point of the sampled lattice."""
         grid = self.grid
         if len(w) != grid.n or not all(0 <= c <= grid.p for c in w):
             raise ValueError(f"{w} is no point of the sampled lattice")
-        if w not in self._values:
-            row = self.weights[grid.vertex_index(w)]
-            support = np.flatnonzero(row)
-            self._values[w] = FiniteMeasure(self.space, tuple(support.tolist()),
-                                            tuple(row[support].tolist()))
-        return self._values[w]
+        row = self.weights[grid.vertex_index(w)]
+        support = np.flatnonzero(row)
+        return FiniteMeasure(self.space, tuple(support.tolist()), tuple(row[support].tolist()))
 
     def value_on_subgrid(self, coarse: FKTriangulation, v: Lattice) -> FiniteMeasure:
         """Value at a vertex of a coarser grid whose resolution divides ours."""
@@ -148,20 +128,16 @@ class SampledMap:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Assignment of a cover element to every top simplex, plus derived data."""
+    """Assignment of a cover element to every top simplex, and to every
+    vertex the sorted labels of the simplices around it."""
 
     tri: FKTriangulation
     cover: Cover
     ell: dict[SimplexKey, int]
+    vertex_labels: dict[Lattice, tuple[int, ...]]
 
     def element_set(self, element_id: int) -> frozenset[int]:
         return self.cover.elements[element_id]
-
-    def star_of_vertex(self, v: Lattice) -> list[SimplexKey]:
-        return [s.key for s in self.tri.simplices_containing_fraction(v, self.tri.p)]
-
-    def labels_at_vertex(self, v: Lattice) -> list[int]:
-        return sorted({self.ell[k] for k in self.star_of_vertex(v)})
 
 
 def sample_masks(smap: SampledMap, cov: Cover, p: float) -> np.ndarray:
@@ -205,8 +181,13 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     res, shared = subordinate_resolution(masks.reshape((smap.grid.p + 1,) * n + (-1,)),
                                          smap.depth, resolutions)
     tri = FKTriangulation(n, res)
-    ell = dict(zip((s.key for s in tri.simplices()), shared.argmax(axis=1).tolist()))
-    return Labeling(tri, cov, ell)
+    ell: dict[SimplexKey, int] = {}
+    around: dict[Lattice, set[int]] = {v: set() for v in tri.vertices()}
+    for s, label in zip(tri.simplices(), shared.argmax(axis=1).tolist()):
+        ell[s.key] = label
+        for v in s.vertices():
+            around[v].add(label)
+    return Labeling(tri, cov, ell, {v: tuple(sorted(ls)) for v, ls in around.items()})
 
 
 def intersection_mass_bound(mu: FiniteMeasure,
@@ -236,10 +217,13 @@ class VertexPump:
     """Outcome of pumping one vertex measure into its label region."""
 
     vertex: Lattice
+    source: FiniteMeasure       # the sampled measure at the vertex
     result: FiniteMeasure
     track: tuple[tuple[float, FiniteMeasure], ...]
-    labels: tuple
+    labels: tuple[int, ...]
     region: frozenset[int]
+    region_mass: float          # mass of source on region
+    bound: float                # 1 - N(1 - p), N the number of labels
     floors: tuple[float, ...]   # per track sample: min over labels of the element mass
     identity: bool
 
@@ -253,29 +237,29 @@ def pump_vertex(smap: SampledMap, lab: Labeling, v: Lattice, p: float) -> Vertex
     shrunk away from its complement, a bump over the shrunken set drives
     the pump, and the linear homotopy is sampled at ``TRACK_TIMES``; every
     sample keeps mass above p on every label because pumping only adds
-    mass to each of them.
+    mass to each of them.  The result is the sample at t = 1, which
+    ``convex_combine`` makes exactly the pumped measure.
     """
     mu = smap.value_on_subgrid(lab.tri, v)
-    labels = tuple(lab.labels_at_vertex(v))
+    labels = lab.vertex_labels[v]
     label_sets = [lab.element_set(b) for b in labels]
     region = frozenset.intersection(*label_sets)
+    bound = 1.0 - len(labels) * (1.0 - p)
 
-    def floors_of(track):
-        return tuple(min(m.mass_of(es) for es in label_sets) for _, m in track)
+    def outcome(track, mass, identity):
+        floors = tuple(min(m.mass_of(es) for es in label_sets) for _, m in track)
+        return VertexPump(v, mu, track[-1][1], track, labels, region, mass, bound, floors,
+                          identity)
 
     if mu.support_set() <= region:
-        track = tuple((t, mu) for t in TRACK_TIMES)
-        return VertexPump(v, mu, track, labels, region, floors_of(track), True)
-    q = 1.0 - len(labels) * (1.0 - p)
-    if q <= 0.0:
+        return outcome(tuple((t, mu) for t in TRACK_TIMES), mu.mass_of(region), True)
+    if bound <= 0.0:
         raise ValueError(f"threshold p={p} too low for {len(labels)} labels; "
                          "need p > 1 - 1/(2^n n!)")
-    intersection_mass_bound(mu, label_sets, p)
-    _, inner = shrink_to_inner([mu], q, region)
+    mass = intersection_mass_bound(mu, label_sets, p)
+    _, inner = shrink_to_inner(mu, bound, region)
     bump = build_bump(mu.space, (), inner)
-    pumped = pump(mu, bump)
-    track = tuple((t, pump_homotopy(mu, bump, t)) for t in TRACK_TIMES)
-    return VertexPump(v, pumped, track, labels, region, floors_of(track), False)
+    return outcome(pump_homotopy(mu, bump, TRACK_TIMES), mass, False)
 
 
 @dataclass(frozen=True)
@@ -288,22 +272,21 @@ class SimplexwiseAffineMap:
 
 
 def linearize(values: Mapping[Lattice, FiniteMeasure], lab: Labeling,
-              log: CertificationLog | None = None) -> SimplexwiseAffineMap:
+              log: CertificationLog) -> SimplexwiseAffineMap:
     """Simplexwise-affine map through the given vertex measures.
 
     Certifies, per top simplex, that the union of its vertex supports sits
     inside the assigned cover element, hence is a simplex of the Vietoris
     complex of the cover; :class:`NotSubordinate` reports the first
-    offending simplex otherwise.  With a ``log``, every check up to and
-    including that one is recorded under the ``linearize`` stage.
+    offending simplex otherwise.  Every check up to and including that one
+    is recorded in ``log`` under the ``linearize`` stage.
     """
     for s in lab.tri.simplices():
         union: set[int] = set()
         for v in s.vertices():
             union |= values[v].support_set()
         offending = frozenset(union - lab.element_set(lab.ell[s.key]))
-        if log is not None:
-            log.add("linearize", _simplex_key(s.key), len(offending), 0.0, not offending)
+        log.add("linearize", _simplex_key(s.key), len(offending), 0.0, not offending)
         if offending:
             raise NotSubordinate(s.key, offending)
     return SimplexwiseAffineMap(lab.tri, dict(values), lab)
@@ -385,13 +368,12 @@ def straighten(smap: SampledMap, cov: Cover,
             log.add("pump", vertex_key(v), 0.0, p, False)
             raise PipelineError("pump_vertex", exc)
         values[v] = vp.result
-        q_v = 1.0 - len(vp.labels) * (1.0 - p)
-        region_mass = smap.value_on_subgrid(coarse, v).mass_of(vp.region)
-        log.add("mass_bound", vertex_key(v), region_mass, q_v, region_mass > q_v)
+        log.add("mass_bound", vertex_key(v), vp.region_mass, vp.bound,
+                vp.region_mass > vp.bound)
         for (t, _), floor in zip(vp.track, vp.floors):
             log.add("track", f"{vertex_key(v)}:t={t}", floor, p, floor > p)
         if coarse.is_boundary_vertex(v):
-            drift = barycentric_distance(vp.result, smap.value_on_subgrid(coarse, v))
+            drift = barycentric_distance(vp.result, vp.source)
             log.add("boundary", vertex_key(v), drift, 0.0,
                     (not vp.identity) or drift == 0.0)
 

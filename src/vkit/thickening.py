@@ -1,4 +1,4 @@
-"""Mass-concentration predicates, bump functions, and the pumping map.
+"""Bump functions, the pumping map, and inner sets that keep a measure's mass.
 
 The pumping map reweights a measure by a Lipschitz bump that vanishes
 exactly off a target set and renormalizes, concentrating mass inside the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .measures import (FiniteMeasure, ZeroMass, barycentric_distance,
                        convex_combine, wasserstein)
@@ -24,7 +24,7 @@ class DegenerateGap(ValueError):
 
 
 class NoMCP(ValueError):
-    """The measure family does not concentrate mass above the threshold."""
+    """The measure does not concentrate mass above the threshold."""
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,6 @@ def build_bump(space: FiniteMetricSpace, plateau: Iterable[int],
     return bump
 
 
-def has_mcp(measures: Iterable[FiniteMeasure], p: float, U: Iterable[int]) -> bool:
-    """Mass concentration: every measure puts mass strictly above p on U."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("threshold p must lie in (0, 1)")
-    pts = frozenset(int(x) for x in U)
-    return all(mu.mass_of(pts) > p for mu in measures)
-
-
 def _weighted_mass(mu: FiniteMeasure, phi: BumpFunction) -> float:
     # plain left-to-right sum in support order; pump and pump_coordinate
     # must share it bit-for-bit
@@ -151,27 +143,29 @@ def pump_coordinate(mu: FiniteMeasure, phi: BumpFunction, v: int) -> float:
     return w * phi(v) / total
 
 
-def pump_homotopy(mu: FiniteMeasure, phi: BumpFunction, t: float) -> FiniteMeasure:
-    """Linear homotopy (1 - t) mu + t pump(mu, phi)."""
-    return convex_combine(mu, pump(mu, phi), t)
+def pump_homotopy(mu: FiniteMeasure, phi: BumpFunction,
+                  times: Iterable[float]) -> tuple[tuple[float, FiniteMeasure], ...]:
+    """The linear homotopy (1 - t) mu + t pump(mu, phi) sampled at ``times``,
+    one ``(t, measure)`` pair per time, pumping once."""
+    pumped = pump(mu, phi)
+    return tuple((t, convex_combine(mu, pumped, t)) for t in times)
 
 
-def shrink_to_inner(measures: Sequence[FiniteMeasure], p: float,
-                    U: Iterable[int]) -> tuple[int, frozenset[int]]:
+def shrink_to_inner(mu: FiniteMeasure, p: float, U: Iterable[int]) -> tuple[int, frozenset[int]]:
     """Smallest i >= 1 whose inner set V_i = {x in U : d(x, U^C) > 1/i}
-    still carries mass above p for every measure.
+    still carries mass above p.
 
     V_i pulls U away from its complement by 1/i, so the returned set
-    satisfies d(V_i, U^C) >= 1/i > 0.  Exists for finite measure families
-    over U (compactness is replaced by finiteness here); raises NoMCP when
-    the family does not concentrate on U in the first place.
+    satisfies d(V_i, U^C) >= 1/i > 0.  Exists for finite measures over U
+    (compactness is replaced by finiteness here); raises NoMCP when mu
+    does not put mass strictly above p on U in the first place.
     """
+    if not (0.0 < p < 1.0):
+        raise ValueError("threshold p must lie in (0, 1)")
     pts = frozenset(int(x) for x in U)
-    family = list(measures)
-    if not has_mcp(family, p, pts):
-        raise NoMCP(f"some measure has mass <= {p} on U")
-    space = family[0].space
-    gaps = {x: distance_to_complement(space, pts, x) for x in sorted(pts)}
+    if not mu.mass_of(pts) > p:
+        raise NoMCP(f"the measure has mass <= {p} on U")
+    gaps = {x: distance_to_complement(mu.space, pts, x) for x in sorted(pts)}
     if all(math.isinf(g) for g in gaps.values()):
         return 1, pts
     positive = [g for g in gaps.values() if g > 0.0]
@@ -180,7 +174,7 @@ def shrink_to_inner(measures: Sequence[FiniteMeasure], p: float,
     i_max = int(math.ceil(1.0 / min(positive))) + 1
     for i in range(1, i_max + 1):
         inner = frozenset(x for x, g in gaps.items() if g > 1.0 / i)
-        if inner and all(mu.mass_of(inner) > p for mu in family):
+        if inner and mu.mass_of(inner) > p:
             return i, inner
     raise NoMCP("mass concentrates only on points touching the complement")
 

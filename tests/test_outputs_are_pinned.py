@@ -1,0 +1,93 @@
+"""Golden outputs: a fixed list of CLI calls whose every byte is pinned.
+
+Each call runs ``vkit.cli.main`` in-process with its inputs and outputs
+under ``tmp_path`` at fixed file names.  A call is pinned by its exit code
+and one SHA-256 over its stdout, its stderr (with the temporary directory
+replaced by a placeholder) and the SHA-256 of every file it wrote.  A
+change that must keep the CLI's behaviour, such as a refactor, keeps
+every pin; a change that means to alter an output updates the pin and
+says why.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from vkit.cli import main
+
+# vertex (i, j) puts 0.9 on point MAIN[i + j] and 0.05 on each other point,
+# so every vertex is pumped and labeling needs resolution 2
+MAIN = [0, 1, 1, 1, 2]
+EXPLICIT_SPEC = {
+    "points": [[0.0], [1.0], [2.0]],
+    "cover": [[0, 1], [1, 2]],
+    "n": 2,
+    "res": 2,
+    "vertices": {f"{i},{j}": {"support": [0, 1, 2],
+                              "weights": [0.9 if x == MAIN[i + j] else 0.05 for x in range(3)]}
+                 for i in range(3) for j in range(3)},
+}
+
+
+def _cloud_csv() -> str:
+    points = np.random.default_rng(7).uniform(0.0, 1.0, size=(30, 2))
+    return "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+
+
+# name -> (input file name, its text, argv after the subcommand's --input/--out)
+CALLS = {
+    "constant": ("map.json", json.dumps({"generator": "constant"}), ["straighten"]),
+    "sliding_dirac": ("map.json", json.dumps({"generator": "sliding_dirac"}), ["straighten"]),
+    "two_ball": ("map.json", json.dumps({"generator": "two_ball"}), ["straighten"]),
+    "spread": ("map.json", json.dumps({"generator": "spread"}), ["straighten"]),
+    "two_ball_n2_res16": ("map.json", json.dumps({"generator": "two_ball", "n": 2, "res": 16,
+                                                  "leak": 0.07}), ["straighten"]),
+    "explicit": ("map.json", json.dumps(EXPLICIT_SPEC), ["straighten"]),
+    "leak_refused": ("map.json", json.dumps({"generator": "two_ball", "leak": 1.5}),
+                     ["straighten"]),
+    "persist_vr": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "vr"]),
+    "persist_cech": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "cech"]),
+    "verify": (None, None, ["verify", "--trials", "5", "--seed", "1"]),
+}
+
+PINS = {
+    "constant": (0, "a4d6ddb1e87cae668fb0cb808c4439b3375a0b81b3588a1db3eacdf2ab176222"),
+    "explicit": (0, "65218d6f5bb8fd4f17ab6bd66a45ae786f9eff1064b619391aa7c28eca166cee"),
+    "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
+    "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
+    "persist_vr": (0, "0f4650269c038f7f52bfc38ca85cea137f806cde2db688253b618f0df08ff78c"),
+    "sliding_dirac": (0, "f83f075b854eaaa8cf9bd8de5b0a74adb4ebc3351a7cfc74034c60bb2940d7ef"),
+    "spread": (3, "ea450aefa526a35e57cbeb460e8cd89c6ed2a14b4637de977bb8fdbc3eae3ec3"),
+    "two_ball": (0, "106441b79b4da441687a02b12f054b5de9cc152785edac6c405c91a537a4d8ee"),
+    "two_ball_n2_res16": (0, "7c2df43b68a0d6335d292f08bde90bb0d2f8de1d8d937e58fcb6b0fc9dc4460e"),
+    "verify": (0, "f700c2b93773694ba062538965a0e7d1d493977ff24a5162ae9a8a1670130fcf"),
+}
+
+
+def run_call(name, tmp_path, capsys) -> tuple[int, str]:
+    """The exit code of one call and the SHA-256 of everything it printed
+    and wrote."""
+    input_name, text, argv = CALLS[name]
+    out = tmp_path / "out"
+    argv = list(argv)
+    if input_name is not None:
+        (tmp_path / input_name).write_text(text)
+        argv += ["--input", str(tmp_path / input_name), "--out", str(out)]
+    capsys.readouterr()
+    code = main(argv)
+    printed = capsys.readouterr()
+    digest = hashlib.sha256()
+    for stream in (printed.out, printed.err):
+        digest.update(stream.replace(str(tmp_path), "<TMP>").encode() + b"\0")
+    files = sorted(out.iterdir()) if out.exists() else []
+    for path in files:
+        digest.update(path.name.encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).hexdigest().encode() + b"\0")
+    return code, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_output_is_pinned(name, tmp_path, capsys):
+    assert run_call(name, tmp_path, capsys) == PINS[name]

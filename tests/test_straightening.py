@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from vkit import thickening
 from vkit.fk import FKTriangulation, default_resolutions
 from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
                              two_ball_map)
@@ -14,7 +16,8 @@ from vkit.straightening import (BoundViolated, CertificationLog, NoLabel, Pipeli
                                 pump_vertex, sample_masks, straighten)
 
 from exact_locator import simplex_keys_containing
-from per_sample_maps import reference_weights, sliding_dirac_measure, two_ball_measure
+from per_sample_maps import (from_function, reference_weights, sliding_dirac_measure,
+                             two_ball_measure)
 
 
 class TestChooseP:
@@ -38,7 +41,7 @@ class TestSampledMap:
             calls.append(tuple(y))
             return dirac(line3, 0)
 
-        smap = SampledMap.from_function(FKTriangulation(n, res), fn, depth)
+        smap = from_function(FKTriangulation(n, res), fn, depth)
         fine = (depth or 1) * res
         assert len(calls) == len(set(calls)) == (fine + 1) ** n == len(smap.weights)
         assert set(calls) == {tuple(c / fine for c in w) for w in smap.grid.vertices()}
@@ -47,10 +50,10 @@ class TestSampledMap:
         def fn(y):
             return dirac(line3, 1 if float(y[0] * 2).is_integer() else 0)
 
-        smap = SampledMap.from_function(FKTriangulation(1, 2), fn, 3)
+        smap = from_function(FKTriangulation(1, 2), fn, 3)
         assert smap.grid.p == 6
         assert [smap.value_on_subgrid(smap.tri, (i,)).support for i in range(3)] == [(1,)] * 3
-        assert smap.value_on_subgrid(FKTriangulation(1, 1), (1,)) is smap.value_at((6,))
+        assert smap.value_on_subgrid(FKTriangulation(1, 1), (1,)) == smap.value_at((6,))
         assert sum(smap.value_at(w).support == (0,) for w in smap.grid.vertices()) == 4
 
     def test_the_guard_counts_the_sampled_lattice(self, line3):
@@ -58,12 +61,12 @@ class TestSampledMap:
             raise AssertionError("nothing may be sampled on a refused lattice")
 
         with pytest.raises(ValueError, match="resource guard"):
-            SampledMap.from_function(FKTriangulation(2, 4), never, 10 ** 4)
+            from_function(FKTriangulation(2, 4), never, 10 ** 4)
         with pytest.raises(ValueError, match="dense_depth"):
-            SampledMap.from_function(FKTriangulation(1, 4), never, 0)
+            from_function(FKTriangulation(1, 4), never, 0)
 
     def test_values_are_read_from_the_lattice_only(self, line3):
-        smap = SampledMap.from_function(FKTriangulation(2, 2), lambda y: dirac(line3, 0), 2)
+        smap = from_function(FKTriangulation(2, 2), lambda y: dirac(line3, 0), 2)
         for w in [(5, 0), (0, -1), (1,), (1, 2, 3)]:
             with pytest.raises(ValueError, match="no point of the sampled lattice"):
                 smap.value_at(w)
@@ -94,13 +97,17 @@ class TestGeneratorWeights:
         assert _same_bits(smap.weights,
                           reference_weights(smap, sliding_dirac_measure(space, leak)))
 
-    def test_rows_are_renormalized_as_measures_are(self, line3):
-        from vkit.generators import _normalized
-        rows = np.array([[0.5, 0.5 + 4e-12, 0.0], [0.25, 0.75 - 4e-13, 0.0], [0.3, 0.3, 0.4]])
-        expected = [FiniteMeasure(line3, (0, 1, 2), tuple(r)).weights for r in rows.tolist()]
-        got = _normalized(rows.copy())
-        assert [tuple(w for w in r if w) for r in got.tolist()] == expected
-        assert got[0].tolist() != rows[0].tolist() and got[1:].tolist() == rows[1:].tolist()
+    def test_every_row_sums_to_one_within_four_ulps(self):
+        # so FiniteMeasure keeps every row as it is (it renormalizes only
+        # beyond WEIGHT_SUM_EXACT, far above these sums' error)
+        leaks = [0.0, 5e-324, 1 / 3, 0.0713, 1.0, *np.random.default_rng(5).random(204)]
+        for i, leak in enumerate(leaks):
+            maps = [two_ball_map(n=n, res=[4, 7, 2][n - 1] + i % 3, leak=leak,
+                                 dense_depth=[3, 2, 1][n - 1]) for n in (1, 2, 3)]
+            maps.append(sliding_dirac_map(res=4 + i % 21, leak=leak))
+            for _, _, smap in maps:
+                sums = np.array([math.fsum(row) for row in smap.weights.tolist()])
+                assert np.abs(sums - 1.0).max() <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("gen", [sliding_dirac_map, two_ball_map])
     @pytest.mark.parametrize("leak", [-0.5, 1.5, 1e308, math.nan, math.inf, -math.inf])
@@ -151,19 +158,25 @@ class TestWork:
     """Deterministic counts of the work behind a sampled map and its labels."""
 
     @staticmethod
-    def _count(monkeypatch, cls, name):
+    def _count(monkeypatch, owner, name):
+        """Count the calls of ``owner.name``, rebinding it also wherever a vkit
+        module imported it by name."""
         calls = []
-        real = getattr(cls, name)
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("vkit.")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
         return calls
 
     def test_generators_build_no_measure_per_lattice_point(self, monkeypatch):
         built = self._count(monkeypatch, FiniteMeasure, "__post_init__")
+        read = self._count(monkeypatch, SampledMap, "value_at")
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
         assert smap.weights.shape == (73 ** 2, 3)
         assert len(built) == 0
@@ -171,8 +184,22 @@ class TestWork:
         assert log.all_pass()
         # the map builds one measure per coarse vertex it is read at; the rest
         # are pumps and their tracks, far fewer than the 5,329 samples
-        assert len(smap._values) == gmap.tri.vertex_count
+        assert len(read) == gmap.tri.vertex_count
         assert len(built) < len(smap.weights) // 10
+
+    def test_straighten_reads_labels_and_pumps_each_vertex_once(self, monkeypatch):
+        _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
+        pumps = self._count(monkeypatch, thickening, "pump")
+        located = self._count(monkeypatch, FKTriangulation, "simplices_containing_fraction")
+        read = self._count(monkeypatch, SampledMap, "value_at")
+        built = self._count(monkeypatch, FiniteMeasure, "__post_init__")
+        gmap, log = straighten(smap, cover)
+        assert log.all_pass() and gmap.tri.vertex_count == 25
+        # every vertex is pumped: one value, one pump and five track samples each
+        assert len(pumps) == 25
+        assert len(located) == 0
+        assert len(read) == 25
+        assert len(built) == 25 * 7
 
     def test_labeling_locates_no_sample(self, monkeypatch):
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
@@ -185,7 +212,7 @@ class TestLabelSimplices:
     def test_single_element_cover_labels_everything(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
         tri = FKTriangulation(1, 4)
-        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0))
+        smap = from_function(tri, lambda y: dirac(line3, 0))
         lab = label_simplices(smap, cov, 0.9)
         assert set(lab.ell.values()) == {0}
 
@@ -198,7 +225,7 @@ class TestLabelSimplices:
                 return dirac(line3, 1)     # shared vertex serves both cells
             return dirac(line3, 0 if y[0] < 0.5 else 2)
 
-        smap = SampledMap.from_function(tri, fn, dense_depth=None)
+        smap = from_function(tri, fn, dense_depth=None)
         lab = label_simplices(smap, cov, 0.9)
         assert lab.ell[((0,), (0,))] == 0
         assert lab.ell[((1,), (0,))] == 1
@@ -207,14 +234,14 @@ class TestLabelSimplices:
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
         tri = FKTriangulation(1, 2)
         spread = FiniteMeasure(line3, (0, 1, 2), (0.4, 0.2, 0.4))
-        smap = SampledMap.from_function(tri, lambda y: spread)
+        smap = from_function(tri, lambda y: spread)
         with pytest.raises(NoLabel):
             label_simplices(smap, cov, 0.999)
 
     def test_ties_break_to_the_smallest_id(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2], [0, 1]])
         tri = FKTriangulation(1, 1)
-        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0))
+        smap = from_function(tri, lambda y: dirac(line3, 0))
         lab = label_simplices(smap, cov, 0.5)
         assert lab.ell[((0,), (0,))] == 0
 
@@ -223,12 +250,12 @@ class TestLabelSimplices:
         cov = Cover.explicit(line3, [[0, 1, 2]])
         for n, res in [(1, 4), (2, 2)]:
             tri = FKTriangulation(n, res)
-            smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0),
+            smap = from_function(tri, lambda y: dirac(line3, 0),
                                             dense_depth=None)
             lab = label_simplices(smap, cov, 0.5, [tri.p])
             bound = (2 ** n) * _math.factorial(n)
             for v in tri.vertices():
-                assert len(lab.star_of_vertex(v)) <= bound
+                assert len(lab.vertex_labels[v]) <= tri.vertex_star_size(v) <= bound
 
     def test_coarse_grid_uses_fine_samples(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
@@ -240,7 +267,7 @@ class TestLabelSimplices:
                 return dirac(line3, 1)
             return dirac(line3, 0 if y[0] < 0.5 else 2)
 
-        smap = SampledMap.from_function(fine, fn, dense_depth=None)
+        smap = from_function(fine, fn, dense_depth=None)
         with pytest.raises(NoLabel):
             # at resolution 1 the only cell sees both Diracs
             label_simplices(smap, cov, 0.9, [1])
@@ -249,7 +276,7 @@ class TestLabelSimplices:
 
     def test_resolutions_must_divide_the_sampled_one(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
-        smap = SampledMap.from_function(FKTriangulation(1, 4), lambda y: dirac(line3, 0))
+        smap = from_function(FKTriangulation(1, 4), lambda y: dirac(line3, 0))
         with pytest.raises(ValueError, match="must divide"):
             label_simplices(smap, cov, 0.9, [2, 3])
         assert label_simplices(smap, cov, 0.9).tri.p == 1    # the default starts at 1
@@ -288,7 +315,7 @@ class TestPumpVertex:
         cov = Cover.explicit(space, [[0], [0, 1, 2]])
         tri = FKTriangulation(1, 1)
         mu = FiniteMeasure(space, (0, 1), weights)
-        smap = SampledMap.from_function(tri, lambda y: mu, dense_depth=None)
+        smap = from_function(tri, lambda y: mu, dense_depth=None)
         lab = label_simplices(smap, cov, 0.85)
         return smap, lab
 
@@ -308,12 +335,12 @@ class TestPumpVertex:
         cov = Cover.explicit(line3, [[0, 1, 2]])
         tri = FKTriangulation(1, 2)
         mu = FiniteMeasure(line3, (0, 1), (0.5, 0.5))
-        smap = SampledMap.from_function(tri, lambda y: mu)
+        smap = from_function(tri, lambda y: mu)
         lab = label_simplices(smap, cov, 0.9, [tri.p])
         vp = pump_vertex(smap, lab, (1,), 0.9)
         assert vp.identity
-        assert vp.result is smap.value_on_subgrid(lab.tri, (1,))
-        assert vp.result == mu
+        assert vp.result is vp.source
+        assert vp.source == smap.value_on_subgrid(lab.tri, (1,)) == mu
         assert all(m is vp.result for _, m in vp.track)
 
 
@@ -322,16 +349,16 @@ class TestLinearize:
         cov = Cover.explicit(line3, [[0, 1, 2]])
         tri = FKTriangulation(1, 2)
         mu = FiniteMeasure(line3, (0, 1), (0.25, 0.75))
-        smap = SampledMap.from_function(tri, lambda y: mu)
+        smap = from_function(tri, lambda y: mu)
         lab = label_simplices(smap, cov, 0.9, [tri.p])
         values = {v: mu for v in tri.vertices()}
-        gmap = linearize(values, lab)
+        gmap = linearize(values, lab, CertificationLog())
         assert gmap.tri == lab.tri and gmap.values == values and gmap.labeling is lab
 
     def test_log_records_one_passing_check_per_simplex(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
         tri = FKTriangulation(2, 1)
-        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 1), dense_depth=None)
+        smap = from_function(tri, lambda y: dirac(line3, 1), dense_depth=None)
         lab = label_simplices(smap, cov, 0.9)
         log = CertificationLog()
         linearize({v: dirac(line3, 1) for v in tri.vertices()}, lab, log)
@@ -341,7 +368,7 @@ class TestLinearize:
     def test_log_ends_at_the_offending_simplex(self, line3):
         cov = Cover.explicit(line3, [[0], [1, 2]])
         tri = FKTriangulation(1, 2)
-        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0), dense_depth=None)
+        smap = from_function(tri, lambda y: dirac(line3, 0), dense_depth=None)
         lab = label_simplices(smap, cov, 0.9, [tri.p])
         values = {(0,): dirac(line3, 0), (1,): dirac(line3, 0),
                   (2,): FiniteMeasure(line3, (0, 1, 2), (0.5, 0.25, 0.25))}
@@ -357,12 +384,12 @@ class TestLinearize:
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
         tri = FKTriangulation(1, 1)
         values = {(0,): dirac(line3, 0), (1,): dirac(line3, 2)}
-        smap = SampledMap.from_function(tri, lambda y: dirac(line3, 0),
+        smap = from_function(tri, lambda y: dirac(line3, 0),
                                         dense_depth=None)
         lab = label_simplices(smap, cov, 0.9)
         from vkit.straightening import NotSubordinate
         with pytest.raises(NotSubordinate):
-            linearize(values, lab)
+            linearize(values, lab, CertificationLog())
 
 
 def reference_labels(smap, cov, p, tri):
@@ -401,6 +428,11 @@ class TestResolutionSweep:
         gmap, _ = straighten(smap, cover)
         lab = label_simplices(smap, cover, p, [gmap.tri.p])
         assert gmap.labeling.ell == lab.ell == reference_labels(smap, cover, p, gmap.tri)
+        # each vertex carries the labels of its star, as point location finds it
+        tri = lab.tri
+        assert lab.vertex_labels == {
+            v: tuple(sorted({lab.ell[s.key] for s in tri.simplices_containing_fraction(v, tri.p)}))
+            for v in tri.vertices()}
         # and the chosen resolution is the first one the reference can label
         for q in default_resolutions(gmap.tri.p - 1):
             if smap.tri.p % q == 0:
@@ -417,7 +449,7 @@ class TestResolutionSweep:
                 return dirac(line3, 1)
             return dirac(line3, 0 if y[0] < 0.5 else 2)
 
-        smap = SampledMap.from_function(FKTriangulation(1, 4), fn)
+        smap = from_function(FKTriangulation(1, 4), fn)
         gmap, log = straighten(smap, cov)
         assert log.all_pass()
         assert gmap.tri.p == 2
@@ -431,7 +463,7 @@ class TestResolutionSweep:
         # in plain lex order; the sweep names the one the vertices show
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
         points = {0: 1, 1: 2, 2: 1, 3: 0, 4: 0, 5: 0, 6: 2}
-        smap = SampledMap.from_function(
+        smap = from_function(
             FKTriangulation(1, 2), lambda y: dirac(line3, points[round(y[0] * 6)]), 3)
         with pytest.raises(NoLabel) as err:
             label_simplices(smap, cov, choose_p(1))
@@ -444,7 +476,7 @@ class TestStraighten:
         gmap, log = straighten(smap, cover)
         assert log.all_pass()
         for v in gmap.tri.vertices():
-            assert gmap.values[v] is smap.value_on_subgrid(gmap.tri, v)
+            assert gmap.values[v] == smap.value_on_subgrid(gmap.tri, v)
 
     def test_sliding_dirac_certifies(self):
         _, cover, smap = sliding_dirac_map()

@@ -5,22 +5,11 @@ import pytest
 
 from vkit.measures import FiniteMeasure, ZeroMass, dirac
 from vkit.metric import space_from_points, validate_metric
-from vkit.thickening import (DegenerateGap, NoMCP, build_bump, compare_metrics,
-                             has_mcp, pump, pump_coordinate, pump_homotopy,
-                             shrink_to_inner)
+from vkit.thickening import (DegenerateGap, NoMCP, build_bump, compare_metrics, pump,
+                             pump_coordinate, pump_homotopy, shrink_to_inner)
 from vkit.verify import random_bump, random_measure, random_space
 
 from common_mass import common_mass_coupling
-
-
-class TestMembershipPredicates:
-    def test_has_mcp_is_strict(self, line3):
-        mu = FiniteMeasure(line3, (0, 1), (0.85, 0.15))
-        assert has_mcp([mu], 0.8, {0})
-        assert not has_mcp([mu], 0.85, {0})  # mass exactly p fails
-
-    def test_dirac_always_concentrates(self, line3):
-        assert has_mcp([dirac(line3, 0)], 0.999, {0})
 
 
 class TestBuildBump:
@@ -122,13 +111,12 @@ class TestPumpHomotopy:
     def test_endpoints(self, line3):
         mu = FiniteMeasure(line3, (0, 1), (0.5, 0.5))
         phi = build_bump(line3, {0}, {0})
-        assert pump_homotopy(mu, phi, 0.0) == mu
-        assert pump_homotopy(mu, phi, 1.0) == pump(mu, phi)
+        assert pump_homotopy(mu, phi, [0.0, 1.0]) == ((0.0, mu), (1.0, pump(mu, phi)))
 
     def test_midpoint(self, line3):
         mu = FiniteMeasure(line3, (0, 1), (0.5, 0.5))
         phi = build_bump(line3, {0}, {0})
-        out = pump_homotopy(mu, phi, 0.5)
+        [(_, out)] = pump_homotopy(mu, phi, [0.5])
         assert out.weight_of(0) == pytest.approx(0.75, abs=1e-15)
         assert out.weight_of(1) == pytest.approx(0.25, abs=1e-15)
 
@@ -138,20 +126,19 @@ class TestPumpHomotopy:
             mu = random_measure(rng, space)
             phi = random_bump(rng, space, must_include=int(mu.support[0]))
             U = mu.support_set() | phi.target
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                out = pump_homotopy(mu, phi, t)
+            for t, out in pump_homotopy(mu, phi, (0.0, 0.25, 0.5, 0.75, 1.0)):
                 assert out.support_set() <= mu.support_set()
                 assert out.support_set() <= frozenset(U)
 
 
 class TestShrinkToInner:
     def test_whole_space_resolves_immediately(self, line3):
-        i, inner = shrink_to_inner([dirac(line3, 0)], 0.5, {0, 1, 2})
+        i, inner = shrink_to_inner(dirac(line3, 0), 0.5, {0, 1, 2})
         assert i == 1 and inner == frozenset({0, 1, 2})
 
     def test_gap_half_needs_index_three(self):
         space = space_from_points([[0.0], [0.5]])
-        i, inner = shrink_to_inner([dirac(space, 0)], 0.5, {0})
+        i, inner = shrink_to_inner(dirac(space, 0), 0.5, {0})
         assert i == 3 and inner == frozenset({0})
 
     def test_two_point_mass_example(self):
@@ -159,13 +146,27 @@ class TestShrinkToInner:
         # mass 0.9 already clears the 0.85 threshold
         space = space_from_points([[0.0], [0.9], [1.0]])
         mu = FiniteMeasure(space, (0, 1), (0.9, 0.1))
-        i, inner = shrink_to_inner([mu], 0.85, {0, 1})
+        i, inner = shrink_to_inner(mu, 0.85, {0, 1})
         assert i == 2 and inner == frozenset({0})
 
     def test_no_mcp(self, line3):
         mu = FiniteMeasure(line3, (0, 2), (0.5, 0.5))
         with pytest.raises(NoMCP):
-            shrink_to_inner([mu], 0.8, {0})
+            shrink_to_inner(mu, 0.8, {0})
+
+    def test_mass_exactly_p_does_not_concentrate(self, line3):
+        mu = FiniteMeasure(line3, (0, 1), (0.85, 0.15))
+        assert shrink_to_inner(mu, 0.8, {0})[1] == frozenset({0})
+        with pytest.raises(NoMCP):
+            shrink_to_inner(mu, 0.85, {0})
+
+    def test_dirac_always_concentrates(self, line3):
+        assert shrink_to_inner(dirac(line3, 0), 0.999, {0})[1] == frozenset({0})
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+    def test_threshold_outside_the_unit_interval_is_refused(self, line3, p):
+        with pytest.raises(ValueError, match="threshold p must lie in"):
+            shrink_to_inner(dirac(line3, 0), p, {0})
 
     def test_result_is_separated_from_complement(self, rng):
         for _ in range(20):
@@ -173,9 +174,9 @@ class TestShrinkToInner:
             mu = random_measure(rng, space)
             U = set(mu.support)
             p = 0.9 * min(1.0, mu.mass_of(U))
-            if not has_mcp([mu], p, U):
+            if not mu.mass_of(U) > p:
                 continue
-            i, inner = shrink_to_inner([mu], p, U)
+            i, inner = shrink_to_inner(mu, p, U)
             comp = [y for y in space.points() if y not in U]
             if comp:
                 gap = min(space.d(x, y) for x in inner for y in comp)
