@@ -215,8 +215,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
         "resolution": gmap.tri.p,
         "dimension": gmap.tri.n,
         "vertices": {
-            vertex_key(v): json.loads(gmap.values[v].to_json())
-            for v in sorted(gmap.values)
+            vertex_key(v): {"support": list(m.support), "weights": list(m.weights)}
+            for v, m in sorted(gmap.values.items())
         },
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -34,9 +34,6 @@ class FilteredComplex:
     def __len__(self) -> int:
         return len(self.simplices)
 
-    def vertices(self) -> list[int]:
-        return sorted(s[0] for s in self.simplices if len(s) == 1)
-
     def value_of(self, S: Iterable[int]) -> float:
         return self.simplices[tuple(sorted(set(S)))]
 

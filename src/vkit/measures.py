@@ -9,7 +9,6 @@ explicit transport plans with validated marginals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -79,9 +78,6 @@ class FiniteMeasure:
 
     def support_set(self) -> frozenset[int]:
         return frozenset(self.support)
-
-    def to_json(self) -> str:
-        return json.dumps({"support": list(self.support), "weights": list(self.weights)})
 
 
 def dirac(space: FiniteMetricSpace, x: int) -> FiniteMeasure:

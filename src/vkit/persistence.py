@@ -73,27 +73,26 @@ class PersistenceDiagram:
         return "\n".join(lines) + "\n"
 
 
-def _filtration_layers(K: FilteredComplex, top: int) -> list[list[tuple[float, Simplex]]]:
-    """(value, simplex) pairs of each dimension 0..top in filtration order,
-    (value, then dim, then lex), which within one dimension is (value, lex).
-    The layers stop at dimension min(top, dim K + 1): those above dim K are
+def _by_dimension(K: FilteredComplex, top: int) -> list[list[tuple[float, Simplex]]]:
+    """(value, simplex) pairs of each dimension 0..top, unsorted.  The
+    layers stop at dimension min(top, dim K + 1): those above dim K are
     empty, and only the first of them is made."""
     top = min(top, max(map(len, K.simplices), default=0))
     layers: list[list[tuple[float, Simplex]]] = [[] for _ in range(top + 1)]
     for s, v in K.simplices.items():
         if len(s) <= top + 1:
             layers[len(s) - 1].append((v, s))
-    return [sorted(layer) for layer in layers]
+    return layers
 
 
-def _cofaces(layer: list, upper: list) -> list[list[int]]:
-    """For each simplex of ``layer``, the positions in ``upper`` of its
-    cofaces, ascending, so the first entry is its earliest coface."""
-    index = {s: i for i, (_, s) in enumerate(layer)}
-    cofaces: list[list[int]] = [[] for _ in layer]
-    for j, (_, t) in enumerate(upper):
+def _cofaces(upper: list) -> dict[Simplex, list[tuple[float, Simplex]]]:
+    """The (value, coface) pairs of ``upper``, listed under each of their
+    facets, in no particular order."""
+    cofaces: dict[Simplex, list[tuple[float, Simplex]]] = {}
+    for pair in upper:
+        t = pair[1]
         for f in combinations(t, len(t) - 1):
-            cofaces[index[f]].append(j)
+            cofaces.setdefault(f, []).append(pair)
     return cofaces
 
 
@@ -101,46 +100,47 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of the filtration, dimensions 0 through max_dim.
 
     Reduces the coboundary matrix one dimension d at a time, taking the
-    d-simplices in reverse filtration order; a column's pivot is its
-    earliest coface.  Clearing skips the d-simplices that died in
-    dimension d-1 (their columns reduce to zero), and an emergent pair, a
-    column whose pivot has no owner yet, is paired without copying it.  A
-    pair (s, t) is the interval [value(s), value(t)); zero-length ones are
-    discarded, and a column reducing to zero is an essential class.
+    d-simplices in reverse filtration order, which within one dimension is
+    reverse (value, lex) order.  A column is the set of (value, coface)
+    pairs of its d-simplex, and its pivot is the least pair, the earliest
+    coface.  Clearing skips the d-simplices that died in dimension d-1
+    (their columns reduce to zero), and an emergent pair, a column whose
+    pivot has no owner yet, is paired without copying it.  A pair (s, t)
+    is the interval [value(s), value(t)); zero-length ones are discarded,
+    and a column reducing to zero is an essential class.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     if K.k_max < max_dim + 1:
         raise SkeletonTooShallow(
             f"need the {max_dim + 1}-skeleton, complex capped at {K.k_max}")
-    layers = _filtration_layers(K, max_dim + 1)
+    layers = _by_dimension(K, max_dim + 1)
     intervals = []
-    died: set[int] = set()
+    died: set[tuple[float, Simplex]] = set()
     for d in range(len(layers) - 1):
-        layer, upper = layers[d], layers[d + 1]
-        cofaces = _cofaces(layer, upper)
-        owner: dict[int, int] = {}
-        reduced: dict[int, set[int]] = {}
-        for i in range(len(layer) - 1, -1, -1):
-            if i in died:
+        cofaces = _cofaces(layers[d + 1])
+        owner: dict[tuple[float, Simplex], tuple[float, Simplex]] = {}
+        reduced: dict[tuple[float, Simplex], set] = {}
+        for sigma in sorted(layers[d], reverse=True):
+            if sigma in died:
                 continue
-            col = cofaces[i]
-            if col and col[0] not in owner:
-                owner[col[0]] = i
+            col = cofaces.get(sigma[1], [])
+            pivot = min(col, default=None)
+            if pivot is not None and pivot not in owner:
+                owner[pivot] = sigma
                 continue
             col = set(col)
             while col:
                 pivot = min(col)
                 k = owner.get(pivot)
                 if k is None:
-                    owner[pivot] = i
-                    reduced[i] = col
+                    owner[pivot] = sigma
+                    reduced[sigma] = col
                     break
-                col.symmetric_difference_update(reduced.get(k, cofaces[k]))
+                col.symmetric_difference_update(reduced.get(k, cofaces[k[1]]))
             else:
-                intervals.append((d, layer[i][0], INF))
-        for j, i in owner.items():
-            birth, death = layer[i][0], upper[j][0]
+                intervals.append((d, sigma[0], INF))
+        for (death, _), (birth, _) in owner.items():
             if birth != death:
                 intervals.append((d, birth, death))
         died = set(owner)

@@ -362,19 +362,20 @@ def straighten(smap: SampledMap, cov: Cover,
 
     values: dict[Lattice, FiniteMeasure] = {}
     for v in sorted(coarse.vertices()):
+        ident = vertex_key(v)
         try:
             vp = pump_vertex(smap, lab, v, p)
         except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap
-            log.add("pump", vertex_key(v), 0.0, p, False)
+            log.add("pump", ident, 0.0, p, False)
             raise PipelineError("pump_vertex", exc)
         values[v] = vp.result
-        log.add("mass_bound", vertex_key(v), vp.region_mass, vp.bound,
+        log.add("mass_bound", ident, vp.region_mass, vp.bound,
                 vp.region_mass > vp.bound)
         for (t, _), floor in zip(vp.track, vp.floors):
-            log.add("track", f"{vertex_key(v)}:t={t}", floor, p, floor > p)
+            log.add("track", f"{ident}:t={t}", floor, p, floor > p)
         if coarse.is_boundary_vertex(v):
             drift = barycentric_distance(vp.result, vp.source)
-            log.add("boundary", vertex_key(v), drift, 0.0,
+            log.add("boundary", ident, drift, 0.0,
                     (not vp.identity) or drift == 0.0)
 
     try:

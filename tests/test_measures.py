@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -88,10 +87,6 @@ class TestFiniteMeasure:
     def test_zero_weight_index_is_range_checked_before_it_drops(self, line3, support):
         with pytest.raises(IndexError, match=f"support index {support[1]} out of range"):
             FiniteMeasure(line3, support, (1.0, 0.0))
-
-    def test_json_round_trip(self, line3):
-        mu = FiniteMeasure(line3, (0, 2), (0.25, 0.75))
-        assert FiniteMeasure(line3, **json.loads(mu.to_json())) == mu
 
 
 class TestConvexCombine:

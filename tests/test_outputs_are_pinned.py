@@ -36,6 +36,11 @@ def _cloud_csv() -> str:
     return "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
 
 
+# the 4x4 integer grid: every distance is tied, and --kmax 3 reduces H2
+# columns after clearing
+GRID_CSV = "".join(f"{x}.0,{y}.0\n" for x in range(4) for y in range(4))
+
+
 # name -> (input file name, its text, argv after the subcommand's --input/--out)
 CALLS = {
     "constant": ("map.json", json.dumps({"generator": "constant"}), ["straighten"]),
@@ -49,6 +54,9 @@ CALLS = {
                      ["straighten"]),
     "persist_vr": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "vr"]),
     "persist_cech": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "cech"]),
+    "persist_grid_vr": ("grid.csv", GRID_CSV, ["persist", "--filtration", "vr", "--kmax", "3"]),
+    "persist_grid_cech": ("grid.csv", GRID_CSV,
+                          ["persist", "--filtration", "cech", "--kmax", "3"]),
     "verify": (None, None, ["verify", "--trials", "5", "--seed", "1"]),
 }
 
@@ -57,6 +65,8 @@ PINS = {
     "explicit": (0, "65218d6f5bb8fd4f17ab6bd66a45ae786f9eff1064b619391aa7c28eca166cee"),
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
     "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
+    "persist_grid_cech": (0, "b68628f6069d725c1b1c9f1354e8f992a5efb7193fcc9b253e550089ded12d88"),
+    "persist_grid_vr": (0, "45dfcc19d2bf28fe1384a1c573004c93b970a4e74f4ac6e8c7ca0c3abdfdb725"),
     "persist_vr": (0, "0f4650269c038f7f52bfc38ca85cea137f806cde2db688253b618f0df08ff78c"),
     "sliding_dirac": (0, "f83f075b854eaaa8cf9bd8de5b0a74adb4ebc3351a7cfc74034c60bb2940d7ef"),
     "spread": (3, "ea450aefa526a35e57cbeb460e8cd89c6ed2a14b4637de977bb8fdbc3eae3ec3"),

@@ -8,8 +8,8 @@ import pytest
 from vkit.complexes import build_cech, build_vietoris, build_vr
 from vkit.metric import Cover, space_from_points
 from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow,
-                              _cofaces, _filtration_layers, betti_at,
-                              compute_diagram, diagram_distance)
+                              _cofaces, betti_at, compute_diagram,
+                              diagram_distance)
 from vkit.verify import random_space
 
 
@@ -51,21 +51,22 @@ class TestComputeDiagram:
         with pytest.raises(SkeletonTooShallow):
             compute_diagram(K, 1)
 
-    def test_coboundary_order_follows_the_filtration(self, square):
-        K = build_vr(square, math.inf, 2)
-        layers = _filtration_layers(K, 2)
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_columns_are_the_coface_pairs(self, builder):
+        # on the 3x3 grid many simplices share a value, so the pivot's tie
+        # break by lex order matters
+        space = space_from_points([[x, y] for x in range(3) for y in range(3)])
+        K = builder(space, math.inf, 3)
         order = [s for s, _ in K.in_filtration_order()]
-        for d, layer in enumerate(layers):
-            # each layer is the filtration order restricted to its dimension
-            assert [s for _, s in layer] == [s for s in order if len(s) == d + 1]
-            assert all(K.simplices[s] == v for v, s in layer)
-        for layer, upper in zip(layers, layers[1:]):
-            cofaces = _cofaces(layer, upper)
-            for (_, s), cols in zip(layer, cofaces):
-                # ascending, so the first entry is the earliest coface
-                assert cols == sorted(cols)
-                assert [upper[j][1] for j in cols] == \
-                    [t for _, t in upper if set(s) < set(t)]
+        for size in range(1, 4):
+            cofaces = _cofaces([(v, t) for t, v in K.simplices.items() if len(t) == size + 1])
+            for s in (s for s in K.simplices if len(s) == size):
+                col = cofaces.get(s, [])
+                assert sorted(col) == sorted((v, t) for t, v in K.simplices.items()
+                                             if len(t) == size + 1 and set(s) < set(t))
+                if col:
+                    earliest = next(t for t in order if len(t) == size + 1 and set(s) < set(t))
+                    assert min(col) == (K.simplices[earliest], earliest)
 
 
 class TestBettiAt:
