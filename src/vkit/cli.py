@@ -66,7 +66,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else math.inf
     builder = build_cech if args.filtration == "cech" else build_vr
     try:
-        K = builder(space, r, args.kmax)
+        # the --kmax-simplices are read from the complex's coface rule
+        K = builder(space, r, args.kmax - 1)
     except ComplexTooLarge as exc:
         return _fail_input(str(exc))
     diagram = compute_diagram(K, max_dim=args.kmax - 1)

@@ -8,7 +8,8 @@ strictly below r, so one built complex serves all thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, repeat
 from typing import Callable, Iterable
 
@@ -25,11 +26,17 @@ class FilteredComplex:
 
     Invariants: closed under faces, face values never exceed coface values,
     simplices canonically sorted.  ``k_max`` is the dimension cap the
-    builder honored; persistence in dimension d needs ``k_max >= d + 1``.
+    builder honored.  ``extend``, when the builder supplies it, is the
+    value rule one level past the cap: for a simplex s of the complex,
+    ``extend(s)`` is a float array over the points whose entry k is the
+    value of s | {k}, and +inf for k in s and wherever that value is not
+    strictly below the builder's r.  Persistence in dimension d needs
+    ``k_max >= d + 1``, or ``k_max >= d`` and a rule.
     """
 
     simplices: dict[Simplex, float]
     k_max: int
+    extend: Callable[[Simplex], np.ndarray] | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -68,12 +75,14 @@ class ComplexTooLarge(ValueError):
     """A clique expansion would build more simplices than the guard allows."""
 
 
-# Candidates one expansion level may score: at ~300 bytes a simplex, ~300 MB.
+# Candidates one built expansion level may score: at ~300 bytes a simplex,
+# ~300 MB.  The level past the cap is not built, so it is not counted: its
+# rule lists at most n_points cofaces per simplex of the last built level.
 PERSIST_SIMPLEX_GUARD = 10 ** 6
 
 
 def _expand(space: FiniteMetricSpace, r: float, k_max: int,
-            seed: Callable, rule: Callable) -> FilteredComplex:
+            seed: Callable, rule: Callable, cofaces: Callable) -> FilteredComplex:
     """Lower-neighbour clique expansion (Zomorodian 2010) under a value rule.
 
     Level 1 scores every pair; level k extends each kept (k-1)-simplex s by
@@ -82,13 +91,23 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
     ``rule(s, state, us)`` returns the values of the extensions (u,) + s
     and the states they carry.  An extension is kept iff its value is
     strictly below r.  More than PERSIST_SIMPLEX_GUARD candidates in one
-    level raise ComplexTooLarge before the level is scored.
+    level raise ComplexTooLarge before the level is scored.  The complex
+    carries ``cofaces(s, value)``, the values of s | {k} for every point k,
+    as its rule ``extend`` one level past the cap.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     simps: dict[Simplex, float] = {}
+
+    def extend(s: Simplex) -> np.ndarray:
+        values = cofaces(s, simps[s])
+        values[list(s)] = np.inf
+        if r < np.inf:
+            values[values >= r] = np.inf
+        return values
+
     if r <= 0.0:
-        return FilteredComplex(simps, k_max)
+        return FilteredComplex(simps, k_max, extend)
     n = space.n_points
     frontier = [((j,), seed(j)) for j in range(n)]
     simps.update((s, 0.0) for s, _ in frontier)
@@ -114,7 +133,7 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
         if dim == 1:
             below = [{u for u in range(j) if (u, j) in simps} for j in range(n)]
         frontier = nxt
-    return FilteredComplex(simps, k_max)
+    return FilteredComplex(simps, k_max, extend)
 
 
 def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
@@ -125,13 +144,17 @@ def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
     come from lower-neighbor expansion of the graph.  Returns the empty
     complex for r <= 0.
     """
-    D = space.dist.tolist()
+    D = space.dist
+    rows = D.tolist()
 
     def diameter(s: Simplex, diam: float, us: list[int]):
-        values = list(map(max, repeat(diam), *([D[v][u] for u in us] for v in s)))
+        values = list(map(max, repeat(diam), *([rows[v][u] for u in us] for v in s)))
         return values, values
 
-    return _expand(space, r, k_max, lambda j: 0.0, diameter)
+    def cofaces(s: Simplex, diam: float) -> np.ndarray:
+        return np.maximum(reduce(np.maximum, [D[v] for v in s]), diam)
+
+    return _expand(space, r, k_max, lambda j: 0.0, diameter, cofaces)
 
 
 def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
@@ -142,7 +165,8 @@ def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComple
     simplices are cliques of the 1-skeleton (witness values are monotone
     under inclusion, so every face of a kept simplex was already kept).
     Each simplex s carries its witness profile w_s = max_{x in s} D[x, :],
-    so the candidates u are scored at once as min_z max(w_s, D[u])[z].
+    so the candidates u are scored at once as min_z max(w_s, D[u])[z], and
+    every point k at once by the same rows of max(w_s, D).
     """
     D = space.dist
 
@@ -150,7 +174,10 @@ def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComple
         profiles = np.maximum(profile, D[us])
         return profiles.min(axis=1).tolist(), profiles
 
-    return _expand(space, r, k_max, lambda j: D[j], witness)
+    def cofaces(s: Simplex, value: float) -> np.ndarray:
+        return np.maximum(reduce(np.maximum, [D[v] for v in s]), D).min(axis=1)
+
+    return _expand(space, r, k_max, lambda j: D[j], witness, cofaces)
 
 
 def build_vietoris(cov: Cover, k_max: int) -> FilteredComplex:

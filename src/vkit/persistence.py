@@ -4,7 +4,10 @@ Two independent computation routes are kept deliberately separate: the
 coboundary reduction with clearing and emergent pairs of Bauer's Ripser
 (:func:`compute_diagram`; over a field cohomology has the pairs of
 homology) and plain Gaussian-elimination Betti numbers of strict sublevel
-complexes (:func:`betti_at`), used as the oracle for the former.
+complexes (:func:`betti_at`), used as the oracle for the former.  As in
+Ripser, the top coface level of a VR or Cech complex need not be built:
+the reduction reads each column's cofaces from the complex's value rule
+(``FilteredComplex.extend``) when it reduces the column.
 Sublevels follow the open convention: a simplex with value b is present
 at scale r iff b < r, so an interval born at b is populated only for r > b.
 
@@ -96,6 +99,35 @@ def _cofaces(upper: list) -> dict[Simplex, list[tuple[float, Simplex]]]:
     return cofaces
 
 
+def _listed_columns(upper: list):
+    """Columns of an explicit upper layer: ``column(s)`` is the pivot of s
+    and a function listing its (value, coface) pairs."""
+    cofaces = _cofaces(upper)
+
+    def column(s: Simplex):
+        col = cofaces.get(s, [])
+        return min(col, default=None), lambda: col
+    return column
+
+
+def _rule_columns(extend):
+    """Columns read from a complex's coface rule.  The pivot is the least
+    value, ties going to the least added vertex k, since s | {k} grows in
+    lex order with k; the pairs are only listed for columns that are
+    reduced or added."""
+    def column(s: Simplex):
+        values = extend(s)
+        k = int(values.argmin())
+        if values[k] == INF:
+            return None, lambda: []
+
+        def pairs() -> list[tuple[float, Simplex]]:
+            ks = np.flatnonzero(values < INF).tolist()
+            return [(v, tuple(sorted((*s, j)))) for j, v in zip(ks, values[ks].tolist())]
+        return (float(values[k]), tuple(sorted((*s, k)))), pairs
+    return column
+
+
 def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of the filtration, dimensions 0 through max_dim.
 
@@ -108,28 +140,37 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     pivot has no owner yet, is paired without copying it.  A pair (s, t)
     is the interval [value(s), value(t)); zero-length ones are discarded,
     and a column reducing to zero is an essential class.
+
+    The cofaces of the columns of dimension max_dim are read from the
+    complex's rule ``K.extend`` when it has one, as Ripser enumerates
+    them from the metric: only the pivot of an emergent pair is looked
+    up, and the pairs are listed for the columns that are reduced and the
+    owners they add.  Without a rule they come from the explicit
+    (max_dim + 1)-simplices.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    if K.k_max < max_dim + 1:
-        raise SkeletonTooShallow(
-            f"need the {max_dim + 1}-skeleton, complex capped at {K.k_max}")
-    layers = _by_dimension(K, max_dim + 1)
+    top = max_dim if K.extend is not None else max_dim + 1     # the last explicit layer
+    if K.k_max < top:
+        raise SkeletonTooShallow(f"need the {top}-skeleton, complex capped at {K.k_max}")
+    layers = _by_dimension(K, top)
     intervals = []
     died: set[tuple[float, Simplex]] = set()
-    for d in range(len(layers) - 1):
-        cofaces = _cofaces(layers[d + 1])
+    for d in range(min(len(layers), max_dim + 1)):
+        if d + 1 < len(layers):
+            column = _listed_columns(layers[d + 1])
+        else:
+            column = _rule_columns(K.extend)
         owner: dict[tuple[float, Simplex], tuple[float, Simplex]] = {}
         reduced: dict[tuple[float, Simplex], set] = {}
         for sigma in sorted(layers[d], reverse=True):
             if sigma in died:
                 continue
-            col = cofaces.get(sigma[1], [])
-            pivot = min(col, default=None)
+            pivot, pairs = column(sigma[1])
             if pivot is not None and pivot not in owner:
                 owner[pivot] = sigma
                 continue
-            col = set(col)
+            col = set(pairs())
             while col:
                 pivot = min(col)
                 k = owner.get(pivot)
@@ -137,7 +178,9 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
                     owner[pivot] = sigma
                     reduced[sigma] = col
                     break
-                col.symmetric_difference_update(reduced.get(k, cofaces[k[1]]))
+                # an emergent owner's pairs are listed again, not kept
+                col.symmetric_difference_update(
+                    reduced[k] if k in reduced else column(k[1])[1]())
             else:
                 intervals.append((d, sigma[0], INF))
         for (death, _), (birth, _) in owner.items():

@@ -313,8 +313,8 @@ def check_diagram_stability(rng, trials) -> CheckResult:
         jitter *= delta / (2.0 * np.linalg.norm(jitter, axis=1, keepdims=True))
         s1 = space_from_points(coords)
         s2 = space_from_points(coords + jitter)
-        d1 = compute_diagram(build_vr(s1, math.inf, 2), 1)
-        d2 = compute_diagram(build_vr(s2, math.inf, 2), 1)
+        d1 = compute_diagram(build_vr(s1, math.inf, 1), 1)
+        d2 = compute_diagram(build_vr(s2, math.inf, 1), 1)
         if diagram_distance(d1, d2) > 2.0 * delta + 1e-9:
             failures += 1
     return CheckResult("diagram-stability", trials, failures)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from vkit.cli import _map_from_spec, main, make_parser
 from vkit.generators import GENERATORS
+from vkit.persistence import compute_diagram
 
 SQUARE_CSV = "0,0\n1,0\n1,1\n0,1\n"
 
@@ -85,14 +86,49 @@ class TestPersist:
         assert not out.exists()
 
     def test_size_guard_refuses_before_building(self, tmp_path, capsys):
-        # 100 points with --kmax 3 would build about 3.9 million tetrahedra
+        # 100 points with --kmax 4 would build about 3.9 million tetrahedra
+        # (the 4-simplices are read from the rule, not built)
         csv = tmp_path / "cloud.csv"
         rng = np.random.default_rng(0)
         np.savetxt(csv, rng.uniform(0, 1, size=(100, 2)), delimiter=",")
-        code = main(["persist", "--input", str(csv), "--kmax", "3",
+        code = main(["persist", "--input", str(csv), "--kmax", "4",
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "3921225 candidate 3-simplices exceed the guard" in capsys.readouterr().err
+
+    def test_two_hundred_points_pass_the_guard(self, tmp_path):
+        # --kmax 2 builds the 19,900 edges and reads the 1,313,400 triangles
+        # from the rule, so the guard no longer refuses
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
+        points = np.random.default_rng(0).uniform(0, 1, size=(200, 2))
+        csv = tmp_path / "cloud.csv"
+        np.savetxt(csv, points, delimiter=",", fmt="%.18e")
+        out = tmp_path / "o"
+        assert main(["persist", "--input", str(csv), "--kmax", "2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "diagram.csv").read_text().splitlines()[1:]]
+        deaths = sorted(float(d) for q, _, d in rows if q == "0" and d != "inf")
+        dist = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+        assert deaths == pytest.approx(sorted(minimum_spanning_tree(dist).data), abs=1e-12)
+        assert sum(1 for q, _, d in rows if q == "0" and d == "inf") == 1
+
+    @pytest.mark.parametrize("filtration", ["vr", "cech"])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_the_top_level_is_not_built(self, tmp_path, monkeypatch, square_csv,
+                                        filtration, kmax):
+        import vkit.cli
+        seen = []
+
+        def capture(K, max_dim):
+            seen.append((K, max_dim))
+            return compute_diagram(K, max_dim)
+
+        monkeypatch.setattr(vkit.cli, "compute_diagram", capture)
+        assert main(["persist", "--input", str(square_csv), "--filtration", filtration,
+                     "--kmax", str(kmax), "--out", str(tmp_path / "o")]) == 0
+        [(K, max_dim)] = seen
+        assert max_dim == kmax - 1 and K.extend is not None
+        assert max(map(len, K.simplices)) == kmax
 
     def test_nan_threshold_is_an_input_error(self, tmp_path, capsys, square_csv):
         out = tmp_path / "o"

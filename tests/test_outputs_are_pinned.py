@@ -57,6 +57,13 @@ CALLS = {
     "persist_grid_vr": ("grid.csv", GRID_CSV, ["persist", "--filtration", "vr", "--kmax", "3"]),
     "persist_grid_cech": ("grid.csv", GRID_CSV,
                           ["persist", "--filtration", "cech", "--kmax", "3"]),
+    # an open cut at a tied distance: the edges and triangles at 2.0 are out
+    "persist_grid_vr_r2": ("grid.csv", GRID_CSV,
+                           ["persist", "--filtration", "vr", "--r", "2.0", "--kmax", "2"]),
+    "persist_grid_cech_r2": ("grid.csv", GRID_CSV,
+                             ["persist", "--filtration", "cech", "--r", "2.0", "--kmax", "2"]),
+    # H0 only: the edges are the cofaces of the last column layer
+    "persist_h0": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "vr", "--kmax", "1"]),
     "verify": (None, None, ["verify", "--trials", "5", "--seed", "1"]),
 }
 
@@ -66,7 +73,10 @@ PINS = {
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
     "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
     "persist_grid_cech": (0, "b68628f6069d725c1b1c9f1354e8f992a5efb7193fcc9b253e550089ded12d88"),
+    "persist_grid_cech_r2": (0, "b3d5417922d097d59c11e4d9058031166194b4b3fbd6594f82822ca7c489a4c5"),
     "persist_grid_vr": (0, "45dfcc19d2bf28fe1384a1c573004c93b970a4e74f4ac6e8c7ca0c3abdfdb725"),
+    "persist_grid_vr_r2": (0, "45dfcc19d2bf28fe1384a1c573004c93b970a4e74f4ac6e8c7ca0c3abdfdb725"),
+    "persist_h0": (0, "7c7f6c643b224aa5fac9537976cd2faf1ae0789fd885dd732ff563cef11bcb89"),
     "persist_vr": (0, "0f4650269c038f7f52bfc38ca85cea137f806cde2db688253b618f0df08ff78c"),
     "sliding_dirac": (0, "f83f075b854eaaa8cf9bd8de5b0a74adb4ebc3351a7cfc74034c60bb2940d7ef"),
     "spread": (3, "ea450aefa526a35e57cbeb460e8cd89c6ed2a14b4637de977bb8fdbc3eae3ec3"),

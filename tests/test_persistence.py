@@ -1,14 +1,16 @@
+import dataclasses
 import math
 import sys
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from vkit.complexes import build_cech, build_vietoris, build_vr
 from vkit.metric import Cover, space_from_points
 from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow,
-                              _cofaces, betti_at, compute_diagram,
+                              _cofaces, _rule_columns, betti_at, compute_diagram,
                               diagram_distance)
 from vkit.verify import random_space
 
@@ -47,9 +49,17 @@ class TestComputeDiagram:
         assert D.in_dim(1) == []
 
     def test_requires_the_right_skeleton(self, square):
-        K = build_vr(square, math.inf, 1)
+        # a VR complex reads its top cofaces from its rule, so the
+        # 1-skeleton gives H1; without the rule it needs the 2-skeleton
+        assert compute_diagram(build_vr(square, math.inf, 1), 1).in_dim(1) == [
+            (1.0, math.sqrt(2))]
         with pytest.raises(SkeletonTooShallow):
-            compute_diagram(K, 1)
+            compute_diagram(build_vr(square, math.inf, 0), 1)
+        cov = Cover.explicit(square, [[0, 1, 2], [0, 2, 3]])
+        assert build_vietoris(cov, 1).extend is None
+        with pytest.raises(SkeletonTooShallow):
+            compute_diagram(build_vietoris(cov, 1), 1)
+        assert compute_diagram(build_vietoris(cov, 2), 1).in_dim(1) == []
 
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
     def test_columns_are_the_coface_pairs(self, builder):
@@ -67,6 +77,65 @@ class TestComputeDiagram:
                 if col:
                     earliest = next(t for t in order if len(t) == size + 1 and set(s) < set(t))
                     assert min(col) == (K.simplices[earliest], earliest)
+
+
+def _grid(side):
+    return space_from_points([[x, y] for x in range(side) for y in range(side)])
+
+
+def _rule_spaces():
+    """Seeded random spaces and the tied 3x3 and 4x4 integer grids, each
+    with r = inf and r = an exact pairwise distance."""
+    rng = np.random.default_rng(31)
+    spaces = [random_space(rng, min_points=5, max_points=9) for _ in range(3)]
+    spaces += [_grid(3), _grid(4)]
+    for space in spaces:
+        D = space.dist
+        yield space, math.inf
+        yield space, float(np.sort(D[np.triu_indices(space.n_points, 1)])[space.n_points])
+
+
+RULE_CASES = [(builder, space, r, k_max) for space, r in _rule_spaces()
+              for builder in (build_vr, build_cech) for k_max in range(4)]
+
+
+class TestCofaceRule:
+    """The rule a VR or Cech complex carries against the level it skips."""
+
+    @pytest.mark.parametrize("builder, space, r, k_max", RULE_CASES)
+    def test_rule_is_the_next_level_bit_for_bit(self, builder, space, r, k_max):
+        K = builder(space, r, k_max)
+        above = builder(space, r, k_max + 1).simplices
+        for s in K.simplices:
+            values = K.extend(s)
+            assert values.shape == (space.n_points,)
+            for k, v in enumerate(values.tolist()):
+                t = tuple(sorted({*s, k}))
+                if k in s or t not in above:
+                    assert v == INF, (s, k)
+                else:
+                    assert float.hex(v) == float.hex(above[t]), (s, k)
+
+    @pytest.mark.parametrize("builder, space, r, k_max", RULE_CASES)
+    def test_diagram_equals_the_explicit_one(self, builder, space, r, k_max):
+        K = builder(space, r, k_max)
+        explicit = dataclasses.replace(builder(space, r, k_max + 1), extend=None)
+        assert compute_diagram(K, k_max) == compute_diagram(explicit, k_max)
+
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_pivot_is_the_earliest_coface(self, builder):
+        # on the 3x3 grid many cofaces share a value, so the tie break by
+        # lex order matters
+        for k_max in range(3):
+            K = builder(_grid(3), math.inf, k_max)
+            listed = _cofaces([(v, t) for t, v in builder(_grid(3), math.inf, k_max + 1)
+                               .simplices.items() if len(t) == k_max + 2])
+            column = _rule_columns(K.extend)
+            for s in (s for s in K.simplices if len(s) == k_max + 1):
+                pivot, pairs = column(s)
+                col = listed.get(s, [])
+                assert sorted(pairs()) == sorted(col)
+                assert pivot == min(col, default=None)
 
 
 class TestBettiAt:
