@@ -36,6 +36,19 @@ def _cloud_csv() -> str:
     return "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
 
 
+# both vertices are labelled {1, 2}; vertex "0" puts most of its mass on
+# point 1, which coincides with point 0 outside the label, so no inner set
+# of the region keeps the mass and the vertex stage refuses to pump
+PUMP_REFUSED_SPEC = {
+    "points": [[0.0], [0.0], [2.0]],
+    "cover": [[0], [1, 2]],
+    "n": 1,
+    "res": 1,
+    "vertices": {"0": {"support": [0, 1, 2], "weights": [0.05, 0.9, 0.05]},
+                 "1": {"support": [2], "weights": [1.0]}},
+}
+
+
 # the 4x4 integer grid: every distance is tied, and --kmax 3 reduces H2
 # columns after clearing
 GRID_CSV = "".join(f"{x}.0,{y}.0\n" for x in range(4) for y in range(4))
@@ -49,7 +62,13 @@ CALLS = {
     "spread": ("map.json", json.dumps({"generator": "spread"}), ["straighten"]),
     "two_ball_n2_res16": ("map.json", json.dumps({"generator": "two_ball", "n": 2, "res": 16,
                                                   "leak": 0.07}), ["straighten"]),
+    # labels at resolution 23, pumps every vertex and logs boundary drift
+    "two_ball_n2_res23": ("map.json", json.dumps({"generator": "two_ball", "n": 2, "res": 23,
+                                                  "leak": 0.07}), ["straighten"]),
+    "two_ball_n3_res7": ("map.json", json.dumps({"generator": "two_ball", "n": 3, "res": 7,
+                                                 "leak": 0.02}), ["straighten"]),
     "explicit": ("map.json", json.dumps(EXPLICIT_SPEC), ["straighten"]),
+    "pump_refused": ("map.json", json.dumps(PUMP_REFUSED_SPEC), ["straighten"]),
     "leak_refused": ("map.json", json.dumps({"generator": "two_ball", "leak": 1.5}),
                      ["straighten"]),
     "persist_vr": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "vr"]),
@@ -71,6 +90,7 @@ PINS = {
     "constant": (0, "a4d6ddb1e87cae668fb0cb808c4439b3375a0b81b3588a1db3eacdf2ab176222"),
     "explicit": (0, "65218d6f5bb8fd4f17ab6bd66a45ae786f9eff1064b619391aa7c28eca166cee"),
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
+    "pump_refused": (3, "c3e485fe0e79684d6fb95129855ff0e7b92c29e35d16f4b3b5259eed833ba48d"),
     "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
     "persist_grid_cech": (0, "b68628f6069d725c1b1c9f1354e8f992a5efb7193fcc9b253e550089ded12d88"),
     "persist_grid_cech_r2": (0, "b3d5417922d097d59c11e4d9058031166194b4b3fbd6594f82822ca7c489a4c5"),
@@ -82,6 +102,8 @@ PINS = {
     "spread": (3, "ea450aefa526a35e57cbeb460e8cd89c6ed2a14b4637de977bb8fdbc3eae3ec3"),
     "two_ball": (0, "106441b79b4da441687a02b12f054b5de9cc152785edac6c405c91a537a4d8ee"),
     "two_ball_n2_res16": (0, "7c2df43b68a0d6335d292f08bde90bb0d2f8de1d8d937e58fcb6b0fc9dc4460e"),
+    "two_ball_n2_res23": (0, "be69e1f6b732e087eb059c16c079d64e1ffcfb1f7c26eb559f86b048ef19e833"),
+    "two_ball_n3_res7": (0, "92f67ebd733ee0e89f3ba36b6cfa4b31661dedfb1cf7c677a86c384c54c325f5"),
     "verify": (0, "f700c2b93773694ba062538965a0e7d1d493977ff24a5162ae9a8a1670130fcf"),
 }
 
