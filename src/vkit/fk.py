@@ -87,6 +87,15 @@ class FKTriangulation:
             for perm in permutations(range(self.n)):
                 yield FKSimplex(base, perm)
 
+    def simplex_vertex_indices(self) -> np.ndarray:
+        """The ``vertex_index`` of every vertex of every n-simplex, one row
+        per simplex in ``simplices`` order, along its chain v_0, ..., v_n."""
+        strides = (self.p + 1) ** np.arange(self.n - 1, -1, -1)
+        chains = np.array([np.concatenate([[0], np.cumsum(strides[list(pi)])])
+                           for pi in permutations(range(self.n))])
+        bases = lattice_points(self.n, self.p) @ strides
+        return (bases[:, None, None] + chains[None]).reshape(-1, self.n + 1)
+
     def vertices(self) -> Iterator[Lattice]:
         yield from product(range(self.p + 1), repeat=self.n)
 
@@ -98,9 +107,6 @@ class FKTriangulation:
 
     def scaled_vertices(self, simplex: FKSimplex) -> np.ndarray:
         return np.asarray(simplex.vertices(), dtype=np.float64) / self.p
-
-    def is_boundary_vertex(self, v: Lattice) -> bool:
-        return any(c == 0 or c == self.p for c in v)
 
     # -- point location -------------------------------------------------
 

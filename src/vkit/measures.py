@@ -80,6 +80,40 @@ class FiniteMeasure:
         return frozenset(self.support)
 
 
+def stored_rows(rows: np.ndarray) -> tuple[np.ndarray, dict[int, ValueError]]:
+    """The weights ``FiniteMeasure`` stores for each row of point weights,
+    with the nonzero entries as support, and per refused row the error its
+    constructor raises.
+
+    The checks run in the constructor's order.  A row is renormalized, as
+    the constructor does it, where its ``math.fsum`` is more than
+    ``WEIGHT_SUM_EXACT`` from 1; that sum is taken only for rows whose
+    numpy sum, plus its error bound, is not close enough to 1 to rule it
+    out.
+    """
+    rows = np.array(rows, dtype=np.float64)
+    errors: dict[int, ValueError] = {}
+    support = rows != 0.0
+    bad = support & ((rows < 0.0) | ~np.isfinite(rows))
+    for r in np.flatnonzero(bad.any(axis=1)).tolist():
+        x = int(np.argmax(bad[r]))
+        errors[r] = ValueError(f"weight at {x} must be positive, got {float(rows[r, x])}")
+    for r in np.flatnonzero(~support.any(axis=1)).tolist():
+        errors[r] = ZeroMass("a probability measure needs positive total mass")
+    with np.errstate(invalid="ignore", over="ignore"):
+        approx = rows.sum(axis=1)
+        near = np.abs(approx - 1.0) + rows.shape[1] * np.finfo(float).eps * approx
+    for r in np.flatnonzero(~(near <= WEIGHT_SUM_EXACT / 2)).tolist():
+        if r in errors:
+            continue
+        total = math.fsum(rows[r].tolist())
+        if abs(total - 1.0) > WEIGHT_SUM_RENORM:
+            errors[r] = ValueError(f"weights sum to {total}, beyond renormalization tolerance")
+        elif abs(total - 1.0) > WEIGHT_SUM_EXACT:
+            rows[r] /= total
+    return rows, errors
+
+
 def dirac(space: FiniteMetricSpace, x: int) -> FiniteMeasure:
     """Unit mass at a single point."""
     return FiniteMeasure(space, (int(x),), (1.0,))

@@ -21,15 +21,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import permutations, product
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
                  default_resolutions, lattice_points, star_bound, subordinate_resolution)
-from .measures import FiniteMeasure, barycentric_distance
+from .measures import FiniteMeasure, stored_rows
 from .metric import Cover, FiniteMetricSpace
-from .thickening import build_bump, pump_homotopy, shrink_to_inner
+from .thickening import INNER_MASS_LOST, NoMCP, build_bump, inner_sets, pump_rows
 
 TRACK_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DENSE_DEPTH = 3
@@ -128,8 +130,8 @@ class SampledMap:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Assignment of a cover element to every top simplex, and to every
-    vertex the sorted labels of the simplices around it."""
+    """Assignment of a cover element to every top simplex, in ``simplices``
+    order, and to every vertex the sorted labels of the simplices around it."""
 
     tri: FKTriangulation
     cover: Cover
@@ -212,54 +214,138 @@ def intersection_mass_bound(mu: FiniteMeasure,
     return mass
 
 
-@dataclass(frozen=True)
-class VertexPump:
-    """Outcome of pumping one vertex measure into its label region."""
-
-    vertex: Lattice
-    source: FiniteMeasure       # the sampled measure at the vertex
-    result: FiniteMeasure
-    track: tuple[tuple[float, FiniteMeasure], ...]
-    labels: tuple[int, ...]
-    region: frozenset[int]
-    region_mass: float          # mass of source on region
-    bound: float                # 1 - N(1 - p), N the number of labels
-    floors: tuple[float, ...]   # per track sample: min over labels of the element mass
-    identity: bool
+def _fsums(rows: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """The ``math.fsum`` of every row over ``cols``, as ``mass_of`` sums it;
+    one addition of two terms is already their correctly rounded sum."""
+    if len(cols) > 2:
+        return np.fromiter(map(math.fsum, rows[:, list(cols)].tolist()), float, len(rows))
+    out = np.zeros(len(rows))
+    for c in cols:
+        out = out + rows[:, c]
+    return out
 
 
-def pump_vertex(smap: SampledMap, lab: Labeling, v: Lattice, p: float) -> VertexPump:
-    """Deform the measure at v so its support enters the label region.
+def _floors(samples: Sequence[np.ndarray], sets: Sequence[frozenset[int]]) -> np.ndarray:
+    """Per row and sample, the least mass over the sets, one column per sample."""
+    return np.stack([np.min([_fsums(rows, sorted(s)) for s in sets], axis=0)
+                     for rows in samples], axis=1)
 
-    The region is the intersection of the elements labeling the simplices
-    around v.  Measures already supported there are returned unchanged with
-    a constant track (the pump fixes them).  Otherwise the region is
-    shrunk away from its complement, a bump over the shrunken set drives
-    the pump, and the linear homotopy is sampled at ``TRACK_TIMES``; every
-    sample keeps mass above p on every label because pumping only adds
-    mass to each of them.  The result is the sample at t = 1, which
-    ``convex_combine`` makes exactly the pumped measure.
+
+def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
+                log: CertificationLog) -> dict[Lattice, FiniteMeasure]:
+    """The vertex stage: deform the measure at every vertex of the labeling's
+    grid so its support enters its label region, and log the checks.
+
+    The region of a vertex is the intersection of the elements labeling the
+    simplices around it.  Measures already supported there are fixed, with
+    a constant track (the pump fixes them).  Otherwise the region is shrunk
+    to its first inner set keeping mass above the bound 1 - N(1 - p), N the
+    number of labels; a bump over that set drives the pump
+    ``(w * phi) / <w, phi>``, and the linear homotopy
+    ``(1 - t) w + t pump(w)`` is sampled at ``TRACK_TIMES``.  Every sample
+    keeps mass above p on every label, because pumping only adds mass to
+    each of them.  The result is the sample at t = 1.
+
+    All vertices are pumped at once, as rows of point weights with the
+    arithmetic of ``FiniteMeasure``, ``pump`` and ``mix``; the regions,
+    their inner sets and bumps are computed once per label tuple, and a
+    measure is built only for the results, once per distinct one.  Per
+    vertex, in lex order, the log gets its region mass against the bound,
+    the least label mass of each track sample against p, and on the cube
+    boundary the drift of its result.  The first vertex that cannot be
+    pumped gets a failing ``pump`` record instead, and its error
+    (BoundViolated, NoMCP, DegenerateGap, or a refused measure) is raised.
     """
-    mu = smap.value_on_subgrid(lab.tri, v)
-    labels = lab.vertex_labels[v]
-    label_sets = [lab.element_set(b) for b in labels]
-    region = frozenset.intersection(*label_sets)
-    bound = 1.0 - len(labels) * (1.0 - p)
+    tri, space = lab.tri, smap.space
+    coords = lattice_points(tri.n, tri.p + 1)
+    strides = (smap.grid.p + 1) ** np.arange(tri.n - 1, -1, -1)
+    step = smap.depth * (smap.tri.p // tri.p)
+    rows, errors = stored_rows(smap.weights[(coords * step) @ strides])
+    verts = list(tri.vertices())
+    mass, bound = np.zeros(len(verts)), np.zeros(len(verts))
+    floors = np.zeros((len(verts), len(TRACK_TIMES)))
+    moved = np.zeros(len(verts), dtype=bool)
+    result = rows.copy()
 
-    def outcome(track, mass, identity):
-        floors = tuple(min(m.mass_of(es) for es in label_sets) for _, m in track)
-        return VertexPump(v, mu, track[-1][1], track, labels, region, mass, bound, floors,
-                          identity)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, v in enumerate(verts):
+        if i not in errors:
+            groups.setdefault(lab.vertex_labels[v], []).append(i)
+    bumps: dict[frozenset[int], np.ndarray | ValueError] = {}
+    for labels, members in groups.items():
+        idx = np.array(members)
+        sets = [lab.element_set(b) for b in labels]
+        region = frozenset.intersection(*sets)
+        b = 1.0 - len(labels) * (1.0 - p)
+        bound[idx] = b
+        mass[idx] = _fsums(rows[idx], sorted(region))
+        off_region = np.ones(space.n_points, dtype=bool)
+        off_region[sorted(region)] = False
+        leaks = (rows[idx][:, off_region] != 0.0).any(axis=1)
+        floors[idx[~leaks]] = _floors([rows[idx[~leaks]]], sets)
+        idx = idx[leaks]
+        moved[idx] = True
+        if len(idx) and b <= 0.0:
+            errors.update(dict.fromkeys(idx.tolist(), ValueError(
+                f"threshold p={p} too low for {len(labels)} labels; need p > 1 - 1/(2^n n!)")))
+            continue
+        low = ~(mass[idx] > b)
+        errors.update((i, BoundViolated(float(mass[i]), b)) for i in idx[low].tolist())
+        idx = idx[~low]
+        try:
+            candidates = inner_sets(space, region) if len(idx) else []
+        except NoMCP as exc:
+            errors.update(dict.fromkeys(idx.tolist(), exc))
+            continue
+        for _, inner in candidates:
+            keeps = _fsums(rows[idx], sorted(inner)) > b
+            hit, idx = idx[keeps], idx[~keeps]
+            if not len(hit):
+                continue
+            if inner not in bumps:
+                try:
+                    bumps[inner] = np.array(build_bump(space, (), inner).values)
+                except ValueError as exc:       # DegenerateGap
+                    bumps[inner] = exc
+            phi = bumps[inner]
+            if isinstance(phi, ValueError):
+                errors.update(dict.fromkeys(hit.tolist(), phi))
+                continue
+            source = rows[hit]
+            pumped = stored_rows(pump_rows(source, phi))[0]
+            track = [stored_rows((1.0 - t) * source + t * pumped)[0] for t in TRACK_TIMES]
+            floors[hit] = _floors(track, sets)
+            result[hit] = track[-1]
+        errors.update(dict.fromkeys(idx.tolist(), NoMCP(INNER_MASS_LOST)))
 
-    if mu.support_set() <= region:
-        return outcome(tuple((t, mu) for t in TRACK_TIMES), mu.mass_of(region), True)
-    if bound <= 0.0:
-        raise ValueError(f"threshold p={p} too low for {len(labels)} labels; "
-                         "need p > 1 - 1/(2^n n!)")
-    mass = intersection_mass_bound(mu, label_sets, p)
-    _, inner = shrink_to_inner(mu, bound, region)
-    bump = build_bump(mu.space, (), inner)
-    return outcome(pump_homotopy(mu, bump, TRACK_TIMES), mass, False)
+    stop = min(errors, default=len(verts))
+    edge = ((coords[:stop] == 0) | (coords[:stop] == tri.p)).any(axis=1)
+    drift = np.zeros(stop)
+    drift[edge] = _fsums(np.abs(result[:stop][edge] - rows[:stop][edge]),
+                         range(space.n_points))
+    suffixes = [f":t={t}" for t in TRACK_TIMES]
+    records = log.records
+    for v, m, b, fl, on_edge, d, pumped in zip(
+            verts[:stop], mass.tolist(), bound.tolist(), floors.tolist(), edge.tolist(),
+            drift.tolist(), moved.tolist()):
+        ident = vertex_key(v)
+        records.append({"stage": "mass_bound", "id": ident, "quantity": m, "threshold": b,
+                        "pass": m > b})
+        records.extend({"stage": "track", "id": ident + sfx, "quantity": f, "threshold": p,
+                        "pass": f > p} for sfx, f in zip(suffixes, fl))
+        if on_edge:
+            records.append({"stage": "boundary", "id": ident, "quantity": d, "threshold": 0.0,
+                            "pass": pumped or d == 0.0})
+    if stop < len(verts):
+        log.add("pump", vertex_key(verts[stop]), 0.0, p, False)
+        raise errors[stop]
+    values, built = {}, {}
+    for v, row in zip(verts, map(tuple, result.tolist())):
+        if row not in built:        # vertices with equal rows share one measure
+            support = tuple(x for x, w in enumerate(row) if w != 0.0)
+            built[row] = FiniteMeasure(space, support, tuple(row[x] for x in support))
+        values[v] = built[row]
+    return values
 
 
 @dataclass(frozen=True)
@@ -279,17 +365,30 @@ def linearize(values: Mapping[Lattice, FiniteMeasure], lab: Labeling,
     inside the assigned cover element, hence is a simplex of the Vietoris
     complex of the cover; :class:`NotSubordinate` reports the first
     offending simplex otherwise.  Every check up to and including that one
-    is recorded in ``log`` under the ``linearize`` stage.
+    is recorded in ``log`` under the ``linearize`` stage.  The unions are
+    one or-reduction of the vertices' support rows, gathered by the vertex
+    indices of the simplices.
     """
-    for s in lab.tri.simplices():
-        union: set[int] = set()
-        for v in s.vertices():
-            union |= values[v].support_set()
-        offending = frozenset(union - lab.element_set(lab.ell[s.key]))
-        log.add("linearize", _simplex_key(s.key), len(offending), 0.0, not offending)
-        if offending:
-            raise NotSubordinate(s.key, offending)
-    return SimplexwiseAffineMap(lab.tri, dict(values), lab)
+    tri = lab.tri
+    n_points = next(iter(values.values())).space.n_points
+    supports = np.zeros((tri.vertex_count, n_points), dtype=bool)
+    for row, v in zip(supports, tri.vertices()):
+        row[list(values[v].support)] = True
+    elements = np.zeros((len(lab.cover.elements), n_points), dtype=bool)
+    for row, elem in zip(elements, lab.cover.elements):
+        row[sorted(elem)] = True
+    union = np.bitwise_or.reduce(supports[tri.simplex_vertex_indices()], axis=1)
+    offending = union & ~elements[np.fromiter(lab.ell.values(), int, len(lab.ell))]
+    counts = offending.sum(axis=1)
+    bad = np.flatnonzero(counts)
+    stop = int(bad[0]) + 1 if len(bad) else len(counts)
+    log.records.extend({"stage": "linearize", "id": ident, "quantity": c, "threshold": 0.0,
+                        "pass": c == 0}
+                       for ident, c in zip(_simplex_ids(tri), counts[:stop].tolist()))
+    if len(bad):
+        key = list(lab.ell)[bad[0]]
+        raise NotSubordinate(key, frozenset(np.flatnonzero(offending[bad[0]]).tolist()))
+    return SimplexwiseAffineMap(tri, dict(values), lab)
 
 
 @dataclass
@@ -315,7 +414,23 @@ class CertificationLog:
         return out
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        """One line per record, as ``json.dumps(record, sort_keys=True)``
+        writes it: from one template, with the numbers of each column
+        written by a single ``json.dumps`` of the column."""
+        if not self.records:
+            return ""
+
+        def column(key):
+            return json.dumps([r[key] for r in self.records])[1:-1].split(", ")
+
+        text = encode_basestring_ascii
+        return "".join(_RECORD_LINE % (text(r["id"]), "true" if r["pass"] else "false",
+                                       quantity, text(r["stage"]), threshold)
+                       for r, quantity, threshold in zip(self.records, column("quantity"),
+                                                         column("threshold")))
+
+
+_RECORD_LINE = '{"id": %s, "pass": %s, "quantity": %s, "stage": %s, "threshold": %s}\n'
 
 
 def vertex_key(v: Lattice) -> str:
@@ -324,9 +439,11 @@ def vertex_key(v: Lattice) -> str:
     return ",".join(str(c) for c in v)
 
 
-def _simplex_key(k: SimplexKey) -> str:
-    base, perm = k
-    return vertex_key(base) + "|" + vertex_key(perm)
+def _simplex_ids(tri: FKTriangulation) -> list[str]:
+    """The ``"base|axis order"`` key of every simplex, in ``simplices`` order."""
+    bases = [vertex_key(b) + "|" for b in product(range(tri.p), repeat=tri.n)]
+    orders = [vertex_key(pi) for pi in permutations(range(tri.n))]
+    return [base + order for base in bases for order in orders]
 
 
 def straighten(smap: SampledMap, cov: Cover,
@@ -357,26 +474,12 @@ def straighten(smap: SampledMap, cov: Cover,
     coarse = lab.tri
     log.add("estimate_lebesgue", "mesh", math.sqrt(n) / coarse.p, 0.0, True)
     log.add("build_fk", "simplices", coarse.simplex_count, 0.0, True)
-    for key in sorted(lab.ell):
-        log.add("label", _simplex_key(key), 1.0, p, True)
-
-    values: dict[Lattice, FiniteMeasure] = {}
-    for v in sorted(coarse.vertices()):
-        ident = vertex_key(v)
-        try:
-            vp = pump_vertex(smap, lab, v, p)
-        except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap
-            log.add("pump", ident, 0.0, p, False)
-            raise PipelineError("pump_vertex", exc)
-        values[v] = vp.result
-        log.add("mass_bound", ident, vp.region_mass, vp.bound,
-                vp.region_mass > vp.bound)
-        for (t, _), floor in zip(vp.track, vp.floors):
-            log.add("track", f"{ident}:t={t}", floor, p, floor > p)
-        if coarse.is_boundary_vertex(v):
-            drift = barycentric_distance(vp.result, vp.source)
-            log.add("boundary", ident, drift, 0.0,
-                    (not vp.identity) or drift == 0.0)
+    log.records.extend({"stage": "label", "id": ident, "quantity": 1.0, "threshold": p,
+                        "pass": True} for ident in _simplex_ids(coarse))
+    try:
+        values = pump_vertex(smap, lab, p, log)
+    except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap
+        raise PipelineError("pump_vertex", exc)
 
     try:
         gmap = linearize(values, lab, log)

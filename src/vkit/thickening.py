@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .measures import (FiniteMeasure, ZeroMass, barycentric_distance,
                        convex_combine, wasserstein)
 from .metric import FiniteMetricSpace, distance_to_complement
@@ -25,6 +27,9 @@ class DegenerateGap(ValueError):
 
 class NoMCP(ValueError):
     """The measure does not concentrate mass above the threshold."""
+
+
+INNER_MASS_LOST = "mass concentrates only on points touching the complement"
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,22 @@ def pump(mu: FiniteMeasure, phi: BumpFunction) -> FiniteMeasure:
     return FiniteMeasure(mu.space, tuple(sup), tuple(wts))
 
 
+def pump_rows(weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``pump`` on rows of point weights with one bump's values: each row
+    that the bump fixes stays, the others are reweighted by phi and divided
+    by their plain left-to-right weighted mass, as ``pump`` sums it.
+
+    Every row must keep positive mass where phi is positive; the caller
+    checks that, so no row raises ``ZeroMass``.
+    """
+    terms = weights * phi
+    total = np.zeros(len(weights))
+    for column in terms.T:
+        total += column
+    fixed = ((phi == 1.0) | (weights == 0.0)).all(axis=1)
+    return np.where(fixed[:, None], weights, terms / np.where(fixed, 1.0, total)[:, None])
+
+
 def pump_coordinate(mu: FiniteMeasure, phi: BumpFunction, v: int) -> float:
     """Weight of v after pumping, computed without building the measure.
 
@@ -151,6 +172,30 @@ def pump_homotopy(mu: FiniteMeasure, phi: BumpFunction,
     return tuple((t, convex_combine(mu, pumped, t)) for t in times)
 
 
+def inner_sets(space: FiniteMetricSpace, U: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
+    """The distinct nonempty inner sets V_i = {x in U : d(x, U^C) > 1/i}
+    for i = 1, ..., ceil(1 / least positive gap) + 1, each with the first i
+    that gives it; ``[(1, U)]`` when U is the whole space.
+
+    The sets grow with i.  They depend on U alone, so one table serves
+    every measure shrunk into U; raises NoMCP when no point of U is
+    separated from its complement.
+    """
+    pts = frozenset(int(x) for x in U)
+    gaps = {x: distance_to_complement(space, pts, x) for x in sorted(pts)}
+    if all(math.isinf(g) for g in gaps.values()):
+        return [(1, pts)]
+    positive = [g for g in gaps.values() if g > 0.0]
+    if not positive:
+        raise NoMCP("no point of U is separated from its complement")
+    out: list[tuple[int, frozenset[int]]] = []
+    for i in range(1, int(math.ceil(1.0 / min(positive))) + 2):
+        inner = frozenset(x for x, g in gaps.items() if g > 1.0 / i)
+        if inner and (not out or inner != out[-1][1]):
+            out.append((i, inner))
+    return out
+
+
 def shrink_to_inner(mu: FiniteMeasure, p: float, U: Iterable[int]) -> tuple[int, frozenset[int]]:
     """Smallest i >= 1 whose inner set V_i = {x in U : d(x, U^C) > 1/i}
     still carries mass above p.
@@ -165,18 +210,10 @@ def shrink_to_inner(mu: FiniteMeasure, p: float, U: Iterable[int]) -> tuple[int,
     pts = frozenset(int(x) for x in U)
     if not mu.mass_of(pts) > p:
         raise NoMCP(f"the measure has mass <= {p} on U")
-    gaps = {x: distance_to_complement(mu.space, pts, x) for x in sorted(pts)}
-    if all(math.isinf(g) for g in gaps.values()):
-        return 1, pts
-    positive = [g for g in gaps.values() if g > 0.0]
-    if not positive:
-        raise NoMCP("no point of U is separated from its complement")
-    i_max = int(math.ceil(1.0 / min(positive))) + 1
-    for i in range(1, i_max + 1):
-        inner = frozenset(x for x, g in gaps.items() if g > 1.0 / i)
-        if inner and mu.mass_of(inner) > p:
+    for i, inner in inner_sets(mu.space, pts):
+        if mu.mass_of(inner) > p:
             return i, inner
-    raise NoMCP("mass concentrates only on points touching the complement")
+    raise NoMCP(INNER_MASS_LOST)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from vkit import thickening
+from vkit import measures, thickening
 from vkit.fk import FKTriangulation, default_resolutions
 from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
                              two_ball_map)
@@ -176,30 +177,29 @@ class TestWork:
 
     def test_generators_build_no_measure_per_lattice_point(self, monkeypatch):
         built = self._count(monkeypatch, FiniteMeasure, "__post_init__")
-        read = self._count(monkeypatch, SampledMap, "value_at")
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
         assert smap.weights.shape == (73 ** 2, 3)
         assert len(built) == 0
         gmap, log = straighten(smap, cover)
         assert log.all_pass()
-        # the map builds one measure per coarse vertex it is read at; the rest
-        # are pumps and their tracks, far fewer than the 5,329 samples
-        assert len(read) == gmap.tri.vertex_count
-        assert len(built) < len(smap.weights) // 10
+        # one measure per coarse vertex, for its result, of the 5,329 samples
+        assert len(built) <= gmap.tri.vertex_count
 
     def test_straighten_reads_labels_and_pumps_each_vertex_once(self, monkeypatch):
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
+        mixes = self._count(monkeypatch, measures, "mix")
         pumps = self._count(monkeypatch, thickening, "pump")
         located = self._count(monkeypatch, FKTriangulation, "simplices_containing_fraction")
         read = self._count(monkeypatch, SampledMap, "value_at")
         built = self._count(monkeypatch, FiniteMeasure, "__post_init__")
         gmap, log = straighten(smap, cover)
         assert log.all_pass() and gmap.tri.vertex_count == 25
-        # every vertex is pumped: one value, one pump and five track samples each
-        assert len(pumps) == 25
-        assert len(located) == 0
-        assert len(read) == 25
-        assert len(built) == 25 * 7
+        # every vertex is pumped, as one row of the vertex stage: the leak
+        # leaves its support, and one measure is built, for its result
+        assert all(len(mu.support) < 3 for mu in gmap.values.values())
+        assert log.stage_counts()["mass_bound"]["pass"] == 25
+        assert len(mixes) == len(pumps) == len(located) == len(read) == 0
+        assert len(built) <= 25
 
     def test_labeling_locates_no_sample(self, monkeypatch):
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
@@ -319,17 +319,25 @@ class TestPumpVertex:
         lab = label_simplices(smap, cov, 0.85)
         return smap, lab
 
+    @staticmethod
+    def _records(log, ident):
+        return [(r["stage"], r["quantity"]) for r in log.records
+                if r["id"].split(":")[0] == ident]
+
     def test_concentrating_pump_and_its_track(self):
         smap, lab = self._setup((0.9, 0.1))
         assert lab.ell[((0,), (0,))] == 0       # element {0} qualifies first
-        vp = pump_vertex(smap, lab, (0,), 0.85)
-        assert not vp.identity
-        assert vp.result == dirac(smap.space, 0)
-        masses = [m.weight_of(0) for _, m in vp.track]
-        assert masses == pytest.approx([0.9, 0.925, 0.95, 0.975, 1.0], abs=1e-12)
-        assert vp.floors == tuple(min(m.mass_of(lab.element_set(b)) for b in vp.labels)
-                                  for _, m in vp.track)
-        assert min(vp.floors) > 0.85
+        log = CertificationLog()
+        values = pump_vertex(smap, lab, 0.85, log)
+        assert values[(0,)] == dirac(smap.space, 0)
+        records = self._records(log, "0")
+        assert [stage for stage, _ in records] == ["mass_bound"] + ["track"] * 5 + ["boundary"]
+        # the floor of each track sample is its mass on the only label, {0}
+        assert [q for _, q in records[1:6]] == pytest.approx([0.9, 0.925, 0.95, 0.975, 1.0],
+                                                            abs=1e-12)
+        assert records[0] == ("mass_bound", 0.9)
+        assert records[-1] == ("boundary", pytest.approx(0.2, abs=1e-12))
+        assert log.all_pass()
 
     def test_already_supported_vertex_is_fixed(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
@@ -337,11 +345,23 @@ class TestPumpVertex:
         mu = FiniteMeasure(line3, (0, 1), (0.5, 0.5))
         smap = from_function(tri, lambda y: mu)
         lab = label_simplices(smap, cov, 0.9, [tri.p])
-        vp = pump_vertex(smap, lab, (1,), 0.9)
-        assert vp.identity
-        assert vp.result is vp.source
-        assert vp.source == smap.value_on_subgrid(lab.tri, (1,)) == mu
-        assert all(m is vp.result for _, m in vp.track)
+        log = CertificationLog()
+        values = pump_vertex(smap, lab, 0.9, log)
+        assert all(values[v] == mu for v in tri.vertices())
+        # an interior vertex: its region mass, then a constant track
+        assert self._records(log, "1") == [("mass_bound", 1.0)] + [("track", 1.0)] * 5
+
+    def test_first_vertex_that_cannot_be_pumped_ends_the_log(self):
+        # point 1 coincides with point 0, outside the label {1, 2}
+        space = space_from_points([[0.0], [0.0], [2.0]])
+        cov = Cover.explicit(space, [[0], [1, 2]])
+        weights = np.array([[0.05, 0.9, 0.05], [0.0, 0.0, 1.0]])
+        smap = SampledMap(FKTriangulation(1, 1), space, weights)
+        lab = label_simplices(smap, cov, 0.75)
+        log = CertificationLog()
+        with pytest.raises(thickening.NoMCP, match="touching the complement"):
+            pump_vertex(smap, lab, 0.75, log)
+        assert [(r["stage"], r["id"], r["pass"]) for r in log.records] == [("pump", "0", False)]
 
 
 class TestLinearize:
@@ -390,6 +410,24 @@ class TestLinearize:
         from vkit.straightening import NotSubordinate
         with pytest.raises(NotSubordinate):
             linearize(values, lab, CertificationLog())
+
+
+class TestCertificationLog:
+    def test_each_line_is_json_dumps_of_its_record(self):
+        log = CertificationLog()
+        log.add("build_fk", "simplices", 48, 0.0, True)
+        log.add("linearize", "0,0|0,1", 2, 0.0, False)
+        for q in (np.float64(0.1) / 3, math.inf, -math.inf, math.nan, np.float64(math.nan),
+                  -0.0, 5e-324, 1e22, 1.0, np.float64(2.5)):
+            log.add("track", "0,1:t=0.25", q, np.float64(0.9375), q > 0.9)
+        log.add("pump", 'a "quote", a back\\slash, \u00fcn\u00efcode \u2713\n', 0.0, math.nan,
+                False)
+        log.add("choose_p", "p", 1, -math.inf, True)
+        assert log.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n"
+                                         for r in log.records)
+
+    def test_an_empty_log_writes_nothing(self):
+        assert CertificationLog().to_jsonl() == ""
 
 
 def reference_labels(smap, cov, p, tri):

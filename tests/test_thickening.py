@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vkit.measures import FiniteMeasure, ZeroMass, dirac
+from vkit.measures import FiniteMeasure, ZeroMass, dirac, stored_rows
 from vkit.metric import space_from_points, validate_metric
 from vkit.thickening import (DegenerateGap, NoMCP, build_bump, compare_metrics, pump,
-                             pump_coordinate, pump_homotopy, shrink_to_inner)
+                             pump_coordinate, pump_homotopy, pump_rows, shrink_to_inner)
 from vkit.verify import random_bump, random_measure, random_space
 
 from common_mass import common_mass_coupling
@@ -105,6 +105,27 @@ class TestPumpCoordinate:
             out = pump(mu, phi)
             for v in space.points():
                 assert pump_coordinate(mu, phi, v) == out.weight_of(v)
+
+
+class TestPumpRows:
+    def test_each_row_is_the_pumped_measure_bit_for_bit(self, rng):
+        fixed = 0
+        for _ in range(200):
+            space = random_space(rng)
+            mus = [random_measure(rng, space) for _ in range(4)]
+            phi = random_bump(rng, space, must_include=int(mus[0].support[0]))
+            mus = [mu for mu in mus if any(phi(x) > 0.0 for x in mu.support)]
+            rows = np.zeros((len(mus), space.n_points))
+            for row, mu in zip(rows, mus):
+                row[list(mu.support)] = mu.weights
+            pumped, errors = stored_rows(pump_rows(rows, np.array(phi.values)))
+            assert not errors
+            for row, mu in zip(pumped, mus):
+                out = pump(mu, phi)
+                fixed += out is mu
+                assert [x.hex() for x in row] == [out.weight_of(x).hex()
+                                                  for x in space.points()]
+        assert fixed
 
 
 class TestPumpHomotopy:
