@@ -54,6 +54,30 @@ PUMP_REFUSED_SPEC = {
 GRID_CSV = "".join(f"{x}.0,{y}.0\n" for x in range(4) for y in range(4))
 
 
+def _duplicates_csv() -> str:
+    """Sixteen random points and four repeats of them: a pseudometric whose
+    coincident points merge at 0, giving zero-length H0 pairs."""
+    points = np.random.default_rng(11).uniform(0.0, 1.0, size=(16, 2)).tolist()
+    points += [points[i] for i in (0, 3, 3, 7)]
+    return "".join(f"{x!r},{y!r}\n" for x, y in points)
+
+
+def _clusters_csv() -> str:
+    """Two clusters of ten points in squares of side 0.5, ten apart."""
+    rng = np.random.default_rng(12)
+    points = rng.uniform(0.0, 0.5, (10, 2)).tolist()
+    points += (rng.uniform(0.0, 0.5, (10, 2)) + 10).tolist()
+    return "".join(f"{x!r},{y!r}\n" for x, y in points)
+
+
+# the path metric of the 10-cycle: integer distances 0..5, each tied ten ways
+CYCLE_MATRIX_CSV = "".join(",".join(f"{min(abs(i - j), 10 - abs(i - j))}.0" for j in range(10))
+                           + "\n" for i in range(10))
+
+# the 3x3 integer grid
+GRID3_CSV = "".join(f"{x}.0,{y}.0\n" for x in range(3) for y in range(3))
+
+
 # name -> (input file name, its text, argv after the subcommand's --input/--out)
 CALLS = {
     "constant": ("map.json", json.dumps({"generator": "constant"}), ["straighten"]),
@@ -83,6 +107,17 @@ CALLS = {
                              ["persist", "--filtration", "cech", "--r", "2.0", "--kmax", "2"]),
     # H0 only: the edges are the cofaces of the last column layer
     "persist_h0": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "vr", "--kmax", "1"]),
+    "persist_duplicates": ("cloud.csv", _duplicates_csv(), ["persist", "--filtration", "vr"]),
+    # a cut below the clusters' diameters: two essential H0 classes, and the
+    # coface rule cuts values at r inside each cluster too
+    "persist_clusters_vr_r": ("cloud.csv", _clusters_csv(),
+                              ["persist", "--filtration", "vr", "--r", "0.3"]),
+    "persist_clusters_cech_r": ("cloud.csv", _clusters_csv(),
+                                ["persist", "--filtration", "cech", "--r", "0.3"]),
+    "persist_cycle_matrix": ("cycle.csv", CYCLE_MATRIX_CSV,
+                             ["persist", "--input-kind", "matrix", "--kmax", "3"]),
+    # H3: the coface rule scores 5-vertex simplices
+    "persist_grid3_k4": ("grid.csv", GRID3_CSV, ["persist", "--filtration", "vr", "--kmax", "4"]),
     "verify": (None, None, ["verify", "--trials", "5", "--seed", "1"]),
 }
 
@@ -90,14 +125,19 @@ PINS = {
     "constant": (0, "a4d6ddb1e87cae668fb0cb808c4439b3375a0b81b3588a1db3eacdf2ab176222"),
     "explicit": (0, "65218d6f5bb8fd4f17ab6bd66a45ae786f9eff1064b619391aa7c28eca166cee"),
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
-    "pump_refused": (3, "c3e485fe0e79684d6fb95129855ff0e7b92c29e35d16f4b3b5259eed833ba48d"),
     "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
+    "persist_clusters_cech_r": (0, "bf4ff1a097ba61c61efe0303c293ce1d765a940bfb9ae8789c1d4d908ddfbd61"),
+    "persist_clusters_vr_r": (0, "044ba3c8a04abdc362b928463e6cbd51845bb66f879f8d663ba21eb9ceb7d8c6"),
+    "persist_cycle_matrix": (0, "3cb126c1ad50a3a49bbafaf8c6bcce2a4179e6be32520d336094b4eb256346f4"),
+    "persist_duplicates": (0, "383599c148cfa72b222f715ab6ff5f24f8f03013ea97c3b7ddfcdff7c7c95c36"),
+    "persist_grid3_k4": (0, "a2b609c5beb1feb6b2329785e2d8497a08b0adb80818f60f1070fa183f2c3070"),
     "persist_grid_cech": (0, "b68628f6069d725c1b1c9f1354e8f992a5efb7193fcc9b253e550089ded12d88"),
     "persist_grid_cech_r2": (0, "b3d5417922d097d59c11e4d9058031166194b4b3fbd6594f82822ca7c489a4c5"),
     "persist_grid_vr": (0, "45dfcc19d2bf28fe1384a1c573004c93b970a4e74f4ac6e8c7ca0c3abdfdb725"),
     "persist_grid_vr_r2": (0, "45dfcc19d2bf28fe1384a1c573004c93b970a4e74f4ac6e8c7ca0c3abdfdb725"),
     "persist_h0": (0, "7c7f6c643b224aa5fac9537976cd2faf1ae0789fd885dd732ff563cef11bcb89"),
     "persist_vr": (0, "0f4650269c038f7f52bfc38ca85cea137f806cde2db688253b618f0df08ff78c"),
+    "pump_refused": (3, "c3e485fe0e79684d6fb95129855ff0e7b92c29e35d16f4b3b5259eed833ba48d"),
     "sliding_dirac": (0, "f83f075b854eaaa8cf9bd8de5b0a74adb4ebc3351a7cfc74034c60bb2940d7ef"),
     "spread": (3, "ea450aefa526a35e57cbeb460e8cd89c6ed2a14b4637de977bb8fdbc3eae3ec3"),
     "two_ball": (0, "106441b79b4da441687a02b12f054b5de9cc152785edac6c405c91a537a4d8ee"),
