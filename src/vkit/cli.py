@@ -210,8 +210,9 @@ def cmd_straighten(args: argparse.Namespace) -> int:
         return EXIT_PIPELINE
     (out / "certification.jsonl").write_text(log.to_jsonl())
     stages = log.stage_counts()
+    failed = sum(c["fail"] for c in stages.values())
     summary = {
-        "all_pass": log.all_pass(),
+        "all_pass": failed == 0,
         "stages": stages,
         "resolution": gmap.tri.p,
         "dimension": gmap.tri.n,
@@ -222,9 +223,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     total = sum(c["pass"] + c["fail"] for c in stages.values())
-    failed = sum(c["fail"] for c in stages.values())
     print(f"wrote {out / 'certification.jsonl'} ({total} checks, {failed} failures)")
-    return EXIT_OK if log.all_pass() else EXIT_PIPELINE
+    return EXIT_OK if failed == 0 else EXIT_PIPELINE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

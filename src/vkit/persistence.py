@@ -5,9 +5,13 @@ coboundary reduction with clearing and emergent pairs of Bauer's Ripser
 (:func:`compute_diagram`; over a field cohomology has the pairs of
 homology) and plain Gaussian-elimination Betti numbers of strict sublevel
 complexes (:func:`betti_at`), used as the oracle for the former.  As in
-Ripser, the top coface level of a VR or Cech complex need not be built:
-the reduction reads each column's cofaces from the complex's value rule
-(``FilteredComplex.extend``) when it reduces the column.
+Ripser, H0 comes from union-find over the edges with the elder rule, and
+the reduction keys every coface by one integer, the rank of its value
+shifted past the base-n number of its vertices, so a column is a set of
+ints and its pivot the least of them.  The top coface level of a VR or
+Cech complex need not be built: the pivots of the top columns come from
+the complex's value rule (``FilteredComplex.extend``) in blocks, and a
+column's cofaces are read from the rule when it is reduced.
 Sublevels follow the open convention: a simplex with value b is present
 at scale r iff b < r, so an interval born at b is populated only for r > b.
 
@@ -39,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .complexes import FilteredComplex, Simplex
+from .complexes import RULE_BLOCK_CELLS, FilteredComplex, Simplex
 
 INF = math.inf
 
@@ -76,116 +80,250 @@ class PersistenceDiagram:
         return "\n".join(lines) + "\n"
 
 
-def _by_dimension(K: FilteredComplex, top: int) -> list[list[tuple[float, Simplex]]]:
-    """(value, simplex) pairs of each dimension 0..top, unsorted.  The
-    layers stop at dimension min(top, dim K + 1): those above dim K are
-    empty, and only the first of them is made."""
+class _Keys:
+    """Integer keys of the simplices with ``width`` vertices among the
+    points 0..n-1 whose values lie in the sorted array ``values``.
+
+    The key of (value, t) is rank(value) << shift | lex(t), where rank is
+    the position of the value among the distinct ``values`` and lex(t) is
+    the base-n number with the digits t_0 < t_1 < ..., so keys order as
+    the (value, t) pairs do.  They are computed in int64 where every key
+    fits and in Python ints otherwise, and handed out as Python ints.
+    """
+
+    def __init__(self, values: np.ndarray, n: int, width: int):
+        # deduplicated by hand: the first np.unique call of a process maps
+        # about 1 MB more of numpy than sorting does
+        distinct = np.ones(len(values), dtype=bool)
+        distinct[1:] = values[1:] != values[:-1]
+        self.levels = values[distinct]
+        self.shift = (n ** width - 1).bit_length()
+        wide = self.shift + (len(self.levels) - 1).bit_length() > 63
+        self.dtype = object if wide else np.int64
+        self.powers = np.array([n ** e for e in range(width - 1, -1, -1)], dtype=self.dtype)
+
+    def lex(self, rows: np.ndarray) -> np.ndarray:
+        return rows.astype(self.dtype) @ self.powers
+
+    def of(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Keys of the simplices with the sorted vertex rows ``rows`` at
+        ``values``, each of which is in ``levels``."""
+        ranks = np.searchsorted(self.levels, values).astype(self.dtype)
+        return (ranks << self.shift) | self.lex(rows)
+
+    def value(self, key: int) -> float:
+        return float(self.levels[key >> self.shift])
+
+
+@dataclass(frozen=True)
+class _Layer:
+    """The simplices of one dimension in (value, lex) order, and their keys."""
+
+    rows: np.ndarray            # sorted vertex rows
+    values: np.ndarray
+    keys: _Keys
+    codes: np.ndarray           # ascending
+
+    @staticmethod
+    def of(rows: np.ndarray, values: np.ndarray, n: int) -> "_Layer":
+        order = np.lexsort((*rows.T[::-1], values))
+        rows, values = rows[order], values[order]
+        keys = _Keys(values, n, rows.shape[1])
+        return _Layer(rows, values, keys, keys.of(values, rows))
+
+
+def _by_dimension(K: FilteredComplex, top: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Vertex rows and values of the simplices of each dimension 0..top,
+    unsorted.  The layers stop at dimension min(top, dim K + 1): those
+    above dim K are empty, and only the first of them is made."""
     top = min(top, max(map(len, K.simplices), default=0))
-    layers: list[list[tuple[float, Simplex]]] = [[] for _ in range(top + 1)]
+    rows: list[list[Simplex]] = [[] for _ in range(top + 1)]
+    values: list[list[float]] = [[] for _ in range(top + 1)]
     for s, v in K.simplices.items():
         if len(s) <= top + 1:
-            layers[len(s) - 1].append((v, s))
-    return layers
+            rows[len(s) - 1].append(s)
+            values[len(s) - 1].append(v)
+    return [(np.array(S, dtype=np.int64).reshape(-1, d + 1), np.array(V, dtype=np.float64))
+            for d, (S, V) in enumerate(zip(rows, values))]
 
 
-def _cofaces(upper: list) -> dict[Simplex, list[tuple[float, Simplex]]]:
-    """The (value, coface) pairs of ``upper``, listed under each of their
-    facets, in no particular order."""
-    cofaces: dict[Simplex, list[tuple[float, Simplex]]] = {}
-    for pair in upper:
-        t = pair[1]
-        for f in combinations(t, len(t) - 1):
-            cofaces.setdefault(f, []).append(pair)
-    return cofaces
+def _rule_edges(extend, vertices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges the rule gives the vertices, as vertex rows and values in
+    (value, lex) order, read in blocks of vertices."""
+    parts = []
+    step = max(1, RULE_BLOCK_CELLS // n)
+    for start in range(0, len(vertices), step):
+        block = vertices[start:start + step]
+        values = extend(block)
+        i, k = np.nonzero((values < INF) & (np.arange(n) > block))
+        parts.append((block[i, 0], k, values[i, k]))
+    u, v, values = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((v, u, values))
+    return np.column_stack([u, v])[order], values[order]
 
 
-def _listed_columns(upper: list):
-    """Columns of an explicit upper layer: ``column(s)`` is the pivot of s
-    and a function listing its (value, coface) pairs."""
-    cofaces = _cofaces(upper)
+def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
+                values: np.ndarray, n: int) -> tuple[list, list[int]]:
+    """H0 by union-find over the edges, given in (value, lex) order.
 
-    def column(s: Simplex):
-        col = cofaces.get(s, [])
-        return min(col, default=None), lambda: col
-    return column
+    A merge kills the younger of the two components, the one whose oldest
+    vertex comes later in (value, index) order (the elder rule), with the
+    interval [value of that vertex, value of the edge).  Returns the
+    intervals, zero-length ones dropped, and the positions of the merging
+    edges, which are the pivots of the H0 columns.
+    """
+    age: list = [None] * n
+    for v, b in zip(vertices[:, 0].tolist(), births.tolist()):
+        age[v] = (b, v)
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    intervals, merging = [], []
+    for e, ((u, v), death) in enumerate(zip(edges.tolist(), values.tolist())):
+        u, v = root(u), root(v)
+        if u == v:
+            continue
+        if age[v] < age[u]:
+            u, v = v, u
+        parent[v] = u               # the root of a component is its oldest vertex
+        merging.append(e)
+        if age[v][0] != death:
+            intervals.append((0, age[v][0], death))
+    intervals += [(0, age[v][0], INF) for v in vertices[:, 0].tolist() if parent[v] == v]
+    return intervals, merging
 
 
-def _rule_columns(extend):
-    """Columns read from a complex's coface rule.  The pivot is the least
-    value, ties going to the least added vertex k, since s | {k} grows in
-    lex order with k; the pairs are only listed for columns that are
-    reduced or added."""
-    def column(s: Simplex):
+def _listed_pivots(cols: _Layer, upper: _Layer):
+    """Columns listed from the explicit layer above.  ``pivots(order)``
+    gives the pivot key of each column in ``order``, -1 for none, and
+    ``cofaces(i)`` the keys of column i's cofaces, ascending: both read
+    one list of the keys of ``upper``, grouped by facet."""
+    width = cols.rows.shape[1]
+    by_lex = np.lexsort(cols.rows.T[::-1])
+    lex = cols.keys.lex(cols.rows)[by_lex]
+    facets = np.stack([cols.keys.lex(np.delete(upper.rows, j, axis=1))
+                       for j in range(width + 1)], axis=1)
+    column = by_lex[np.searchsorted(lex, facets.ravel())]
+    listed = upper.codes[np.argsort(column, kind="stable") // (width + 1)].tolist()
+    starts = [0] + np.cumsum(np.bincount(column, minlength=len(cols.rows))).tolist()
+
+    def pivots(order: list[int]) -> list[int]:
+        return [listed[starts[i]] if starts[i] < starts[i + 1] else -1 for i in order]
+
+    def cofaces(i: int) -> list[int]:
+        return listed[starts[i]:starts[i + 1]]
+    return pivots, cofaces
+
+
+def _rule_pivots(extend, cols: _Layer, keys: _Keys, n: int):
+    """Columns read from a complex's coface rule, with the same
+    ``pivots(order)`` and ``cofaces(i)`` as :func:`_listed_pivots`.  The
+    pivots come from one rule call per block of columns, as a row-wise
+    argmin: the least value, ties going to the least added vertex k, since
+    s | {k} grows in lex order with k.  A column's keys are listed, in
+    order of k, only when it is reduced or added."""
+    rows = cols.rows
+
+    def pivots(order: list[int]) -> list[int]:
+        out: list[int] = []
+        step = max(1, RULE_BLOCK_CELLS // n)
+        for start in range(0, len(order), step):
+            block = rows[order[start:start + step]]
+            values = extend(block)
+            k = values.argmin(axis=1)
+            low = values[np.arange(len(block)), k]
+            found = low < INF
+            pivot = np.full(len(block), -1, dtype=keys.dtype)
+            pivot[found] = keys.of(low[found], np.sort(np.column_stack([block, k])[found], axis=1))
+            out += pivot.tolist()
+        return out
+
+    def cofaces(i: int) -> list[int]:
+        s = rows[i]
         values = extend(s)
-        k = int(values.argmin())
-        if values[k] == INF:
-            return None, lambda: []
-
-        def pairs() -> list[tuple[float, Simplex]]:
-            ks = np.flatnonzero(values < INF).tolist()
-            return [(v, tuple(sorted((*s, j)))) for j, v in zip(ks, values[ks].tolist())]
-        return (float(values[k]), tuple(sorted((*s, k)))), pairs
-    return column
+        k = np.flatnonzero(values < INF)
+        t = np.sort(np.column_stack([np.broadcast_to(s, (len(k), len(s))), k]), axis=1)
+        return keys.of(values[k], t).tolist()
+    return pivots, cofaces
 
 
 def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of the filtration, dimensions 0 through max_dim.
 
-    Reduces the coboundary matrix one dimension d at a time, taking the
-    d-simplices in reverse filtration order, which within one dimension is
-    reverse (value, lex) order.  A column is the set of (value, coface)
-    pairs of its d-simplex, and its pivot is the least pair, the earliest
-    coface.  Clearing skips the d-simplices that died in dimension d-1
-    (their columns reduce to zero), and an emergent pair, a column whose
-    pivot has no owner yet, is paired without copying it.  A pair (s, t)
-    is the interval [value(s), value(t)); zero-length ones are discarded,
-    and a column reducing to zero is an essential class.
+    H0 comes from union-find over the edges in (value, lex) order with the
+    elder rule (:func:`_components`); its merging edges are the pivots of
+    the H0 columns.  Each dimension d >= 1 reduces the coboundary matrix,
+    taking the d-simplices in reverse filtration order, which within one
+    dimension is reverse (value, lex) order.  A column is the set of the
+    integer keys (:class:`_Keys`) of its d-simplex's cofaces, and its pivot
+    is the least key, the earliest coface.  Clearing skips the d-simplices
+    that died in dimension d-1 (their columns reduce to zero), and an
+    emergent pair, a column whose pivot has no owner yet, is paired without
+    copying it.  A pair (s, t) is the interval [value(s), value(t));
+    zero-length ones are discarded, and a column reducing to zero is an
+    essential class.
 
     The cofaces of the columns of dimension max_dim are read from the
     complex's rule ``K.extend`` when it has one, as Ripser enumerates
-    them from the metric: only the pivot of an emergent pair is looked
-    up, and the pairs are listed for the columns that are reduced and the
-    owners they add.  Without a rule they come from the explicit
-    (max_dim + 1)-simplices.
+    them from the metric: the pivots come in blocks of rule rows, and the
+    keys are listed for the columns that are reduced and the owners they
+    add.  Without a rule they come from the explicit (max_dim + 1)-simplices.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     top = max_dim if K.extend is not None else max_dim + 1     # the last explicit layer
     if K.k_max < top:
         raise SkeletonTooShallow(f"need the {top}-skeleton, complex capped at {K.k_max}")
-    layers = _by_dimension(K, top)
-    intervals = []
-    died: set[tuple[float, Simplex]] = set()
-    for d in range(min(len(layers), max_dim + 1)):
+    by_dim = _by_dimension(K, top)
+    vertices, births = by_dim[0]
+    if not len(vertices):
+        return PersistenceDiagram.of([])
+    n = int(vertices.max()) + 1
+    layers = [None] + [_Layer.of(S, V, n) for S, V in by_dim[1:]]
+    if len(layers) > 1:
+        intervals, merging = _components(vertices, births, layers[1].rows, layers[1].values, n)
+        died = set(layers[1].codes[merging].tolist())
+    else:
+        intervals, _ = _components(vertices, births, *_rule_edges(K.extend, vertices, n), n)
+    for d in range(1, min(len(layers), max_dim + 1)):
+        cols = layers[d]
+        if not len(cols.rows):          # the layer above dim K
+            break
         if d + 1 < len(layers):
-            column = _listed_columns(layers[d + 1])
+            keys = layers[d + 1].keys
+            pivots, cofaces = _listed_pivots(cols, layers[d + 1])
         else:
-            column = _rule_columns(K.extend)
-        owner: dict[tuple[float, Simplex], tuple[float, Simplex]] = {}
-        reduced: dict[tuple[float, Simplex], set] = {}
-        for sigma in sorted(layers[d], reverse=True):
-            if sigma in died:
+            keys = _Keys(K.rule_values, n, d + 2)
+            pivots, cofaces = _rule_pivots(K.extend, cols, keys, n)
+        codes, values = cols.codes.tolist(), cols.values.tolist()
+        order = [i for i in range(len(codes) - 1, -1, -1) if codes[i] not in died]
+        owner: dict[int, int] = {}
+        reduced: dict[int, set[int]] = {}
+        for i, pivot in zip(order, pivots(order)):
+            if pivot >= 0 and pivot not in owner:
+                owner[pivot] = i
                 continue
-            pivot, pairs = column(sigma[1])
-            if pivot is not None and pivot not in owner:
-                owner[pivot] = sigma
-                continue
-            col = set(pairs())
+            col = set(cofaces(i))
             while col:
                 pivot = min(col)
-                k = owner.get(pivot)
-                if k is None:
-                    owner[pivot] = sigma
-                    reduced[sigma] = col
+                j = owner.get(pivot)
+                if j is None:
+                    owner[pivot] = i
+                    reduced[i] = col
                     break
-                # an emergent owner's pairs are listed again, not kept
-                col.symmetric_difference_update(
-                    reduced[k] if k in reduced else column(k[1])[1]())
+                # an emergent owner's keys are listed again, not kept
+                col.symmetric_difference_update(reduced[j] if j in reduced else cofaces(j))
             else:
-                intervals.append((d, sigma[0], INF))
-        for (death, _), (birth, _) in owner.items():
-            if birth != death:
-                intervals.append((d, birth, death))
+                intervals.append((d, values[i], INF))
+        for pivot, i in owner.items():
+            death = keys.value(pivot)
+            if values[i] != death:
+                intervals.append((d, values[i], death))
         died = set(owner)
     return PersistenceDiagram.of(intervals)
 

@@ -7,10 +7,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from vkit.complexes import build_cech, build_vietoris, build_vr
+import coboundary_reference as ref
+from vkit import complexes, persistence
+from vkit.complexes import RULE_BLOCK_CELLS, FilteredComplex, build_cech, build_vietoris, build_vr
 from vkit.metric import Cover, space_from_points
-from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow,
-                              _cofaces, _rule_columns, betti_at, compute_diagram,
+from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow, _Keys, _Layer,
+                              _listed_pivots, _rule_pivots, betti_at, compute_diagram,
                               diagram_distance)
 from vkit.verify import random_space
 
@@ -65,22 +67,42 @@ class TestComputeDiagram:
     def test_columns_are_the_coface_pairs(self, builder):
         # on the 3x3 grid many simplices share a value, so the pivot's tie
         # break by lex order matters
-        space = space_from_points([[x, y] for x in range(3) for y in range(3)])
-        K = builder(space, math.inf, 3)
+        K = builder(_grid(3), math.inf, 3)
         order = [s for s, _ in K.in_filtration_order()]
         for size in range(1, 4):
-            cofaces = _cofaces([(v, t) for t, v in K.simplices.items() if len(t) == size + 1])
-            for s in (s for s in K.simplices if len(s) == size):
-                col = cofaces.get(s, [])
-                assert sorted(col) == sorted((v, t) for t, v in K.simplices.items()
-                                             if len(t) == size + 1 and set(s) < set(t))
+            cols, upper = _layer(K, size, 9), _layer(K, size + 1, 9)
+            pivots, cofaces = _listed_pivots(cols, upper)
+            everyone = list(range(len(cols.rows)))
+            for i, pivot in zip(everyone, pivots(everyone)):
+                s = tuple(cols.rows[i].tolist())
+                col = [_decode(upper.keys, key, 9, size + 1) for key in cofaces(i)]
+                assert col == sorted((v, t) for t, v in K.simplices.items()
+                                     if len(t) == size + 1 and set(s) < set(t))
                 if col:
                     earliest = next(t for t in order if len(t) == size + 1 and set(s) < set(t))
-                    assert min(col) == (K.simplices[earliest], earliest)
+                    assert _decode(upper.keys, pivot, 9, size + 1) == (K.simplices[earliest],
+                                                                        earliest)
+                else:
+                    assert pivot == -1
 
 
 def _grid(side):
     return space_from_points([[x, y] for x in range(side) for y in range(side)])
+
+
+def _layer(K, size, n):
+    """The simplices of K with ``size`` vertices as a keyed layer."""
+    rows = np.array([s for s in K.simplices if len(s) == size], dtype=np.int64).reshape(-1, size)
+    return _Layer.of(rows, np.array([K.simplices[tuple(s)] for s in rows.tolist()]), n)
+
+
+def _decode(keys, key, n, width):
+    """The (value, simplex) pair of an integer key."""
+    lex, digits = key & ((1 << keys.shift) - 1), []
+    for _ in range(width):
+        lex, digit = divmod(lex, n)
+        digits.append(digit)
+    return keys.value(key), tuple(reversed(digits))
 
 
 def _rule_spaces():
@@ -125,17 +147,173 @@ class TestCofaceRule:
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
     def test_pivot_is_the_earliest_coface(self, builder):
         # on the 3x3 grid many cofaces share a value, so the tie break by
-        # lex order matters
+        # lex order matters; the block pivots are checked against the
+        # cofaces listed from the next level
         for k_max in range(3):
             K = builder(_grid(3), math.inf, k_max)
-            listed = _cofaces([(v, t) for t, v in builder(_grid(3), math.inf, k_max + 1)
-                               .simplices.items() if len(t) == k_max + 2])
-            column = _rule_columns(K.extend)
-            for s in (s for s in K.simplices if len(s) == k_max + 1):
-                pivot, pairs = column(s)
-                col = listed.get(s, [])
-                assert sorted(pairs()) == sorted(col)
-                assert pivot == min(col, default=None)
+            above = builder(_grid(3), math.inf, k_max + 1).simplices
+            cols, keys = _layer(K, k_max + 1, 9), _Keys(K.rule_values, 9, k_max + 2)
+            pivots, cofaces = _rule_pivots(K.extend, cols, keys, 9)
+            everyone = list(range(len(cols.rows)))
+            for i, pivot in zip(everyone, pivots(everyone)):
+                s = tuple(cols.rows[i].tolist())
+                col = sorted((v, t) for t, v in above.items()
+                             if len(t) == k_max + 2 and set(s) < set(t))
+                listed = cofaces(i)
+                assert sorted(_decode(keys, key, 9, k_max + 2) for key in listed) == col
+                assert pivot == min(listed, default=-1)
+                if col:
+                    assert _decode(keys, pivot, 9, k_max + 2) == col[0]
+
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_rule_blocks_stay_within_the_cell_bound(self, builder):
+        # 4,950 edge columns of 100 values each take several blocks
+        space = space_from_points(np.random.default_rng(5).uniform(0, 1, (100, 2)))
+        for k_max in (0, 1):
+            K = builder(space, math.inf, k_max)
+            cells = []
+
+            def extend(S):
+                S = np.asarray(S)
+                cells.append(S.size // S.shape[-1] * space.n_points)
+                return K.extend(S)
+
+            D = compute_diagram(dataclasses.replace(K, extend=extend), k_max)
+            assert _hexed(D) == _hexed(ref.compute_diagram(K, k_max))
+            assert max(cells) <= RULE_BLOCK_CELLS
+        # the edge pivots took several blocks of many rows
+        assert sum(c > space.n_points for c in cells) >= 2
+
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_blocks_of_any_size_give_the_same_diagram(self, builder, monkeypatch):
+        # down to one simplex per block, and one per chunk of the Cech cube
+        space = space_from_points(np.random.default_rng(6).uniform(0, 1, (14, 2)))
+        want = _hexed(ref.compute_diagram(builder(space, math.inf, 2), 2))
+        for cells in (1, 14, 14 * 14 * 3 + 1, 300):
+            monkeypatch.setattr(persistence, "RULE_BLOCK_CELLS", cells)
+            monkeypatch.setattr(complexes, "RULE_BLOCK_CELLS", cells)
+            assert _hexed(compute_diagram(builder(space, math.inf, 2), 2)) == want
+
+
+def _hexed(D):
+    return [(q, float.hex(b), float.hex(d)) for q, b, d in D.intervals]
+
+
+class TestKeys:
+    def test_wide_keys_are_exact_and_ordered(self):
+        # 5000^5 needs 62 bits and 4,096 levels 12 more: past int64
+        rng = np.random.default_rng(8)
+        levels = np.unique(rng.uniform(0, 1, 4096))
+        keys = _Keys(levels, 5000, 5)
+        assert keys.dtype is object
+        rows = np.sort(np.array([rng.choice(5000, 5, replace=False) for _ in range(400)]), axis=1)
+        rows[:40] = rows[40:80]             # ties in the vertices, ordered by value
+        rows[:20, -1] = 4999
+        values = levels[rng.integers(0, len(levels), 400)]
+        values[:10] = levels[-1]
+        codes = keys.of(values, rows).tolist()
+        assert all(type(c) is int for c in codes)
+        assert max(codes) >= 2 ** 63
+        pairs = [(v, tuple(r)) for v, r in zip(values.tolist(), rows.tolist())]
+        assert [_decode(keys, c, 5000, 5) for c in codes] == pairs
+        assert sorted(range(400), key=codes.__getitem__) == sorted(range(400),
+                                                                   key=pairs.__getitem__)
+
+    def test_narrow_keys_agree_with_wide_arithmetic(self):
+        rng = np.random.default_rng(9)
+        levels = np.unique(rng.uniform(0, 1, 50))
+        keys = _Keys(levels, 30, 3)
+        assert keys.dtype is np.int64
+        rows = np.sort(np.array([rng.choice(30, 3, replace=False) for _ in range(100)]), axis=1)
+        ranks = rng.integers(0, len(levels), 100)
+        codes = keys.of(levels[ranks], rows).tolist()
+        assert codes == [(int(k) << keys.shift) | (a * 900 + b * 30 + c)
+                         for k, (a, b, c) in zip(ranks, rows.tolist())]
+
+
+def _spaces(rng):
+    """Seeded spaces of 1 to 30 points: uniform clouds, subsets of integer
+    grids (ties everywhere) and clouds with repeated points."""
+    for trial in range(36):
+        n = int(rng.integers(1, 31))
+        if trial % 3 == 0:
+            points = rng.uniform(0, 1, (n, 2))
+        elif trial % 3 == 1:
+            side = int(rng.integers(1, 7))
+            grid = [[x, y] for x in range(side) for y in range(side)]
+            points = np.array(grid, dtype=float)[rng.permutation(len(grid))[:n]]
+        else:
+            points = rng.uniform(0, 1, (n, 2))
+            points[rng.integers(0, n, n // 3)] = points[0]
+        yield space_from_points(points)
+
+
+def _hand_made(rng):
+    """A random filtered complex on labels with gaps: the faces of up to
+    seven random simplices of 1 to 4 vertices, vertices in no simplex kept
+    as components of their own, vertex values 0 to 2 (so the elder rule
+    picks births), and each simplex entering 0, 0.5 or 1 after its
+    latest facet."""
+    labels = sorted(rng.choice(40, size=int(rng.integers(1, 12)), replace=False).tolist())
+    simplices = {(v,): float(rng.integers(0, 3)) for v in labels}
+    for _ in range(int(rng.integers(0, 8))):
+        top = sorted(rng.choice(labels, size=int(rng.integers(1, min(4, len(labels)) + 1)),
+                                replace=False).tolist())
+        for size in range(2, len(top) + 1):
+            for s in combinations(top, size):
+                if s not in simplices:
+                    simplices[s] = max(simplices[f] for f in combinations(s, size - 1)) \
+                        + float(rng.choice([0.0, 0.5, 1.0]))
+    return FilteredComplex(simplices, 4)
+
+
+class TestAgainstReference:
+    """The integer-keyed reduction against the tuple-keyed reference, bit
+    for bit."""
+
+    def test_vr_and_cech_with_and_without_the_rule(self):
+        rng = np.random.default_rng(14)
+        for space in _spaces(rng):
+            n = space.n_points
+            kmax = int(rng.integers(1, 5 if n <= 10 else 4 if n <= 16 else 3))
+            pairs = np.sort(space.dist[np.triu_indices(n, 1)])
+            r = math.inf if n < 2 or rng.random() < 0.5 else float(rng.choice(pairs))
+            for builder in (build_vr, build_cech):
+                K = builder(space, r, kmax - 1)
+                assert _hexed(compute_diagram(K, kmax - 1)) == \
+                    _hexed(ref.compute_diagram(K, kmax - 1)), (builder, n, r, kmax)
+                explicit = dataclasses.replace(builder(space, r, kmax), extend=None)
+                assert _hexed(compute_diagram(explicit, kmax - 1)) == \
+                    _hexed(ref.compute_diagram(explicit, kmax - 1)), (builder, n, r, kmax)
+
+    def test_vietoris_complexes(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            space = random_space(rng, max_points=9, min_points=1)
+            n = space.n_points
+            elements = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)),
+                                          replace=False).tolist())
+                        for _ in range(int(rng.integers(1, 6)))]
+            K = build_vietoris(Cover.explicit(space, elements + [[i] for i in range(n)]), 4)
+            for max_dim in range(4):
+                assert _hexed(compute_diagram(K, max_dim)) == \
+                    _hexed(ref.compute_diagram(K, max_dim))
+
+    def test_hand_made_complexes(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            K = _hand_made(rng)
+            for max_dim in range(4):
+                assert _hexed(compute_diagram(K, max_dim)) == \
+                    _hexed(ref.compute_diagram(K, max_dim)), K.simplices
+
+    def test_elder_rule_births(self):
+        # 0 -- 1 at 3 and 2 -- 3 at 4, then 1 -- 2 at 5: the component of
+        # vertex 2 (born at 1) dies, the one of vertex 0 (born at 2) lives on
+        K = FilteredComplex({(0,): 2.0, (1,): 2.5, (2,): 1.0, (3,): 1.5, (0, 1): 3.0,
+                             (2, 3): 4.0, (1, 2): 5.0}, 2)
+        assert compute_diagram(K, 0).intervals == ((0, 1.0, INF), (0, 1.5, 4.0),
+                                                   (0, 2.0, 5.0), (0, 2.5, 3.0))
 
 
 class TestBettiAt:
