@@ -151,11 +151,17 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
         return GENERATORS[name](**kwargs)
     if "points" not in spec and "distances" not in spec:
         raise ValueError("map spec needs 'generator', 'points', or 'distances'")
-    rows = _listed(spec.get("points", spec.get("distances")), (list,), "'points'/'distances'")
+    kind = "points" if "points" in spec else "distances"
+    unknown = sorted(set(spec) - {kind, "cover", "n", "res", "vertices"})
+    if unknown:
+        raise ValueError(f"a map spec with {kind!r} takes no key(s) {unknown}")
+    rows = _listed(spec[kind], (list,), "'points'/'distances'")
     rows = [_listed(r, (int, float), "a row of 'points'/'distances'") for r in rows]
-    space = space_from_points(rows) if "points" in spec else validate_metric(rows)
+    space = space_from_points(rows) if kind == "points" else validate_metric(rows)
     cov_spec = spec["cover"]
     if isinstance(cov_spec, dict) and "balls" in cov_spec:
+        if len(cov_spec) > 1:
+            raise ValueError(f"a 'balls' cover takes no key(s) {sorted(set(cov_spec) - {'balls'})}")
         radius = cov_spec["balls"]
         if type(radius) not in (int, float):
             raise ValueError(f"'balls' must be a radius, got {radius!r}")
@@ -189,6 +195,40 @@ def _map_from_spec(spec) -> tuple[FiniteMetricSpace, Cover, SampledMap]:
     return space, cover, SampledMap(tri, space, weights)
 
 
+_SUMMARY = ('{\n  "all_pass": %s,\n  "dimension": %d,\n  "resolution": %d,\n'
+            '  "stages": %s,\n  "vertices": %s\n}\n')
+_STAGE = '    %s: {\n      "fail": %d,\n      "pass": %d\n    }'
+_MEASURE = ('{\n      "support": [\n        %s\n      ],\n'
+            '      "weights": [\n        %s\n      ]\n    }')
+
+
+def _json_object(items: list[str]) -> str:
+    return "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
+
+
+def _json_items(values: tuple) -> str:
+    """The items of a nonempty list as ``json.dumps(..., indent=2)`` writes
+    them at the depth of a vertex's support and weights."""
+    return json.dumps(values)[1:-1].replace(", ", ",\n        ")
+
+
+def _summary_json(stages: dict[str, dict[str, int]], resolution: int, dimension: int,
+                  vertices: dict[str, tuple[tuple[int, ...], tuple[float, ...]]]) -> str:
+    """``summary.json`` of a finished run, byte for byte as
+    ``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` writes it, from
+    templates.  ``vertices`` maps vertex keys to a nonempty support and its
+    weights; the keys are sorted as strings ("0,10" before "0,2"), and each
+    distinct measure is written once."""
+    failed = sum(c["fail"] for c in stages.values())
+    stage_items = [_STAGE % (json.dumps(stage), c["fail"], c["pass"])
+                   for stage, c in sorted(stages.items())]
+    measures = {m: _MEASURE % (_json_items(m[0]), _json_items(m[1]))
+                for m in set(vertices.values())}
+    vertex_items = ['    "%s": %s' % (key, measures[m]) for key, m in sorted(vertices.items())]
+    return _SUMMARY % ("false" if failed else "true", dimension, resolution,
+                       _json_object(stage_items), _json_object(vertex_items))
+
+
 def cmd_straighten(args: argparse.Namespace) -> int:
     if args.pmass is not None and not math.isfinite(args.pmass):
         return _fail_input("--pmass must be a finite number")
@@ -211,17 +251,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
     (out / "certification.jsonl").write_text(log.to_jsonl())
     stages = log.stage_counts()
     failed = sum(c["fail"] for c in stages.values())
-    summary = {
-        "all_pass": failed == 0,
-        "stages": stages,
-        "resolution": gmap.tri.p,
-        "dimension": gmap.tri.n,
-        "vertices": {
-            vertex_key(v): {"support": list(m.support), "weights": list(m.weights)}
-            for v, m in sorted(gmap.values.items())
-        },
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    vertices = {vertex_key(v): (m.support, m.weights) for v, m in gmap.values.items()}
+    (out / "summary.json").write_text(_summary_json(stages, gmap.tri.p, gmap.tri.n, vertices))
     total = sum(c["pass"] + c["fail"] for c in stages.values())
     print(f"wrote {out / 'certification.jsonl'} ({total} checks, {failed} failures)")
     return EXIT_OK if failed == 0 else EXIT_PIPELINE

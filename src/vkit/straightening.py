@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
@@ -183,13 +183,16 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     res, shared = subordinate_resolution(masks.reshape((smap.grid.p + 1,) * n + (-1,)),
                                          smap.depth, resolutions)
     tri = FKTriangulation(n, res)
-    ell: dict[SimplexKey, int] = {}
-    around: dict[Lattice, set[int]] = {v: set() for v in tri.vertices()}
-    for s, label in zip(tri.simplices(), shared.argmax(axis=1).tolist()):
-        ell[s.key] = label
-        for v in s.vertices():
-            around[v].add(label)
-    return Labeling(tri, cov, ell, {v: tuple(sorted(ls)) for v, ls in around.items()})
+    labels = shared.argmax(axis=1)
+    keys = product(product(range(res), repeat=n), permutations(range(n)))
+    ell = dict(zip(keys, labels.tolist()))
+    # which labels each vertex's simplices carry; no larger than the masks
+    seen = np.zeros((tri.vertex_count, len(cov.elements)), dtype=bool)
+    seen[tri.simplex_vertex_indices(), labels[:, None]] = True
+    ends = np.cumsum(seen.sum(axis=1)).tolist()
+    label = np.nonzero(seen)[1].tolist()
+    around = {v: tuple(label[a:b]) for v, a, b in zip(tri.vertices(), [0] + ends, ends)}
+    return Labeling(tri, cov, ell, around)
 
 
 def intersection_mass_bound(mu: FiniteMeasure,
@@ -323,19 +326,29 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
     drift = np.zeros(stop)
     drift[edge] = _fsums(np.abs(result[:stop][edge] - rows[:stop][edge]),
                          range(space.n_points))
-    suffixes = [f":t={t}" for t in TRACK_TIMES]
-    records = log.records
-    for v, m, b, fl, on_edge, d, pumped in zip(
-            verts[:stop], mass.tolist(), bound.tolist(), floors.tolist(), edge.tolist(),
-            drift.tolist(), moved.tolist()):
-        ident = vertex_key(v)
-        records.append({"stage": "mass_bound", "id": ident, "quantity": m, "threshold": b,
-                        "pass": m > b})
-        records.extend({"stage": "track", "id": ident + sfx, "quantity": f, "threshold": p,
-                        "pass": f > p} for sfx, f in zip(suffixes, fl))
-        if on_edge:
-            records.append({"stage": "boundary", "id": ident, "quantity": d, "threshold": 0.0,
-                            "pass": pumped or d == 0.0})
+    ok_mass = mass[:stop] > bound[:stop]
+    ok_floor = floors[:stop] > p
+    ok_drift = moved[:stop] | (drift == 0.0)
+    # each vertex's lines come from one template: its mass_bound line, its
+    # track lines and, on the cube boundary, its boundary line; a vertex
+    # inside the cube leaves the boundary line's three fields unused
+    ids = _lattice_keys(tri.n, tri.p + 1)[:stop]
+    numbers = _json_numbers(np.concatenate([mass[:stop], bound[:stop], drift,
+                                            floors[:stop].ravel()]))
+    mass_text, bound_text, drift_text = (numbers[i * stop:(i + 1) * stop] for i in range(3))
+    floor_text, floor_pass, k = numbers[3 * stop:], _json_bools(ok_floor), len(TRACK_TIMES)
+    columns = [ids, _json_bools(ok_mass), mass_text, bound_text]
+    for i in range(k):
+        columns += [ids, floor_pass[i::k], floor_text[i::k]]
+    columns += [ids, _json_bools(ok_drift), drift_text]
+    threshold = json.dumps(p)
+    inner = _line_template("mass_bound") + "".join(
+        _line_template("track", threshold, f":t={t}") for t in TRACK_TIMES)
+    on_boundary = inner + _line_template("boundary", "0.0")
+    log.extend("".join(on_boundary % row if on_edge else inner % row[:-3]
+                       for on_edge, row in zip(edge.tolist(), zip(*columns))),
+               {"mass_bound": _tally(ok_mass), "track": _tally(ok_floor),
+                "boundary": _tally(ok_drift[edge])})
     if stop < len(verts):
         log.add("pump", vertex_key(verts[stop]), 0.0, p, False)
         raise errors[stop]
@@ -381,69 +394,116 @@ def linearize(values: Mapping[Lattice, FiniteMeasure], lab: Labeling,
     offending = union & ~elements[np.fromiter(lab.ell.values(), int, len(lab.ell))]
     counts = offending.sum(axis=1)
     bad = np.flatnonzero(counts)
-    stop = int(bad[0]) + 1 if len(bad) else len(counts)
-    log.records.extend({"stage": "linearize", "id": ident, "quantity": c, "threshold": 0.0,
-                        "pass": c == 0}
-                       for ident, c in zip(_simplex_ids(tri), counts[:stop].tolist()))
+    # every simplex before the first offending one passes with count 0
+    passed = int(bad[0]) if len(bad) else len(counts)
+    ids, line = _simplex_ids(tri), _line_template("linearize", "0.0")
+    log.extend(_same_lines(line % ("%s", "true", "0"), ids[:passed]), {"linearize": (passed, 0)})
     if len(bad):
-        key = list(lab.ell)[bad[0]]
-        raise NotSubordinate(key, frozenset(np.flatnonzero(offending[bad[0]]).tolist()))
+        log.extend(line % (ids[passed], "false", int(counts[passed])), {"linearize": (0, 1)})
+        key = list(lab.ell)[passed]
+        raise NotSubordinate(key, frozenset(np.flatnonzero(offending[passed]).tolist()))
     return SimplexwiseAffineMap(tri, dict(values), lab)
 
 
-@dataclass
 class CertificationLog:
-    """Flat pass/fail records, one JSON object per check."""
+    """Pass/fail records, one JSON object per check, kept as the lines of
+    ``certification.jsonl`` (each as ``json.dumps(record, sort_keys=True)``
+    writes it) and a pass and a fail count per stage.
 
-    records: list[dict] = field(default_factory=list)
+    A stage renders its records from its arrays and appends them with
+    :meth:`extend`; :meth:`add` renders one record."""
+
+    def __init__(self):
+        self._text: list[str] = []
+        self._counts: dict[str, dict[str, int]] = {}
 
     def add(self, stage: str, ident: str, quantity: float, threshold: float,
             passed: bool) -> None:
-        self.records.append({"stage": stage, "id": ident,
-                             "quantity": quantity, "threshold": threshold,
-                             "pass": bool(passed)})
+        passed = bool(passed)
+        quantity_text, threshold_text = json.dumps([quantity, threshold])[1:-1].split(", ")
+        text = encode_basestring_ascii
+        self.extend(_RECORD_LINE % (text(ident), _JSON_BOOLS[passed], quantity_text,
+                                    text(stage), threshold_text),
+                    {stage: (int(passed), int(not passed))})
+
+    def extend(self, lines: str, counts: Mapping[str, tuple[int, int]]) -> None:
+        """Append rendered record lines, with their (pass, fail) count per stage."""
+        self._text.append(lines)
+        for stage, (passed, failed) in counts.items():
+            if passed or failed:
+                slot = self._counts.setdefault(stage, {"pass": 0, "fail": 0})
+                slot["pass"] += int(passed)
+                slot["fail"] += int(failed)
 
     def all_pass(self) -> bool:
-        return all(r["pass"] for r in self.records)
+        return not any(c["fail"] for c in self._counts.values())
 
     def stage_counts(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for r in self.records:
-            slot = out.setdefault(r["stage"], {"pass": 0, "fail": 0})
-            slot["pass" if r["pass"] else "fail"] += 1
-        return out
+        return {stage: dict(c) for stage, c in self._counts.items()}
 
     def to_jsonl(self) -> str:
-        """One line per record, as ``json.dumps(record, sort_keys=True)``
-        writes it: from one template, with the numbers of each column
-        written by a single ``json.dumps`` of the column."""
-        if not self.records:
-            return ""
+        return "".join(self._text)
 
-        def column(key):
-            return json.dumps([r[key] for r in self.records])[1:-1].split(", ")
-
-        text = encode_basestring_ascii
-        return "".join(_RECORD_LINE % (text(r["id"]), "true" if r["pass"] else "false",
-                                       quantity, text(r["stage"]), threshold)
-                       for r, quantity, threshold in zip(self.records, column("quantity"),
-                                                         column("threshold")))
+    @property
+    def records(self) -> list[str]:
+        """The JSON line of every record, in order."""
+        return self.to_jsonl().splitlines()
 
 
+_JSON_BOOLS = ("false", "true")
 _RECORD_LINE = '{"id": %s, "pass": %s, "quantity": %s, "stage": %s, "threshold": %s}\n'
+
+
+def _line_template(stage: str, threshold: str = "%s", id_suffix: str = "") -> str:
+    """The line of a ``stage`` record with its id (before ``id_suffix``),
+    pass and quantity, and by default its threshold, left as ``%s``
+    fields; for a stage name and ids that need no escaping."""
+    return _RECORD_LINE % (f'"%s{id_suffix}"', "%s", "%s", f'"{stage}"', threshold)
+
+
+def _same_lines(template: str, ids: list[str]) -> str:
+    """``template % ident`` for every id, in one join: for lines that
+    differ only in their ids."""
+    head, tail = template.split("%s")
+    return head + (tail + head).join(ids) + tail if ids else ""
+
+
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """Each float, in row-major order, as ``json.dumps`` writes it.  Equal
+    bits give equal text, so each distinct bit pattern is written once, all
+    by one ``json.dumps``."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+    text = dict(zip(distinct, json.dumps(floats)[1:-1].split(", ")))
+    return list(map(text.__getitem__, bits))
+
+
+def _json_bools(mask: np.ndarray) -> list[str]:
+    return list(map(_JSON_BOOLS.__getitem__, mask.ravel().tolist()))
+
+
+def _tally(mask: np.ndarray) -> tuple[int, int]:
+    """The (pass, fail) count of a mask of passes."""
+    passed = int(np.count_nonzero(mask))
+    return passed, mask.size - passed
 
 
 def vertex_key(v: Lattice) -> str:
     """The canonical ``"i,j,..."`` key of a lattice vertex, used in
     certification records and in the vertex maps of specs and summaries."""
-    return ",".join(str(c) for c in v)
+    return ",".join(map(str, v))
+
+
+def _lattice_keys(n: int, size: int) -> list[str]:
+    """The ``vertex_key`` of every point of {0, ..., size - 1}^n, in lex order."""
+    return [",".join(c) for c in product([str(i) for i in range(size)], repeat=n)]
 
 
 def _simplex_ids(tri: FKTriangulation) -> list[str]:
     """The ``"base|axis order"`` key of every simplex, in ``simplices`` order."""
-    bases = [vertex_key(b) + "|" for b in product(range(tri.p), repeat=tri.n)]
-    orders = [vertex_key(pi) for pi in permutations(range(tri.n))]
-    return [base + order for base in bases for order in orders]
+    orders = ["|" + vertex_key(pi) for pi in permutations(range(tri.n))]
+    return [base + order for base in _lattice_keys(tri.n, tri.p) for order in orders]
 
 
 def straighten(smap: SampledMap, cov: Cover,
@@ -474,8 +534,9 @@ def straighten(smap: SampledMap, cov: Cover,
     coarse = lab.tri
     log.add("estimate_lebesgue", "mesh", math.sqrt(n) / coarse.p, 0.0, True)
     log.add("build_fk", "simplices", coarse.simplex_count, 0.0, True)
-    log.records.extend({"stage": "label", "id": ident, "quantity": 1.0, "threshold": p,
-                        "pass": True} for ident in _simplex_ids(coarse))
+    log.extend(_same_lines(_line_template("label", json.dumps(p)) % ("%s", "true", "1.0"),
+                           _simplex_ids(coarse)),
+               {"label": (coarse.simplex_count, 0)})
     try:
         values = pump_vertex(smap, lab, p, log)
     except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap

@@ -5,10 +5,11 @@ Pumps one vertex at a time with measures: the sampled measure at the
 vertex, the inner set found by the shrinking loop, the bump, ``pump`` and
 the five ``mix`` samples of its linear homotopy; checks each simplex with
 sets of support points.  :func:`vertex_stage` logs every record of the
-vertex loop one by one, :func:`straighten` runs the whole pipeline with
-it, and :func:`to_jsonl` writes a log with one ``json.dumps`` per record:
-the arithmetic and the bytes the vectorized stage must reproduce bit for
-bit.
+vertex loop one by one into a :class:`RecordLog`, one dict per record,
+:func:`straighten` runs the whole pipeline with it, and :func:`to_jsonl`
+writes the records with one ``json.dumps`` each: the arithmetic and the
+bytes the vectorized stage and its line templates must reproduce bit for
+bit.  :func:`read_records` parses a production log back into records.
 """
 
 import json
@@ -18,10 +19,21 @@ from dataclasses import dataclass
 from vkit.fk import NoLabel, star_bound
 from vkit.measures import FiniteMeasure, barycentric_distance
 from vkit.metric import distance_to_complement
-from vkit.straightening import (TRACK_TIMES, CertificationLog, NotSubordinate,
+from vkit.straightening import (TRACK_TIMES, NotSubordinate,
                                 PipelineError, SimplexwiseAffineMap, choose_p,
                                 intersection_mass_bound, label_simplices, vertex_key)
 from vkit.thickening import NoMCP, build_bump, pump_homotopy
+
+
+class RecordLog:
+    """A certification log kept as one dict per record."""
+
+    def __init__(self):
+        self.records = []
+
+    def add(self, stage, ident, quantity, threshold, passed):
+        self.records.append({"stage": stage, "id": ident, "quantity": quantity,
+                             "threshold": threshold, "pass": bool(passed)})
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ def vertex_stage(smap, lab, p, log):
 def straighten(smap, cov, p_mass=None):
     """The straightening pipeline, pumping and checking vertex by vertex."""
     n = smap.tri.n
-    log = CertificationLog()
+    log = RecordLog()
     p = p_mass if p_mass is not None else choose_p(n)
     p_lo = 1.0 - 1.0 / star_bound(n)
     log.add("choose_p", "p", p, p_lo, p_lo < p < 1.0)
@@ -158,3 +170,7 @@ def straighten(smap, cov, p_mass=None):
 def to_jsonl(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
+
+def read_records(log) -> list:
+    """The records of a production log, parsed from its ``to_jsonl`` text."""
+    return [json.loads(line) for line in log.to_jsonl().splitlines()]

@@ -1,6 +1,7 @@
 import copy
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vkit.cli import _map_from_spec, main, make_parser
+from vkit.cli import _map_from_spec, _summary_json, main, make_parser
 from vkit.generators import GENERATORS
 from vkit.persistence import compute_diagram
 
@@ -370,6 +371,19 @@ class TestStraighten:
         assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"extra": 1}, "'extra'"),
+        ({"distances": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}, "'distances'"),
+        ({"cover": {"balls": 1.5, "radius": 2.0}}, "'radius'"),
+    ])
+    def test_explicit_spec_with_an_unknown_key_is_an_input_error(self, tmp_path, capsys,
+                                                                extra, named):
+        spec = {**EXPLICIT_SPEC, **extra}
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_zero_weight_support_index_out_of_range_is_an_input_error(self, tmp_path, capsys):
         spec = copy.deepcopy(EXPLICIT_SPEC)
         spec["vertices"]["1"] = {"support": [1, 99], "weights": [1.0, 0.0]}
@@ -394,6 +408,55 @@ class TestStraighten:
         path.write_text(json.dumps(spec))
         assert main(["straighten", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+
+def _grid_keys(n, res):
+    """The vertex keys of a grid, in lattice (not string) order."""
+    return [",".join(map(str, v)) for v in itertools.product(range(res + 1), repeat=n)]
+
+
+STAGES = {"label": {"pass": 128, "fail": 0}, "boundary": {"pass": 40, "fail": 0},
+          "choose_p": {"pass": 1, "fail": 0}}
+SUMMARY_CASES = {
+    "res 11 keys": (STAGES, 11, 2, {key: ((0, 1), (0.25, 0.75)) for key in _grid_keys(2, 11)}),
+    "n=3 keys and one-point supports": (
+        STAGES, 3, 3, {key: ((i % 3,), (1.0,)) for i, key in enumerate(_grid_keys(3, 3))}),
+    "extreme weights": (STAGES, 1, 1, {"0": ((0, 1, 2, 7), (5e-324, 1e16, 0.1 + 0.2, 1.0)),
+                                       "1": ((3,), (1.0,))}),
+    "no stages": ({}, 1, 1, {"0": ((0,), (1.0,)), "1": ((1,), (1.0,))}),
+    "a failing stage": ({**STAGES, "track": {"pass": 3, "fail": 2}}, 10, 1,
+                        {key: ((0, 1), (0.5, 0.5)) for key in _grid_keys(1, 10)}),
+}
+
+
+@pytest.mark.parametrize("stages, res, n, vertices", SUMMARY_CASES.values(),
+                         ids=SUMMARY_CASES.keys())
+def test_summary_template_is_json_dumps_of_the_summary(stages, res, n, vertices):
+    summary = {"all_pass": all(c["fail"] == 0 for c in stages.values()), "stages": stages,
+               "resolution": res, "dimension": n,
+               "vertices": {key: {"support": list(support), "weights": list(weights)}
+                            for key, (support, weights) in vertices.items()}}
+    assert _summary_json(stages, res, n, vertices) == \
+        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def test_straighten_never_runs_the_pure_python_json_encoder(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):        # the guard catches indented dumps
+        json.dumps({"a": 1}, indent=2)
+    spec = tmp_path / "map.json"
+    spec.write_text(json.dumps({"generator": "two_ball", "n": 2, "res": 11, "leak": 0.05}))
+    out = tmp_path / "out"
+    assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    summary = (out / "summary.json").read_text()
+    assert '"0,10": {' in summary
+    assert summary == json.dumps(json.loads(summary), indent=2, sort_keys=True) + "\n"
+    for line in (out / "certification.jsonl").read_text().splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 EXPLICIT_SPEC = {

@@ -12,13 +12,14 @@ from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
 from vkit.measures import FiniteMeasure, dirac
 from vkit.metric import Cover, space_from_points
 from vkit.straightening import (BoundViolated, CertificationLog, NoLabel, PipelineError,
-                                SampledMap, choose_p, intersection_mass_bound,
+                                SampledMap, _json_numbers, choose_p, intersection_mass_bound,
                                 label_simplices, linearize, prism_retract,
                                 pump_vertex, sample_masks, straighten)
 
 from exact_locator import simplex_keys_containing
 from per_sample_maps import (from_function, reference_weights, sliding_dirac_measure,
                              two_ball_measure)
+from per_vertex_pump import read_records
 
 
 class TestChooseP:
@@ -321,7 +322,7 @@ class TestPumpVertex:
 
     @staticmethod
     def _records(log, ident):
-        return [(r["stage"], r["quantity"]) for r in log.records
+        return [(r["stage"], r["quantity"]) for r in read_records(log)
                 if r["id"].split(":")[0] == ident]
 
     def test_concentrating_pump_and_its_track(self):
@@ -361,7 +362,8 @@ class TestPumpVertex:
         log = CertificationLog()
         with pytest.raises(thickening.NoMCP, match="touching the complement"):
             pump_vertex(smap, lab, 0.75, log)
-        assert [(r["stage"], r["id"], r["pass"]) for r in log.records] == [("pump", "0", False)]
+        assert [(r["stage"], r["id"], r["pass"]) for r in read_records(log)] == \
+            [("pump", "0", False)]
 
 
 class TestLinearize:
@@ -382,7 +384,7 @@ class TestLinearize:
         lab = label_simplices(smap, cov, 0.9)
         log = CertificationLog()
         linearize({v: dirac(line3, 1) for v in tri.vertices()}, lab, log)
-        assert [(r["stage"], r["quantity"], r["pass"]) for r in log.records] == \
+        assert [(r["stage"], r["quantity"], r["pass"]) for r in read_records(log)] == \
             [("linearize", 0, True)] * tri.simplex_count
 
     def test_log_ends_at_the_offending_simplex(self, line3):
@@ -398,7 +400,7 @@ class TestLinearize:
             linearize(values, lab, log)
         assert err.value.simplex == ((1,), (0,))
         assert err.value.offending == frozenset({1, 2})
-        assert [(r["quantity"], r["pass"]) for r in log.records] == [(0, True), (2, False)]
+        assert [(r["quantity"], r["pass"]) for r in read_records(log)] == [(0, True), (2, False)]
 
     def test_escaping_support_is_rejected(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
@@ -414,20 +416,43 @@ class TestLinearize:
 
 class TestCertificationLog:
     def test_each_line_is_json_dumps_of_its_record(self):
-        log = CertificationLog()
-        log.add("build_fk", "simplices", 48, 0.0, True)
-        log.add("linearize", "0,0|0,1", 2, 0.0, False)
+        log, added = CertificationLog(), []
+
+        def add(stage, ident, quantity, threshold, passed):
+            log.add(stage, ident, quantity, threshold, passed)
+            added.append({"stage": stage, "id": ident, "quantity": quantity,
+                          "threshold": threshold, "pass": bool(passed)})
+
+        add("build_fk", "simplices", 48, 0.0, True)
+        add("linearize", "0,0|0,1", 2, 0.0, False)
         for q in (np.float64(0.1) / 3, math.inf, -math.inf, math.nan, np.float64(math.nan),
                   -0.0, 5e-324, 1e22, 1.0, np.float64(2.5)):
-            log.add("track", "0,1:t=0.25", q, np.float64(0.9375), q > 0.9)
-        log.add("pump", 'a "quote", a back\\slash, \u00fcn\u00efcode \u2713\n', 0.0, math.nan,
-                False)
-        log.add("choose_p", "p", 1, -math.inf, True)
-        assert log.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n"
-                                         for r in log.records)
+            add("track", "0,1:t=0.25", q, np.float64(0.9375), q > 0.9)
+        add("pump", 'a "quote", a back\\slash, \u00fcn\u00efcode \u2713\n', 0.0, math.nan, False)
+        add("choose_p", "p", 1, -math.inf, True)
+        assert log.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in added)
 
     def test_an_empty_log_writes_nothing(self):
         assert CertificationLog().to_jsonl() == ""
+
+    def test_counts_and_records_follow_the_lines(self):
+        log = CertificationLog()
+        assert log.all_pass() and log.stage_counts() == {} and log.records == []
+        log.add("choose_p", "p", 0.9, 0.8, True)
+        line = '{"id": "0", "pass": %s, "quantity": 0.5, "stage": "track", "threshold": 0.9}\n'
+        log.extend(line % "true" + line % "false", {"track": (1, 1), "boundary": (0, 0)})
+        assert log.stage_counts() == {"choose_p": {"pass": 1, "fail": 0},
+                                      "track": {"pass": 1, "fail": 1}}
+        assert not log.all_pass()
+        assert log.records == log.to_jsonl().splitlines() and len(log.records) == 3
+        assert [r["pass"] for r in read_records(log)] == [True, True, False]
+
+    def test_number_columns_are_json_dumps_of_each_float(self):
+        values = np.array([[0.0, -0.0, 0.1 + 0.2, 5e-324], [math.inf, -math.inf, math.nan, 1e16],
+                           [0.0, 1.0, -0.0, 0.3]])
+        assert _json_numbers(values) == [json.dumps(x) for x in values.ravel().tolist()]
+        assert _json_numbers(values[:, 1]) == ["-0.0", "-Infinity", "1.0"]
+        assert _json_numbers(np.zeros(0)) == []
 
 
 def reference_labels(smap, cov, p, tri):

@@ -9,8 +9,9 @@ some cannot be.  Some maps have their rows scaled by a factor between
 1e-12 and 1e-9 off 1, so ``FiniteMeasure`` renormalizes them, and some
 have the row of one vertex broken after labeling, or are pumped at a
 threshold other than the labeling's.  Records are compared by stage, id,
-pass and the type and repr of their numbers; measures by their support
-and weights.
+pass and the type and repr of their numbers, and the log's text byte for
+byte with the reference's one ``json.dumps`` per record; measures by
+their support and weights.
 """
 
 from collections import Counter
@@ -94,9 +95,9 @@ def measure_bits(values):
     return [(v, mu.support, [w.hex() for w in mu.weights]) for v, mu in values.items()]
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, log_type=CertificationLog):
     """The log, the value or the error of fn(*args, log)."""
-    log = CertificationLog()
+    log = log_type()
     try:
         return log, fn(*args, log), None
     except ValueError as exc:
@@ -122,14 +123,17 @@ def test_the_vertex_stage_is_the_per_vertex_reference():
             kind = "other p"
             seen["other p"] += 1
         log, values, err = outcome(pump_vertex, smap, lab, p)
-        ref_log, ref_values, ref_err = outcome(ref.vertex_stage, smap, lab, p)
-        assert record_bits(log.records) == record_bits(ref_log.records)
+        ref_log, ref_values, ref_err = outcome(ref.vertex_stage, smap, lab, p,
+                                               log_type=ref.RecordLog)
+        assert record_bits(ref.read_records(log)) == record_bits(ref_log.records)
+        assert log.to_jsonl() == ref.to_jsonl(ref_log.records)
         assert type(err) is type(ref_err) and str(err) == str(ref_err)
         if err is not None:
             seen[f"{kind}: {err}"] += 1
             continue
         assert measure_bits(values) == measure_bits(ref_values)
-        pumped = sum(r["stage"] == "boundary" and r["quantity"] > 0.0 for r in log.records)
+        pumped = sum(r["stage"] == "boundary" and r["quantity"] > 0.0
+                     for r in ref.read_records(log))
         seen[f"{kind}: pumped" if pumped else f"{kind}: fixed"] += 1
 
         # linearize through values where one vertex leaks onto a random point
@@ -139,15 +143,17 @@ def test_the_vertex_stage_is_the_per_vertex_reference():
                                   tuple([1.0 / smap.space.n_points] * smap.space.n_points))
         for vals in (values, leaked):
             log, gmap, err = outcome(linearize, vals, lab)
-            ref_log, ref_gmap, ref_err = outcome(ref.linearize, vals, lab)
-            assert record_bits(log.records) == record_bits(ref_log.records)
+            ref_log, ref_gmap, ref_err = outcome(ref.linearize, vals, lab,
+                                                 log_type=ref.RecordLog)
+            assert record_bits(ref.read_records(log)) == record_bits(ref_log.records)
+            assert log.to_jsonl() == ref.to_jsonl(ref_log.records)
             assert type(err) is type(ref_err) and str(err) == str(ref_err)
             if err is None:
                 assert gmap.values == ref_gmap.values and gmap.tri == ref_gmap.tri
             else:
                 assert isinstance(err, NotSubordinate)
                 assert (err.simplex, err.offending) == (ref_err.simplex, ref_err.offending)
-                assert not log.records[-1]["pass"]
+                assert not ref.read_records(log)[-1]["pass"]
                 seen["escapes at linearize"] += 1
     # every path the vertex stage can take was taken
     assert seen["plain: pumped"] and seen["renormalized: pumped"], seen
@@ -167,10 +173,11 @@ def test_a_threshold_the_labels_cannot_bear_is_refused_as_per_vertex(line3, p, e
     smap = SampledMap(FKTriangulation(1, 2), line3, weights)
     lab = label_simplices(smap, cover, 0.75, [2])
     log, _, err = outcome(pump_vertex, smap, lab, p)
-    ref_log, _, ref_err = outcome(ref.vertex_stage, smap, lab, p)
+    ref_log, _, ref_err = outcome(ref.vertex_stage, smap, lab, p, log_type=ref.RecordLog)
     assert error in str(err) and str(err) == str(ref_err) and type(err) is type(ref_err)
-    assert record_bits(log.records) == record_bits(ref_log.records)
-    assert [(r["stage"], r["id"].split(":")[0]) for r in log.records] == \
+    assert record_bits(ref.read_records(log)) == record_bits(ref_log.records)
+    assert log.to_jsonl() == ref.to_jsonl(ref_log.records)
+    assert [(r["stage"], r["id"].split(":")[0]) for r in ref.read_records(log)] == \
         [("mass_bound", "0")] + [("track", "0")] * 5 + [("boundary", "0"), ("pump", "1")]
 
 
