@@ -3,6 +3,8 @@
 show what each stage certified, including which vertices were genuinely
 pumped."""
 
+import numpy as np
+
 from vkit.generators import two_ball_map
 from vkit.straightening import straighten
 
@@ -18,12 +20,13 @@ def main() -> None:
     print(f"{'stage':<18}{'pass':>6}{'fail':>6}")
     for stage, counts in sorted(log.stage_counts().items()):
         print(f"{stage:<18}{counts['pass']:>6}{counts['fail']:>6}")
+    step = smap.grid.p // gmap.tri.p
     moved = []
     for v in sorted(gmap.tri.vertices()):
-        before = smap.value_on_subgrid(gmap.tri, v)
-        after = gmap.values[v]
-        if before != after:
-            moved.append((v, sorted(before.support), sorted(after.support)))
+        before = smap.weights[smap.grid.vertex_index(tuple(c * step for c in v))]
+        after = gmap.weights[gmap.tri.vertex_index(v)]
+        if not np.array_equal(before, after):
+            moved.append((v, np.flatnonzero(before).tolist(), np.flatnonzero(after).tolist()))
     print(f"pumped vertices: {len(moved)}")
     for v, old_sup, new_sup in moved:
         print(f"  {v}: support {old_sup} -> {new_sup}")

@@ -15,6 +15,7 @@ import inspect
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .metric import (Cover, FiniteMetricSpace, MetricValidationError,
                      load_space_csv, space_from_points, validate_metric)
 from .persistence import compute_diagram
 from .plots import persistence_diagram_svg
-from .straightening import PipelineError, SampledMap, straighten, vertex_key
+from .straightening import PipelineError, SampledMap, lattice_keys, straighten, vertex_key
 from .verify import run_all
 
 DEFAULT_SEED = 1729
@@ -206,25 +207,32 @@ def _json_object(items: list[str]) -> str:
     return "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
 
 
-def _json_items(values: tuple) -> str:
+def _json_items(values: list) -> str:
     """The items of a nonempty list as ``json.dumps(..., indent=2)`` writes
     them at the depth of a vertex's support and weights."""
     return json.dumps(values)[1:-1].replace(", ", ",\n        ")
 
 
 def _summary_json(stages: dict[str, dict[str, int]], resolution: int, dimension: int,
-                  vertices: dict[str, tuple[tuple[int, ...], tuple[float, ...]]]) -> str:
+                  weights: np.ndarray) -> str:
     """``summary.json`` of a finished run, byte for byte as
     ``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` writes it, from
-    templates.  ``vertices`` maps vertex keys to a nonempty support and its
-    weights; the keys are sorted as strings ("0,10" before "0,2"), and each
-    distinct measure is written once."""
+    templates.  ``weights`` holds a row of point weights per vertex of the
+    grid, in lex order, each with a nonzero entry; a vertex's measure is
+    its row's nonzero entries.  The vertex keys are sorted as strings
+    ("0,10" before "0,2"), and each distinct row is written once."""
     failed = sum(c["fail"] for c in stages.values())
     stage_items = [_STAGE % (json.dumps(stage), c["fail"], c["pass"])
                    for stage, c in sorted(stages.items())]
-    measures = {m: _MEASURE % (_json_items(m[0]), _json_items(m[1]))
-                for m in set(vertices.values())}
-    vertex_items = ['    "%s": %s' % (key, measures[m]) for key, m in sorted(vertices.items())]
+    rows = list(map(tuple, weights.tolist()))
+    measures = {}
+    for row in rows:
+        if row not in measures:
+            support = [x for x, w in enumerate(row) if w != 0.0]
+            measures[row] = _MEASURE % (_json_items(support),
+                                        _json_items([row[x] for x in support]))
+    vertex_items = ['    "%s": %s' % (key, measures[row]) for key, row in
+                    sorted(zip(lattice_keys(dimension, resolution + 1), rows), key=itemgetter(0))]
     return _SUMMARY % ("false" if failed else "true", dimension, resolution,
                        _json_object(stage_items), _json_object(vertex_items))
 
@@ -251,8 +259,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
     (out / "certification.jsonl").write_text(log.to_jsonl())
     stages = log.stage_counts()
     failed = sum(c["fail"] for c in stages.values())
-    vertices = {vertex_key(v): (m.support, m.weights) for v, m in gmap.values.items()}
-    (out / "summary.json").write_text(_summary_json(stages, gmap.tri.p, gmap.tri.n, vertices))
+    (out / "summary.json").write_text(_summary_json(stages, gmap.tri.p, gmap.tri.n,
+                                                    gmap.weights))
     total = sum(c["pass"] + c["fail"] for c in stages.values())
     print(f"wrote {out / 'certification.jsonl'} ({total} checks, {failed} failures)")
     return EXIT_OK if failed == 0 else EXIT_PIPELINE

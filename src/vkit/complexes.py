@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, repeat
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -44,16 +44,6 @@ class FilteredComplex:
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def value_of(self, S: Iterable[int]) -> float:
-        return self.simplices[tuple(sorted(set(S)))]
-
-    def is_simplex(self, S: Iterable[int]) -> bool:
-        """Membership test; the empty set counts as a simplex by convention."""
-        key = tuple(sorted(set(S)))
-        if not key:
-            return True
-        return key in self.simplices
 
     def sublevel(self, r: float) -> list[tuple[Simplex, float]]:
         """Simplices with value strictly below r, in filtration order."""

@@ -96,6 +96,12 @@ class FKTriangulation:
         bases = lattice_points(self.n, self.p) @ strides
         return (bases[:, None, None] + chains[None]).reshape(-1, self.n + 1)
 
+    def simplex_key(self, k: int) -> SimplexKey:
+        """The key of the k-th n-simplex in ``simplices`` order, of Python ints."""
+        perms = list(permutations(range(self.n)))
+        base = np.unravel_index(k // len(perms), (self.p,) * self.n)
+        return tuple(int(c) for c in base), perms[k % len(perms)]
+
     def vertices(self) -> Iterator[Lattice]:
         yield from product(range(self.p + 1), repeat=self.n)
 
@@ -303,5 +309,4 @@ def subordinate_resolution(masks: np.ndarray, depth: int, resolutions: Sequence[
     nonempty = np.bitwise_and.accumulate(flat[idx], axis=2).any(axis=-1)
     rank = np.pad(visit[idx], ((0, 0), (0, 0), (0, 1)), constant_values=2 * len(flat))
     k = int(np.argmin(np.take_along_axis(rank, nonempty.sum(axis=2, keepdims=True), axis=2)))
-    base = np.unravel_index(k // len(perms), (q,) * n)
-    raise NoLabel((tuple(int(c) for c in base), perms[k % len(perms)]))
+    raise NoLabel(FKTriangulation(n, q).simplex_key(k))

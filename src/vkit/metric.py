@@ -161,8 +161,9 @@ def space_from_points(coords: Sequence[Sequence[float]] | np.ndarray) -> FiniteM
     if pts.ndim == 1:
         pts = pts[:, None]
     _check_finite("coords", pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    with np.errstate(over="ignore"):    # an overflow gives inf, which validation refuses
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return validate_metric(dist, coords=pts)

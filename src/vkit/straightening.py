@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
@@ -93,8 +94,7 @@ class SampledMap:
     coordinates multiples of ``depth`` are the vertices of ``tri``; the
     others, dense samples, are exactly the depth-``depth`` barycentric
     points of its top simplices.  Integer coordinates assign samples to
-    coarser simplices without ties.  A row becomes a
-    :class:`FiniteMeasure` only where it is read."""
+    coarser simplices without ties."""
 
     tri: FKTriangulation
     space: FiniteMetricSpace
@@ -111,35 +111,24 @@ class SampledMap:
         """The sampled lattice, as the grid of resolution depth * tri.p."""
         return FKTriangulation(self.tri.n, self.depth * self.tri.p)
 
-    def value_at(self, w: Lattice) -> FiniteMeasure:
-        """The measure at a point of the sampled lattice."""
-        grid = self.grid
-        if len(w) != grid.n or not all(0 <= c <= grid.p for c in w):
-            raise ValueError(f"{w} is no point of the sampled lattice")
-        row = self.weights[grid.vertex_index(w)]
-        support = np.flatnonzero(row)
-        return FiniteMeasure(self.space, tuple(support.tolist()), tuple(row[support].tolist()))
 
-    def value_on_subgrid(self, coarse: FKTriangulation, v: Lattice) -> FiniteMeasure:
-        """Value at a vertex of a coarser grid whose resolution divides ours."""
-        step = self.tri.p // coarse.p
-        if coarse.p * step != self.tri.p:
-            raise ValueError("coarse resolution must divide the sampled one")
-        return self.value_at(tuple(c * step * self.depth for c in v))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Labeling:
-    """Assignment of a cover element to every top simplex, in ``simplices``
-    order, and to every vertex the sorted labels of the simplices around it."""
+    """The id of a cover element for every top simplex of ``tri``, in
+    ``labels``, and the ``vertex_index`` of each simplex's vertices, in
+    ``corners``; one row per simplex in ``simplices`` order."""
 
     tri: FKTriangulation
     cover: Cover
-    ell: dict[SimplexKey, int]
-    vertex_labels: dict[Lattice, tuple[int, ...]]
+    labels: np.ndarray
+    corners: np.ndarray
 
-    def element_set(self, element_id: int) -> frozenset[int]:
-        return self.cover.elements[element_id]
+    @cached_property
+    def simplex_ids(self) -> list[str]:
+        """The ``"base|axis order"`` key of every simplex, in ``simplices`` order."""
+        orders = ["|" + vertex_key(pi) for pi in permutations(range(self.tri.n))]
+        return [base + order for base in lattice_keys(self.tri.n, self.tri.p)
+                for order in orders]
 
 
 def sample_masks(smap: SampledMap, cov: Cover, p: float) -> np.ndarray:
@@ -183,16 +172,7 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     res, shared = subordinate_resolution(masks.reshape((smap.grid.p + 1,) * n + (-1,)),
                                          smap.depth, resolutions)
     tri = FKTriangulation(n, res)
-    labels = shared.argmax(axis=1)
-    keys = product(product(range(res), repeat=n), permutations(range(n)))
-    ell = dict(zip(keys, labels.tolist()))
-    # which labels each vertex's simplices carry; no larger than the masks
-    seen = np.zeros((tri.vertex_count, len(cov.elements)), dtype=bool)
-    seen[tri.simplex_vertex_indices(), labels[:, None]] = True
-    ends = np.cumsum(seen.sum(axis=1)).tolist()
-    label = np.nonzero(seen)[1].tolist()
-    around = {v: tuple(label[a:b]) for v, a, b in zip(tri.vertices(), [0] + ends, ends)}
-    return Labeling(tri, cov, ell, around)
+    return Labeling(tri, cov, shared.argmax(axis=1), tri.simplex_vertex_indices())
 
 
 def intersection_mass_bound(mu: FiniteMeasure,
@@ -235,7 +215,7 @@ def _floors(samples: Sequence[np.ndarray], sets: Sequence[frozenset[int]]) -> np
 
 
 def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
-                log: CertificationLog) -> dict[Lattice, FiniteMeasure]:
+                log: CertificationLog) -> np.ndarray:
     """The vertex stage: deform the measure at every vertex of the labeling's
     grid so its support enters its label region, and log the checks.
 
@@ -247,37 +227,43 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
     ``(w * phi) / <w, phi>``, and the linear homotopy
     ``(1 - t) w + t pump(w)`` is sampled at ``TRACK_TIMES``.  Every sample
     keeps mass above p on every label, because pumping only adds mass to
-    each of them.  The result is the sample at t = 1.
+    each of them.  The result is the sample at t = 1, the pumped measure.
 
     All vertices are pumped at once, as rows of point weights with the
     arithmetic of ``FiniteMeasure``, ``pump`` and ``mix``; the regions,
-    their inner sets and bumps are computed once per label tuple, and a
-    measure is built only for the results, once per distinct one.  Per
-    vertex, in lex order, the log gets its region mass against the bound,
-    the least label mass of each track sample against p, and on the cube
-    boundary the drift of its result.  The first vertex that cannot be
-    pumped gets a failing ``pump`` record instead, and its error
-    (BoundViolated, NoMCP, DegenerateGap, or a refused measure) is raised.
+    their inner sets and bumps are computed once per label tuple.  The
+    result is one row per vertex, in lex order, of the weights a
+    ``FiniteMeasure`` stores.  Per vertex, in lex order, the log gets its
+    region mass against the bound, the least label mass of each track
+    sample against p, and on the cube boundary the drift of its result.
+    The first vertex that cannot be pumped gets a failing ``pump`` record
+    instead, and its error (BoundViolated, NoMCP, DegenerateGap, or a
+    refused measure) is raised.
     """
     tri, space = lab.tri, smap.space
     coords = lattice_points(tri.n, tri.p + 1)
     strides = (smap.grid.p + 1) ** np.arange(tri.n - 1, -1, -1)
     step = smap.depth * (smap.tri.p // tri.p)
     rows, errors = stored_rows(smap.weights[(coords * step) @ strides])
-    verts = list(tri.vertices())
-    mass, bound = np.zeros(len(verts)), np.zeros(len(verts))
-    floors = np.zeros((len(verts), len(TRACK_TIMES)))
-    moved = np.zeros(len(verts), dtype=bool)
+    count = tri.vertex_count
+    mass, bound = np.zeros(count), np.zeros(count)
+    floors = np.zeros((count, len(TRACK_TIMES)))
+    moved = np.zeros(count, dtype=bool)
     result = rows.copy()
 
+    # the sorted labels of the simplices around each vertex, as its group key
+    seen = np.zeros((count, len(lab.cover.elements)), dtype=bool)
+    seen[lab.corners, lab.labels[:, None]] = True
+    ends = np.cumsum(seen.sum(axis=1)).tolist()
+    label = np.nonzero(seen)[1].tolist()
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, v in enumerate(verts):
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
         if i not in errors:
-            groups.setdefault(lab.vertex_labels[v], []).append(i)
+            groups.setdefault(tuple(label[start:end]), []).append(i)
     bumps: dict[frozenset[int], np.ndarray | ValueError] = {}
     for labels, members in groups.items():
         idx = np.array(members)
-        sets = [lab.element_set(b) for b in labels]
+        sets = [lab.cover.elements[b] for b in labels]
         region = frozenset.intersection(*sets)
         b = 1.0 - len(labels) * (1.0 - p)
         bound[idx] = b
@@ -314,14 +300,15 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
             if isinstance(phi, ValueError):
                 errors.update(dict.fromkeys(hit.tolist(), phi))
                 continue
+            # the samples at t = 0 and 1 are the source and pumped rows themselves
             source = rows[hit]
             pumped = stored_rows(pump_rows(source, phi))[0]
-            track = [stored_rows((1.0 - t) * source + t * pumped)[0] for t in TRACK_TIMES]
-            floors[hit] = _floors(track, sets)
-            result[hit] = track[-1]
+            track = [stored_rows((1.0 - t) * source + t * pumped)[0] for t in TRACK_TIMES[1:-1]]
+            floors[hit] = _floors([source, *track, pumped], sets)
+            result[hit] = pumped
         errors.update(dict.fromkeys(idx.tolist(), NoMCP(INNER_MASS_LOST)))
 
-    stop = min(errors, default=len(verts))
+    stop = min(errors, default=count)
     edge = ((coords[:stop] == 0) | (coords[:stop] == tri.p)).any(axis=1)
     drift = np.zeros(stop)
     drift[edge] = _fsums(np.abs(result[:stop][edge] - rows[:stop][edge]),
@@ -332,7 +319,8 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
     # each vertex's lines come from one template: its mass_bound line, its
     # track lines and, on the cube boundary, its boundary line; a vertex
     # inside the cube leaves the boundary line's three fields unused
-    ids = _lattice_keys(tri.n, tri.p + 1)[:stop]
+    keys = lattice_keys(tri.n, tri.p + 1)
+    ids = keys[:stop]
     numbers = _json_numbers(np.concatenate([mass[:stop], bound[:stop], drift,
                                             floors[:stop].ravel()]))
     mass_text, bound_text, drift_text = (numbers[i * stop:(i + 1) * stop] for i in range(3))
@@ -349,60 +337,49 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
                        for on_edge, row in zip(edge.tolist(), zip(*columns))),
                {"mass_bound": _tally(ok_mass), "track": _tally(ok_floor),
                 "boundary": _tally(ok_drift[edge])})
-    if stop < len(verts):
-        log.add("pump", vertex_key(verts[stop]), 0.0, p, False)
+    if stop < count:
+        log.add("pump", keys[stop], 0.0, p, False)
         raise errors[stop]
-    values, built = {}, {}
-    for v, row in zip(verts, map(tuple, result.tolist())):
-        if row not in built:        # vertices with equal rows share one measure
-            support = tuple(x for x, w in enumerate(row) if w != 0.0)
-            built[row] = FiniteMeasure(space, support, tuple(row[x] for x in support))
-        values[v] = built[row]
-    return values
+    return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexwiseAffineMap:
-    """Map that is affine on each simplex: barycentric mixing of vertex values."""
+    """Map that is affine on each simplex: barycentric mixing of vertex
+    values, given as one row of point weights per vertex of ``tri``, in lex
+    order."""
 
     tri: FKTriangulation
-    values: dict[Lattice, FiniteMeasure]
+    weights: np.ndarray
     labeling: Labeling | None = None
 
 
-def linearize(values: Mapping[Lattice, FiniteMeasure], lab: Labeling,
-              log: CertificationLog) -> SimplexwiseAffineMap:
-    """Simplexwise-affine map through the given vertex measures.
+def linearize(rows: np.ndarray, lab: Labeling, log: CertificationLog) -> SimplexwiseAffineMap:
+    """Simplexwise-affine map through the given vertex rows of point weights.
 
     Certifies, per top simplex, that the union of its vertex supports sits
     inside the assigned cover element, hence is a simplex of the Vietoris
     complex of the cover; :class:`NotSubordinate` reports the first
     offending simplex otherwise.  Every check up to and including that one
     is recorded in ``log`` under the ``linearize`` stage.  The unions are
-    one or-reduction of the vertices' support rows, gathered by the vertex
-    indices of the simplices.
+    one or-reduction of the vertices' support rows (their nonzero
+    entries), gathered by the labeling's corners.
     """
-    tri = lab.tri
-    n_points = next(iter(values.values())).space.n_points
-    supports = np.zeros((tri.vertex_count, n_points), dtype=bool)
-    for row, v in zip(supports, tri.vertices()):
-        row[list(values[v].support)] = True
-    elements = np.zeros((len(lab.cover.elements), n_points), dtype=bool)
+    elements = np.zeros((len(lab.cover.elements), rows.shape[1]), dtype=bool)
     for row, elem in zip(elements, lab.cover.elements):
         row[sorted(elem)] = True
-    union = np.bitwise_or.reduce(supports[tri.simplex_vertex_indices()], axis=1)
-    offending = union & ~elements[np.fromiter(lab.ell.values(), int, len(lab.ell))]
+    offending = (rows != 0.0)[lab.corners].any(axis=1) & ~elements[lab.labels]
     counts = offending.sum(axis=1)
     bad = np.flatnonzero(counts)
     # every simplex before the first offending one passes with count 0
     passed = int(bad[0]) if len(bad) else len(counts)
-    ids, line = _simplex_ids(tri), _line_template("linearize", "0.0")
+    ids, line = lab.simplex_ids, _line_template("linearize", "0.0")
     log.extend(_same_lines(line % ("%s", "true", "0"), ids[:passed]), {"linearize": (passed, 0)})
     if len(bad):
         log.extend(line % (ids[passed], "false", int(counts[passed])), {"linearize": (0, 1)})
-        key = list(lab.ell)[passed]
-        raise NotSubordinate(key, frozenset(np.flatnonzero(offending[passed]).tolist()))
-    return SimplexwiseAffineMap(tri, dict(values), lab)
+        raise NotSubordinate(lab.tri.simplex_key(passed),
+                             frozenset(np.flatnonzero(offending[passed]).tolist()))
+    return SimplexwiseAffineMap(lab.tri, rows, lab)
 
 
 class CertificationLog:
@@ -495,15 +472,9 @@ def vertex_key(v: Lattice) -> str:
     return ",".join(map(str, v))
 
 
-def _lattice_keys(n: int, size: int) -> list[str]:
+def lattice_keys(n: int, size: int) -> list[str]:
     """The ``vertex_key`` of every point of {0, ..., size - 1}^n, in lex order."""
     return [",".join(c) for c in product([str(i) for i in range(size)], repeat=n)]
-
-
-def _simplex_ids(tri: FKTriangulation) -> list[str]:
-    """The ``"base|axis order"`` key of every simplex, in ``simplices`` order."""
-    orders = ["|" + vertex_key(pi) for pi in permutations(range(tri.n))]
-    return [base + order for base in _lattice_keys(tri.n, tri.p) for order in orders]
 
 
 def straighten(smap: SampledMap, cov: Cover,
@@ -535,15 +506,15 @@ def straighten(smap: SampledMap, cov: Cover,
     log.add("estimate_lebesgue", "mesh", math.sqrt(n) / coarse.p, 0.0, True)
     log.add("build_fk", "simplices", coarse.simplex_count, 0.0, True)
     log.extend(_same_lines(_line_template("label", json.dumps(p)) % ("%s", "true", "1.0"),
-                           _simplex_ids(coarse)),
+                           lab.simplex_ids),
                {"label": (coarse.simplex_count, 0)})
     try:
-        values = pump_vertex(smap, lab, p, log)
+        rows = pump_vertex(smap, lab, p, log)
     except ValueError as exc:   # BoundViolated, ZeroMass, NoMCP, DegenerateGap
         raise PipelineError("pump_vertex", exc)
 
     try:
-        gmap = linearize(values, lab, log)
+        gmap = linearize(rows, lab, log)
     except NotSubordinate as exc:
         raise PipelineError("linearize", exc)
     return gmap, log

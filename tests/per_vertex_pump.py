@@ -10,11 +10,17 @@ vertex loop one by one into a :class:`RecordLog`, one dict per record,
 writes the records with one ``json.dumps`` each: the arithmetic and the
 bytes the vectorized stage and its line templates must reproduce bit for
 bit.  :func:`read_records` parses a production log back into records.
+
+The pipeline keeps a sampled map, the labels and the vertex values as
+arrays; the functions after :func:`read_records` read them per vertex and
+per simplex, as measures and dicts, for this reference and the tests.
 """
 
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from vkit.fk import NoLabel, star_bound
 from vkit.measures import FiniteMeasure, barycentric_distance
@@ -74,11 +80,11 @@ def shrink_to_inner(mu, p, U):
     raise NoMCP("mass concentrates only on points touching the complement")
 
 
-def pump_vertex(smap, lab, v, p) -> VertexPump:
-    """Deform the measure at v so its support enters its label region."""
-    mu = smap.value_on_subgrid(lab.tri, v)
-    labels = lab.vertex_labels[v]
-    label_sets = [lab.element_set(b) for b in labels]
+def pump_vertex(smap, lab, v, labels, p) -> VertexPump:
+    """Deform the measure at v, whose simplices carry ``labels``, so its
+    support enters its label region."""
+    mu = sample_at(smap, lab.tri, v)
+    label_sets = [lab.cover.elements[b] for b in labels]
     region = frozenset.intersection(*label_sets)
     bound = 1.0 - len(labels) * (1.0 - p)
 
@@ -105,25 +111,25 @@ def simplex_key(k) -> str:
 
 def linearize(values, lab, log) -> SimplexwiseAffineMap:
     """Check each simplex's union of vertex supports against its label."""
-    for s in lab.tri.simplices():
+    for s, label in zip(lab.tri.simplices(), lab.labels.tolist()):
         union: set[int] = set()
         for v in s.vertices():
             union |= values[v].support_set()
-        offending = frozenset(union - lab.element_set(lab.ell[s.key]))
+        offending = frozenset(union - lab.cover.elements[label])
         log.add("linearize", simplex_key(s.key), len(offending), 0.0, not offending)
         if offending:
             raise NotSubordinate(s.key, offending)
-    return SimplexwiseAffineMap(lab.tri, dict(values), lab)
+    return SimplexwiseAffineMap(lab.tri, vertex_rows(lab.tri, values), lab)
 
 
 def vertex_stage(smap, lab, p, log):
     """Pump the vertices in lex order and log each one's checks; the first
     vertex that cannot be pumped logs a failing record and raises."""
-    values = {}
+    values, around = {}, vertex_labels(lab)
     for v in sorted(lab.tri.vertices()):
         ident = vertex_key(v)
         try:
-            vp = pump_vertex(smap, lab, v, p)
+            vp = pump_vertex(smap, lab, v, around[v], p)
         except ValueError:
             log.add("pump", ident, 0.0, p, False)
             raise
@@ -154,7 +160,7 @@ def straighten(smap, cov, p_mass=None):
     coarse = lab.tri
     log.add("estimate_lebesgue", "mesh", math.sqrt(n) / coarse.p, 0.0, True)
     log.add("build_fk", "simplices", coarse.simplex_count, 0.0, True)
-    for key in sorted(lab.ell):
+    for key in sorted(label_dict(lab)):
         log.add("label", simplex_key(key), 1.0, p, True)
     try:
         values = vertex_stage(smap, lab, p, log)
@@ -174,3 +180,46 @@ def to_jsonl(records) -> str:
 def read_records(log) -> list:
     """The records of a production log, parsed from its ``to_jsonl`` text."""
     return [json.loads(line) for line in log.to_jsonl().splitlines()]
+
+
+def measure(space, row) -> FiniteMeasure:
+    """The measure of a row of point weights: its nonzero entries."""
+    support = np.flatnonzero(row)
+    return FiniteMeasure(space, tuple(support.tolist()), tuple(row[support].tolist()))
+
+
+def sample_at(smap, tri, v) -> FiniteMeasure:
+    """The sampled measure at the vertex v of ``tri``, a grid whose
+    resolution divides the sampled lattice's."""
+    step = smap.grid.p // tri.p
+    return measure(smap.space, smap.weights[smap.grid.vertex_index(tuple(c * step for c in v))])
+
+
+def vertex_measures(space, tri, rows) -> dict:
+    """The measure of each row, by the vertex of ``tri`` it belongs to."""
+    return {v: measure(space, row) for v, row in zip(tri.vertices(), rows)}
+
+
+def vertex_rows(tri, values) -> np.ndarray:
+    """The rows of point weights, one per vertex of ``tri`` in lex order,
+    of a dict of vertex measures."""
+    space = next(iter(values.values())).space
+    rows = np.zeros((tri.vertex_count, space.n_points))
+    for row, v in zip(rows, tri.vertices()):
+        row[list(values[v].support)] = values[v].weights
+    return rows
+
+
+def label_dict(lab) -> dict:
+    """The label of each simplex, by its key."""
+    return {s.key: label for s, label in zip(lab.tri.simplices(), lab.labels.tolist())}
+
+
+def vertex_labels(lab) -> dict:
+    """The sorted labels of the simplices around each vertex, read off the
+    labeling's corners."""
+    around = [set() for _ in range(lab.tri.vertex_count)]
+    for corners, label in zip(lab.corners.tolist(), lab.labels.tolist()):
+        for i in corners:
+            around[i].add(label)
+    return {v: tuple(sorted(labels)) for v, labels in zip(lab.tri.vertices(), around)}

@@ -26,6 +26,8 @@ from vkit.thickening import compare_metrics, pump, pump_coordinate
 from vkit.verify import (mass_bound_instance, overlapping_measures,
                          random_bump, random_measure, random_space)
 
+from per_vertex_pump import label_dict, sample_at, vertex_measures
+
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
@@ -192,11 +194,13 @@ def test_07_straightening_pipeline():
             problems.append(f"{name}: track thresholds")
         if counts.get("linearize", {}).get("fail", 1) != 0:
             problems.append(f"{name}: simplex certificates")
+        values = vertex_measures(space, gmap.tri, gmap.weights)
+        labels = label_dict(gmap.labeling)
         for s in gmap.tri.simplices():
             union = set()
             for v in s.vertices():
-                union |= gmap.values[v].support_set()
-            elem = gmap.labeling.element_set(gmap.labeling.ell[s.key])
+                union |= values[v].support_set()
+            elem = gmap.labeling.cover.elements[labels[s.key]]
             if not union <= elem:
                 problems.append(f"{name}: union support escapes label")
                 break
@@ -204,8 +208,9 @@ def test_07_straightening_pipeline():
     for name, (space, cover, smap) in [("sliding_dirac", sliding_dirac_map()),
                                        ("two_ball n=1", two_ball_map(n=1))]:
         gmap, log = straighten(smap, cover)
+        values = vertex_measures(space, gmap.tri, gmap.weights)
         for v in gmap.tri.vertices():
-            if gmap.values[v] != smap.value_on_subgrid(gmap.tri, v):
+            if values[v] != sample_at(smap, gmap.tri, v):
                 problems.append(f"{name}: subordinate input changed at {v}")
                 break
     elapsed = time.perf_counter() - start
@@ -254,10 +259,10 @@ def test_09_open_convention_strictness():
     cech = build_cech(pair, math.inf, 1)
     ok = True
     # the edge enters both filtrations at exactly 1; strict sublevels at 1 omit it
-    ok &= vr.value_of({0, 1}) == 1.0 and (0, 1) not in dict(vr.sublevel(1.0))
-    ok &= cech.value_of({0, 1}) == 1.0 and (0, 1) not in dict(cech.sublevel(1.0))
-    ok &= not build_vr(pair, 1.0, 1).is_simplex({0, 1})
-    ok &= not build_cech(pair, 1.0, 1).is_simplex({0, 1})
+    ok &= vr.simplices[(0, 1)] == 1.0 and (0, 1) not in dict(vr.sublevel(1.0))
+    ok &= cech.simplices[(0, 1)] == 1.0 and (0, 1) not in dict(cech.sublevel(1.0))
+    ok &= (0, 1) not in build_vr(pair, 1.0, 1).simplices
+    ok &= (0, 1) not in build_cech(pair, 1.0, 1).simplices
     ok &= betti_at(vr, 1.0, 0) == 2 and betti_at(vr, 1.0 + 1e-12, 0) == 1
     report(9, "diameter-exactly-r simplices are excluded at r", bool(ok))
 

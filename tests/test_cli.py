@@ -436,7 +436,12 @@ def test_summary_template_is_json_dumps_of_the_summary(stages, res, n, vertices)
                "resolution": res, "dimension": n,
                "vertices": {key: {"support": list(support), "weights": list(weights)}
                             for key, (support, weights) in vertices.items()}}
-    assert _summary_json(stages, res, n, vertices) == \
+    # the measures as rows of point weights, one per vertex in lattice order
+    assert list(vertices) == _grid_keys(n, res)
+    weights = np.zeros((len(vertices), 1 + max(max(s) for s, _ in vertices.values())))
+    for row, (support, w) in zip(weights, vertices.values()):
+        row[list(support)] = w
+    assert _summary_json(stages, res, n, weights) == \
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
@@ -608,6 +613,45 @@ class TestVerify:
         bad.write_text("0,1,3\n1,0,1\n3,1,0\n")
         assert main(["verify", "--trials", "0", "--input", str(bad),
                      "--input-kind", "matrix"]) == 1
+
+
+class TestOverflowingCoordinates:
+    """Points whose differences overflow are refused with the one line that
+    says so, and no numpy warning, by every command that reads points."""
+
+    ROWS = [[0, 0], [1e308, 0], [-1e308, 0]]
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        return subprocess.run([sys.executable, "-m", "vkit.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    def _csv(self, tmp_path):
+        (tmp_path / "big.csv").write_text("".join(f"{x},{y}\n" for x, y in self.ROWS))
+        return "big.csv"
+
+    def test_persist(self, tmp_path):
+        run = self._run(tmp_path, "persist", "--input", self._csv(tmp_path), "--out", "o")
+        assert run.returncode == 2
+        assert run.stderr == "error: cannot load big.csv: dist[0][1] = inf is not finite\n"
+
+    def test_straighten(self, tmp_path):
+        spec = {"points": self.ROWS, "cover": [[0, 1, 2]], "n": 1, "res": 1,
+                "vertices": {k: {"support": [0], "weights": [1.0]} for k in ("0", "1")}}
+        (tmp_path / "big.json").write_text(json.dumps(spec))
+        run = self._run(tmp_path, "straighten", "--input", "big.json", "--out", "o")
+        assert run.returncode == 2
+        assert run.stderr == \
+            "error: cannot build map from big.json: dist[0][1] = inf is not finite\n"
+
+    def test_verify_input(self, tmp_path):
+        # verify reports a refused input as its failing first row, exit 1
+        run = self._run(tmp_path, "verify", "--trials", "0", "--input", self._csv(tmp_path))
+        assert run.returncode == 1
+        assert run.stderr == "warning: --trials 0 makes every randomized check vacuous\n"
+        assert "FAIL  (dist[0][1] = inf is not finite)" in run.stdout.splitlines()[1]
 
 
 class TestEnvironment:

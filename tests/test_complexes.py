@@ -22,8 +22,8 @@ class TestBuildVR:
 
     def test_equilateral_just_above_side_fills(self, equilateral):
         K = build_vr(equilateral, 1.01, 2)
-        assert K.is_simplex({0, 1, 2})
-        assert K.value_of({0, 1}) == pytest.approx(1.0, abs=1e-12)
+        assert (0, 1, 2) in K.simplices
+        assert K.simplices[(0, 1)] == pytest.approx(1.0, abs=1e-12)
 
     def test_square_below_diagonal_keeps_the_cycle_open(self, square):
         K = build_vr(square, 1.2, 2)
@@ -55,17 +55,17 @@ class TestBuildVR:
 class TestBuildCech:
     def test_vertices_enter_at_zero(self, square):
         K = build_cech(square, 0.5, 2)
-        assert K.value_of({0}) == 0.0
+        assert K.simplices[(0,)] == 0.0
 
     def test_square_full_simplex_needs_the_diagonal(self, square):
         K = build_cech(square, 2.0, 3)
-        assert K.value_of({0, 1, 2, 3}) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert K.simplices[(0, 1, 2, 3)] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_witness_must_lie_in_the_space(self):
         two = space_from_points([[0.0], [2.0]])
         three = space_from_points([[0.0], [1.0], [2.0]])
-        assert build_cech(two, 3.0, 1).value_of({0, 1}) == 2.0
-        assert build_cech(three, 3.0, 1).value_of({0, 2}) == 1.0
+        assert build_cech(two, 3.0, 1).simplices[(0, 1)] == 2.0
+        assert build_cech(three, 3.0, 1).simplices[(0, 2)] == 1.0
 
     def test_matches_subset_scan(self, rng):
         for _ in range(20):
@@ -110,7 +110,7 @@ class TestBuildVietoris:
     def test_single_element_cover_gives_full_skeleton(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
         K = build_vietoris(cov, 2)
-        assert K.is_simplex({0, 1, 2})
+        assert (0, 1, 2) in K.simplices
         assert len(K) == 7
 
     def test_singleton_cover_gives_vertices_only(self, line3):
@@ -121,8 +121,8 @@ class TestBuildVietoris:
     def test_two_overlapping_elements(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
         K = build_vietoris(cov, 2)
-        assert K.is_simplex({0, 1}) and K.is_simplex({1, 2})
-        assert not K.is_simplex({0, 1, 2}) and not K.is_simplex({0, 2})
+        assert (0, 1) in K.simplices and (1, 2) in K.simplices
+        assert (0, 1, 2) not in K.simplices and (0, 2) not in K.simplices
 
     def test_cover_by_all_small_diameter_sets_gives_the_vr_complex(self, rng):
         # the cover by every set of diameter below r, listed explicitly, has
@@ -156,13 +156,12 @@ class TestBuildVietoris:
 class TestMembership:
     def test_faces_of_stored_simplices(self, square):
         K = build_vr(square, 1.5, 2)
-        assert K.is_simplex({0, 1})
-        assert K.is_simplex(set())
-        assert not K.is_simplex({0, 1, 2, 3})
+        assert (0, 1) in K.simplices
+        assert (0, 1, 2, 3) not in K.simplices
 
     def test_value_of_is_the_entry_threshold(self, line3):
         K = build_vr(line3, 2.5, 2)
-        assert K.value_of({0}) == 0.0
-        assert K.value_of({2, 1}) == 1.0
-        assert K.value_of({0, 1, 2}) == 2.0
+        assert K.simplices[(0,)] == 0.0
+        assert K.simplices[(1, 2)] == 1.0
+        assert K.simplices[(0, 1, 2)] == 2.0
         assert [s for s, _ in K.sublevel(2.0)] == [(0,), (1,), (2,), (0, 1), (1, 2)]

@@ -27,6 +27,16 @@ class TestEnumeration:
         assert verts[((0, 0), (0, 1))] == ((0, 0), (1, 0), (1, 1))
         assert verts[((0, 0), (1, 0))] == ((0, 0), (0, 1), (1, 1))
 
+    @pytest.mark.parametrize("n, p", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_simplex_keys_and_vertex_indices_follow_the_enumeration(self, n, p):
+        tri = FKTriangulation(n, p)
+        corners = tri.simplex_vertex_indices().tolist()
+        for k, s in enumerate(tri.simplices()):
+            key = tri.simplex_key(k)
+            assert key == s.key and all(type(c) is int for c in key[0] + key[1])
+            assert corners[k] == [tri.vertex_index(v) for v in s.vertices()]
+        assert len(corners) == tri.simplex_count
+
     def test_counts(self):
         assert FKTriangulation(3, 2).simplex_count == 48
         assert sum(1 for _ in FKTriangulation(3, 2).simplices()) == 48

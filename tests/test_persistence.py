@@ -397,12 +397,12 @@ class TestOpenConvention:
         assert ((0, 1) in dict(vr.sublevel(1.0))) is False
         cech = build_cech(space, math.inf, 1)
         # witness value of the edge is the full gap: no midpoint in the space
-        assert cech.value_of({0, 1}) == 1.0
+        assert cech.simplices[(0, 1)] == 1.0
         assert ((0, 1) in dict(cech.sublevel(1.0))) is False
 
     def test_build_at_exact_threshold_excludes(self, equilateral):
-        assert not build_vr(equilateral, 1.0, 2).is_simplex({0, 1})
-        assert not build_cech(space_from_points([[0.0], [1.0]]), 1.0, 1).is_simplex({0, 1})
+        assert (0, 1) not in build_vr(equilateral, 1.0, 2).simplices
+        assert (0, 1) not in build_cech(space_from_points([[0.0], [1.0]]), 1.0, 1).simplices
 
 
 class TestBottleneck:

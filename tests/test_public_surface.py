@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller outside the tests."""
+"""Every name the package exports, and every public function, class and
+method it defines, has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -35,8 +36,30 @@ def referenced_names(path):
     return names
 
 
-def test_every_exported_name_has_a_caller_outside_the_tests():
+def public_definitions():
+    """The (qualified name, name) of every public top-level function and
+    class of the package, and of every public method of those classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+                continue
+            yield f"{path.stem}.{stmt.name}", stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                yield from ((f"{path.stem}.{stmt.name}.{node.name}", node.name)
+                            for node in stmt.body
+                            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+
+
+def names_used_outside_the_tests():
     files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
     files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    used = set().union(*(referenced_names(f) for f in files))
-    assert sorted(exported_names() - used) == []
+    return set().union(*(referenced_names(f) for f in files))
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    assert sorted(exported_names() - names_used_outside_the_tests()) == []
+
+
+def test_every_public_function_and_method_has_a_caller_outside_the_tests():
+    used = names_used_outside_the_tests()
+    assert [qualified for qualified, name in public_definitions() if name not in used] == []

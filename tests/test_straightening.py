@@ -19,7 +19,8 @@ from vkit.straightening import (BoundViolated, CertificationLog, NoLabel, Pipeli
 from exact_locator import simplex_keys_containing
 from per_sample_maps import (from_function, reference_weights, sliding_dirac_measure,
                              two_ball_measure)
-from per_vertex_pump import read_records
+from per_vertex_pump import (label_dict, measure, read_records, sample_at, vertex_labels,
+                             vertex_measures, vertex_rows)
 
 
 class TestChooseP:
@@ -54,9 +55,10 @@ class TestSampledMap:
 
         smap = from_function(FKTriangulation(1, 2), fn, 3)
         assert smap.grid.p == 6
-        assert [smap.value_on_subgrid(smap.tri, (i,)).support for i in range(3)] == [(1,)] * 3
-        assert smap.value_on_subgrid(FKTriangulation(1, 1), (1,)) == smap.value_at((6,))
-        assert sum(smap.value_at(w).support == (0,) for w in smap.grid.vertices()) == 4
+        assert [sample_at(smap, smap.tri, (i,)).support for i in range(3)] == [(1,)] * 3
+        assert sample_at(smap, FKTriangulation(1, 1), (1,)) == sample_at(smap, smap.grid, (6,))
+        assert sum(sample_at(smap, smap.grid, w).support == (0,)
+                   for w in smap.grid.vertices()) == 4
 
     def test_the_guard_counts_the_sampled_lattice(self, line3):
         def never(y):
@@ -67,11 +69,8 @@ class TestSampledMap:
         with pytest.raises(ValueError, match="dense_depth"):
             from_function(FKTriangulation(1, 4), never, 0)
 
-    def test_values_are_read_from_the_lattice_only(self, line3):
+    def test_weights_need_a_row_per_point_of_the_lattice(self, line3):
         smap = from_function(FKTriangulation(2, 2), lambda y: dirac(line3, 0), 2)
-        for w in [(5, 0), (0, -1), (1,), (1, 2, 3)]:
-            with pytest.raises(ValueError, match="no point of the sampled lattice"):
-                smap.value_at(w)
         with pytest.raises(ValueError, match="expected"):
             SampledMap(smap.tri, line3, smap.weights[1:], smap.depth)
 
@@ -132,7 +131,8 @@ class TestSampleMasks:
         _, cover, smap = gen(**kwargs)
         for p in (0.5, choose_p(smap.tri.n)):
             masks = sample_masks(smap, cover, p)
-            expected = [[smap.value_at(w).mass_of(elem) > p for elem in cover.elements]
+            expected = [[sample_at(smap, smap.grid, w).mass_of(elem) > p
+                         for elem in cover.elements]
                         for w in smap.grid.vertices()]
             assert masks.tolist() == expected
 
@@ -183,24 +183,22 @@ class TestWork:
         assert len(built) == 0
         gmap, log = straighten(smap, cover)
         assert log.all_pass()
-        # one measure per coarse vertex, for its result, of the 5,329 samples
-        assert len(built) <= gmap.tri.vertex_count
+        # the samples, the pumped vertices and the certificate are all rows
+        assert len(built) == 0
 
     def test_straighten_reads_labels_and_pumps_each_vertex_once(self, monkeypatch):
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
         mixes = self._count(monkeypatch, measures, "mix")
         pumps = self._count(monkeypatch, thickening, "pump")
         located = self._count(monkeypatch, FKTriangulation, "simplices_containing_fraction")
-        read = self._count(monkeypatch, SampledMap, "value_at")
         built = self._count(monkeypatch, FiniteMeasure, "__post_init__")
         gmap, log = straighten(smap, cover)
         assert log.all_pass() and gmap.tri.vertex_count == 25
         # every vertex is pumped, as one row of the vertex stage: the leak
-        # leaves its support, and one measure is built, for its result
-        assert all(len(mu.support) < 3 for mu in gmap.values.values())
+        # leaves its support, and no measure is built
+        assert ((gmap.weights != 0.0).sum(axis=1) < 3).all()
         assert log.stage_counts()["mass_bound"]["pass"] == 25
-        assert len(mixes) == len(pumps) == len(located) == len(read) == 0
-        assert len(built) <= 25
+        assert len(mixes) == len(pumps) == len(located) == len(built) == 0
 
     def test_labeling_locates_no_sample(self, monkeypatch):
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
@@ -215,7 +213,7 @@ class TestLabelSimplices:
         tri = FKTriangulation(1, 4)
         smap = from_function(tri, lambda y: dirac(line3, 0))
         lab = label_simplices(smap, cov, 0.9)
-        assert set(lab.ell.values()) == {0}
+        assert set(label_dict(lab).values()) == {0}
 
     def test_dirac_cells_get_their_ball(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
@@ -228,8 +226,8 @@ class TestLabelSimplices:
 
         smap = from_function(tri, fn, dense_depth=None)
         lab = label_simplices(smap, cov, 0.9)
-        assert lab.ell[((0,), (0,))] == 0
-        assert lab.ell[((1,), (0,))] == 1
+        assert label_dict(lab)[((0,), (0,))] == 0
+        assert label_dict(lab)[((1,), (0,))] == 1
 
     def test_spread_measures_fail_at_extreme_threshold(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
@@ -244,7 +242,7 @@ class TestLabelSimplices:
         tri = FKTriangulation(1, 1)
         smap = from_function(tri, lambda y: dirac(line3, 0))
         lab = label_simplices(smap, cov, 0.5)
-        assert lab.ell[((0,), (0,))] == 0
+        assert label_dict(lab)[((0,), (0,))] == 0
 
     def test_vertex_stars_respect_the_dimension_bound(self, line3):
         import math as _math
@@ -256,7 +254,7 @@ class TestLabelSimplices:
             lab = label_simplices(smap, cov, 0.5, [tri.p])
             bound = (2 ** n) * _math.factorial(n)
             for v in tri.vertices():
-                assert len(lab.vertex_labels[v]) <= tri.vertex_star_size(v) <= bound
+                assert len(vertex_labels(lab)[v]) <= tri.vertex_star_size(v) <= bound
 
     def test_coarse_grid_uses_fine_samples(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
@@ -273,7 +271,7 @@ class TestLabelSimplices:
             # at resolution 1 the only cell sees both Diracs
             label_simplices(smap, cov, 0.9, [1])
         lab = label_simplices(smap, cov, 0.9, [2])
-        assert lab.ell[((0,), (0,))] == 0 and lab.ell[((1,), (0,))] == 1
+        assert label_dict(lab)[((0,), (0,))] == 0 and label_dict(lab)[((1,), (0,))] == 1
 
     def test_resolutions_must_divide_the_sampled_one(self, line3):
         cov = Cover.explicit(line3, [[0, 1, 2]])
@@ -327,10 +325,10 @@ class TestPumpVertex:
 
     def test_concentrating_pump_and_its_track(self):
         smap, lab = self._setup((0.9, 0.1))
-        assert lab.ell[((0,), (0,))] == 0       # element {0} qualifies first
+        assert label_dict(lab)[((0,), (0,))] == 0       # element {0} qualifies first
         log = CertificationLog()
-        values = pump_vertex(smap, lab, 0.85, log)
-        assert values[(0,)] == dirac(smap.space, 0)
+        rows = pump_vertex(smap, lab, 0.85, log)
+        assert measure(smap.space, rows[0]) == dirac(smap.space, 0)
         records = self._records(log, "0")
         assert [stage for stage, _ in records] == ["mass_bound"] + ["track"] * 5 + ["boundary"]
         # the floor of each track sample is its mass on the only label, {0}
@@ -347,8 +345,9 @@ class TestPumpVertex:
         smap = from_function(tri, lambda y: mu)
         lab = label_simplices(smap, cov, 0.9, [tri.p])
         log = CertificationLog()
-        values = pump_vertex(smap, lab, 0.9, log)
-        assert all(values[v] == mu for v in tri.vertices())
+        rows = pump_vertex(smap, lab, 0.9, log)
+        assert all(m == mu for m in vertex_measures(line3, tri, rows).values())
+        assert len(rows) == tri.vertex_count
         # an interior vertex: its region mass, then a constant track
         assert self._records(log, "1") == [("mass_bound", 1.0)] + [("track", 1.0)] * 5
 
@@ -373,9 +372,9 @@ class TestLinearize:
         mu = FiniteMeasure(line3, (0, 1), (0.25, 0.75))
         smap = from_function(tri, lambda y: mu)
         lab = label_simplices(smap, cov, 0.9, [tri.p])
-        values = {v: mu for v in tri.vertices()}
-        gmap = linearize(values, lab, CertificationLog())
-        assert gmap.tri == lab.tri and gmap.values == values and gmap.labeling is lab
+        rows = vertex_rows(tri, {v: mu for v in tri.vertices()})
+        gmap = linearize(rows, lab, CertificationLog())
+        assert gmap.tri == lab.tri and gmap.weights is rows and gmap.labeling is lab
 
     def test_log_records_one_passing_check_per_simplex(self, line3):
         cov = Cover.explicit(line3, [[0, 1], [1, 2]])
@@ -383,7 +382,7 @@ class TestLinearize:
         smap = from_function(tri, lambda y: dirac(line3, 1), dense_depth=None)
         lab = label_simplices(smap, cov, 0.9)
         log = CertificationLog()
-        linearize({v: dirac(line3, 1) for v in tri.vertices()}, lab, log)
+        linearize(vertex_rows(tri, {v: dirac(line3, 1) for v in tri.vertices()}), lab, log)
         assert [(r["stage"], r["quantity"], r["pass"]) for r in read_records(log)] == \
             [("linearize", 0, True)] * tri.simplex_count
 
@@ -397,7 +396,7 @@ class TestLinearize:
         log = CertificationLog()
         from vkit.straightening import NotSubordinate
         with pytest.raises(NotSubordinate) as err:
-            linearize(values, lab, log)
+            linearize(vertex_rows(tri, values), lab, log)
         assert err.value.simplex == ((1,), (0,))
         assert err.value.offending == frozenset({1, 2})
         assert [(r["quantity"], r["pass"]) for r in read_records(log)] == [(0, True), (2, False)]
@@ -411,7 +410,7 @@ class TestLinearize:
         lab = label_simplices(smap, cov, 0.9)
         from vkit.straightening import NotSubordinate
         with pytest.raises(NotSubordinate):
-            linearize(values, lab, CertificationLog())
+            linearize(vertex_rows(tri, values), lab, CertificationLog())
 
 
 class TestCertificationLog:
@@ -461,7 +460,7 @@ def reference_labels(smap, cov, p, tri):
     locator; None when some simplex has none."""
     samples = {}
     dens = (smap.depth * smap.tri.p,) * tri.n
-    for w, mu in ((w, smap.value_at(w)) for w in smap.grid.vertices()):
+    for w, mu in ((w, sample_at(smap, smap.grid, w)) for w in smap.grid.vertices()):
         for key in simplex_keys_containing(tri.n, tri.p, w, dens):
             samples.setdefault(key, []).append(mu)
     labels = {}
@@ -490,11 +489,12 @@ class TestResolutionSweep:
         p = choose_p(smap.tri.n)
         gmap, _ = straighten(smap, cover)
         lab = label_simplices(smap, cover, p, [gmap.tri.p])
-        assert gmap.labeling.ell == lab.ell == reference_labels(smap, cover, p, gmap.tri)
+        labels = label_dict(lab)
+        assert label_dict(gmap.labeling) == labels == reference_labels(smap, cover, p, gmap.tri)
         # each vertex carries the labels of its star, as point location finds it
         tri = lab.tri
-        assert lab.vertex_labels == {
-            v: tuple(sorted({lab.ell[s.key] for s in tri.simplices_containing_fraction(v, tri.p)}))
+        assert vertex_labels(lab) == {
+            v: tuple(sorted({labels[s.key] for s in tri.simplices_containing_fraction(v, tri.p)}))
             for v in tri.vertices()}
         # and the chosen resolution is the first one the reference can label
         for q in default_resolutions(gmap.tri.p - 1):
@@ -516,7 +516,7 @@ class TestResolutionSweep:
         gmap, log = straighten(smap, cov)
         assert log.all_pass()
         assert gmap.tri.p == 2
-        assert gmap.labeling.ell == {((0,), (0,)): 0, ((1,), (0,)): 1}
+        assert label_dict(gmap.labeling) == {((0,), (0,)): 0, ((1,), (0,)): 1}
         with pytest.raises(NoLabel):
             label_simplices(smap, cov, choose_p(1), [1])
 
@@ -538,23 +538,25 @@ class TestStraighten:
         _, cover, smap = constant_map()
         gmap, log = straighten(smap, cover)
         assert log.all_pass()
+        values = vertex_measures(smap.space, gmap.tri, gmap.weights)
         for v in gmap.tri.vertices():
-            assert gmap.values[v] == smap.value_on_subgrid(gmap.tri, v)
+            assert values[v] == sample_at(smap, gmap.tri, v)
 
     def test_sliding_dirac_certifies(self):
         _, cover, smap = sliding_dirac_map()
         gmap, log = straighten(smap, cover)
         assert log.all_pass()
         # already subordinate: vertexwise exact equality with the input
+        values = vertex_measures(smap.space, gmap.tri, gmap.weights)
         for v in gmap.tri.vertices():
-            assert gmap.values[v] == smap.value_on_subgrid(gmap.tri, v)
+            assert values[v] == sample_at(smap, gmap.tri, v)
 
     def test_leaky_two_ball_needs_real_pumps(self):
         _, cover, smap = two_ball_map(n=1, leak=0.05)
         gmap, log = straighten(smap, cover)
         assert log.all_pass()
-        changed = [v for v in gmap.tri.vertices()
-                   if gmap.values[v] != smap.value_on_subgrid(gmap.tri, v)]
+        values = vertex_measures(smap.space, gmap.tri, gmap.weights)
+        changed = [v for v in gmap.tri.vertices() if values[v] != sample_at(smap, gmap.tri, v)]
         assert changed, "leak must force at least one non-identity pump"
 
     def test_two_dimensional_benchmark(self):
