@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from vkit import complexes
@@ -104,6 +105,44 @@ class TestExpansionAtTwelvePoints:
         assert len(build_cech(space, math.inf, 2)) == 10 + 45 + 120
         with pytest.raises(ComplexTooLarge, match="210 candidate 3-simplices"):
             build_vr(space, math.inf, 3)
+
+
+def _clusters():
+    """Two clusters of ten points in squares of side 0.5, ten apart."""
+    rng = np.random.default_rng(12)
+    points = rng.uniform(0.0, 0.5, (10, 2)).tolist()
+    return space_from_points(points + (rng.uniform(0.0, 0.5, (10, 2)) + 10).tolist())
+
+
+class TestGuardCounts:
+    """The guard counts candidates, which differ from the kept simplices."""
+
+    def test_cech_candidates_are_cliques_of_the_kept_cech_edges(self, monkeypatch):
+        # at r = 0.3, 34 of the 79 Cech edges have D >= 0.3; the 161 kept
+        # triangles have 225 common lower neighbours in the Cech 1-skeleton,
+        # of which 197 are kept
+        space = _clusters()
+        K = build_cech(space, 0.3, 2)
+        edges = {s for s in K.simplices if len(s) == 2}
+        triangles = [s for s in K.simplices if len(s) == 3]
+        assert (len(edges), len(triangles)) == (79, 161)
+        assert sum(1 for s in edges if space.dist[s] >= 0.3) == 34
+        assert sum(1 for s in triangles for u in range(s[0])
+                   if all((u, v) in edges for v in s)) == 225
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 225)
+        assert dim_count(build_cech(space, 0.3, 3), 3) == 197
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 224)
+        with pytest.raises(ComplexTooLarge,
+                           match="^225 candidate 3-simplices exceed the guard 224$"):
+            build_cech(space, 0.3, 3)
+
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    @pytest.mark.parametrize("r", [1e-4, 0.3, math.inf])
+    def test_every_pair_is_a_candidate_edge(self, monkeypatch, builder, r):
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 189)
+        with pytest.raises(ComplexTooLarge,
+                           match="^190 candidate 1-simplices exceed the guard 189$"):
+            builder(_clusters(), r, 1)
 
 
 class TestBuildVietoris:

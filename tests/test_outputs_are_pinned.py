@@ -114,6 +114,13 @@ CALLS = {
                               ["persist", "--filtration", "vr", "--r", "0.3"]),
     "persist_clusters_cech_r": ("cloud.csv", _clusters_csv(),
                                 ["persist", "--filtration", "cech", "--r", "0.3"]),
+    # the expansion past the edges at a finite r: 34 of the 79 Cech edges
+    # have D >= 0.3, so its triangles are cliques of the Cech edges
+    "persist_clusters_vr_r_k3": ("cloud.csv", _clusters_csv(),
+                                 ["persist", "--filtration", "vr", "--r", "0.3", "--kmax", "3"]),
+    "persist_clusters_cech_r_k3": ("cloud.csv", _clusters_csv(),
+                                   ["persist", "--filtration", "cech", "--r", "0.3",
+                                    "--kmax", "3"]),
     "persist_cycle_matrix": ("cycle.csv", CYCLE_MATRIX_CSV,
                              ["persist", "--input-kind", "matrix", "--kmax", "3"]),
     # H3: the coface rule scores 5-vertex simplices
@@ -127,7 +134,9 @@ PINS = {
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
     "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
     "persist_clusters_cech_r": (0, "bf4ff1a097ba61c61efe0303c293ce1d765a940bfb9ae8789c1d4d908ddfbd61"),
+    "persist_clusters_cech_r_k3": (0, "b317483652a9bb1a1edf43d9f012c9c8ed24bf1b1f41d21e00766d7bb8a02f04"),
     "persist_clusters_vr_r": (0, "044ba3c8a04abdc362b928463e6cbd51845bb66f879f8d663ba21eb9ceb7d8c6"),
+    "persist_clusters_vr_r_k3": (0, "044ba3c8a04abdc362b928463e6cbd51845bb66f879f8d663ba21eb9ceb7d8c6"),
     "persist_cycle_matrix": (0, "3cb126c1ad50a3a49bbafaf8c6bcce2a4179e6be32520d336094b4eb256346f4"),
     "persist_duplicates": (0, "383599c148cfa72b222f715ab6ff5f24f8f03013ea97c3b7ddfcdff7c7c95c36"),
     "persist_grid3_k4": (0, "a2b609c5beb1feb6b2329785e2d8497a08b0adb80818f60f1070fa183f2c3070"),
