@@ -4,16 +4,17 @@ Two independent computation routes are kept deliberately separate: the
 coboundary reduction with clearing and emergent pairs of Bauer's Ripser
 (:func:`compute_diagram`; over a field cohomology has the pairs of
 homology) and plain Gaussian-elimination Betti numbers of strict sublevel
-complexes (:func:`betti_at`), used as the oracle for the former.  As in
-Ripser, H0 comes from union-find over the edges with the elder rule, and
-the reduction keys every coface by one integer, the rank of its value
+complexes (:func:`betti_at`), used as the oracle for the former.  It
+reads each dimension's rows and values from ``FilteredComplex.levels``.
+As in Ripser, H0 comes from union-find over the edges with the elder
+rule, and every coface is keyed by one integer, the rank of its value
 shifted past the base-n number of its vertices, so a column is a set of
 ints and its pivot the least of them.  The top coface level of a VR or
 Cech complex need not be built: the pivots of the top columns come from
 the complex's value rule (``FilteredComplex.extend``) in blocks, and a
-column's cofaces are read from the rule when it is reduced.
-Sublevels follow the open convention: a simplex with value b is present
-at scale r iff b < r, so an interval born at b is populated only for r > b.
+column's cofaces are read from the rule when it is reduced.  Sublevels
+follow the open convention: a simplex with value b is present at scale r
+iff b < r, so an interval born at b is populated only for r > b.
 
 Diagrams are undecorated (birth, death) multisets; with the open
 convention the decorations would differ from the closed one, and nothing
@@ -130,21 +131,6 @@ class _Layer:
         rows, values = rows[order], values[order]
         keys = _Keys(values, n, rows.shape[1])
         return _Layer(rows, values, keys, keys.of(values, rows))
-
-
-def _by_dimension(K: FilteredComplex, top: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vertex rows and values of the simplices of each dimension 0..top,
-    unsorted.  The layers stop at dimension min(top, dim K + 1): those
-    above dim K are empty, and only the first of them is made."""
-    top = min(top, max(map(len, K.simplices), default=0))
-    rows: list[list[Simplex]] = [[] for _ in range(top + 1)]
-    values: list[list[float]] = [[] for _ in range(top + 1)]
-    for s, v in K.simplices.items():
-        if len(s) <= top + 1:
-            rows[len(s) - 1].append(s)
-            values[len(s) - 1].append(v)
-    return [(np.array(S, dtype=np.int64).reshape(-1, d + 1), np.array(V, dtype=np.float64))
-            for d, (S, V) in enumerate(zip(rows, values))]
 
 
 def _rule_edges(extend, vertices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,12 +265,11 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     top = max_dim if K.extend is not None else max_dim + 1     # the last explicit layer
     if K.k_max < top:
         raise SkeletonTooShallow(f"need the {top}-skeleton, complex capped at {K.k_max}")
-    by_dim = _by_dimension(K, top)
-    vertices, births = by_dim[0]
+    (vertices, births), *above = K.levels[:top + 1]
     if not len(vertices):
         return PersistenceDiagram.of([])
     n = int(vertices.max()) + 1
-    layers = [None] + [_Layer.of(S, V, n) for S, V in by_dim[1:]]
+    layers = [None] + [_Layer.of(S, V, n) for S, V in above]
     if len(layers) > 1:
         intervals, merging = _components(vertices, births, layers[1].rows, layers[1].values, n)
         died = set(layers[1].codes[merging].tolist())

@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vkit.cli import _map_from_spec, _summary_json, main, make_parser
+from vkit.complexes import FilteredComplex, build_vr
 from vkit.generators import GENERATORS
+from vkit.metric import space_from_points
 from vkit.persistence import compute_diagram
 
 SQUARE_CSV = "0,0\n1,0\n1,1\n0,1\n"
@@ -130,6 +132,24 @@ class TestPersist:
         [(K, max_dim)] = seen
         assert max_dim == kmax - 1 and K.extend is not None
         assert max(map(len, K.simplices)) == kmax
+
+    @pytest.mark.parametrize("filtration", ["vr", "cech"])
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [None, "0.6"])
+    def test_builds_no_simplex_dict(self, tmp_path, monkeypatch, filtration, kmax, r):
+        # the complex is its levels' arrays; the dict is a view for other readers
+        def refuse(K):
+            raise AssertionError("persist read FilteredComplex.simplices")
+
+        monkeypatch.setattr(FilteredComplex, "simplices", property(refuse))
+        with pytest.raises(AssertionError):
+            build_vr(space_from_points([[0.0], [1.0]]), math.inf, 1).simplices
+        csv = tmp_path / "cloud.csv"
+        np.savetxt(csv, np.random.default_rng(5).uniform(0, 1, size=(12, 2)), delimiter=",")
+        argv = ["persist", "--input", str(csv), "--filtration", filtration,
+                "--kmax", str(kmax), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--r", r] if r else [])) == 0
+        assert (tmp_path / "o" / "diagram.csv").read_text().startswith("dim,birth,death\n0,")
 
     def test_nan_threshold_is_an_input_error(self, tmp_path, capsys, square_csv):
         out = tmp_path / "o"

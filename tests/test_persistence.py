@@ -264,7 +264,7 @@ def _hand_made(rng):
                 if s not in simplices:
                     simplices[s] = max(simplices[f] for f in combinations(s, size - 1)) \
                         + float(rng.choice([0.0, 0.5, 1.0]))
-    return FilteredComplex(simplices, 4)
+    return FilteredComplex.of(simplices, 4)
 
 
 class TestAgainstReference:
@@ -310,8 +310,8 @@ class TestAgainstReference:
     def test_elder_rule_births(self):
         # 0 -- 1 at 3 and 2 -- 3 at 4, then 1 -- 2 at 5: the component of
         # vertex 2 (born at 1) dies, the one of vertex 0 (born at 2) lives on
-        K = FilteredComplex({(0,): 2.0, (1,): 2.5, (2,): 1.0, (3,): 1.5, (0, 1): 3.0,
-                             (2, 3): 4.0, (1, 2): 5.0}, 2)
+        K = FilteredComplex.of({(0,): 2.0, (1,): 2.5, (2,): 1.0, (3,): 1.5, (0, 1): 3.0,
+                                (2, 3): 4.0, (1, 2): 5.0}, 2)
         assert compute_diagram(K, 0).intervals == ((0, 1.0, INF), (0, 1.5, 4.0),
                                                    (0, 2.0, 5.0), (0, 2.5, 3.0))
 
