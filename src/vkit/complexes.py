@@ -46,7 +46,7 @@ class FilteredComplex:
 
     @staticmethod
     def of(simplices: dict[Simplex, float], k_max: int) -> "FilteredComplex":
-        """The complex of the given sorted vertex tuples at their values."""
+        """The complex of the given vertex tuples and values, to dimension k_max."""
         sizes = range(1, min(max(map(len, simplices), default=0), k_max) + 2)
         return FilteredComplex(tuple(
             (np.array([s for s in simplices if len(s) == q], dtype=np.int64).reshape(-1, q),

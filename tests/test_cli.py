@@ -628,6 +628,45 @@ class TestVerify:
         assert "--seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
+    @staticmethod
+    def _stub_checks(monkeypatch) -> list:
+        import vkit.cli
+        from vkit.verify import CheckResult
+        calls = []
+
+        def run_all(seed, trials):
+            calls.append((seed, trials))
+            return [CheckResult("stub", trials, 0)]
+
+        monkeypatch.setattr(vkit.cli, "run_all", run_all)
+        return calls
+
+    def test_trials_above_the_guard_are_refused(self, capsys, monkeypatch):
+        calls = self._stub_checks(monkeypatch)
+        assert main(["verify", "--trials", "10001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trials must be <= 10000, got 10001\n"
+        assert captured.out == "" and calls == []
+
+    def test_trials_at_the_guard_run(self, capsys, monkeypatch):
+        calls = self._stub_checks(monkeypatch)
+        assert main(["verify", "--trials", "10000", "--seed", "3"]) == 0
+        assert calls == [(3, 10000)]
+
+    @pytest.mark.parametrize("text, named", [(None, "No such file or directory"),
+                                             ("a,b\n", "could not convert string to float")])
+    def test_unreadable_input_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                text, named):
+        calls = self._stub_checks(monkeypatch)
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(["verify", "--trials", "1", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot load {path}: ")
+        assert named in captured.err
+        assert captured.out == "" and calls == []
+
     def test_corrupted_metric_input_fails(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1,3\n1,0,1\n3,1,0\n")
