@@ -32,7 +32,7 @@ from .straightening import PipelineError, SampledMap, lattice_keys, straighten, 
 from .verify import run_all
 
 DEFAULT_SEED = 1729
-VERIFY_TRIALS_GUARD = 10_000        # --trials 100 takes about 2 s: about 3 minutes
+VERIFY_TRIALS_GUARD = 10_000        # about 3 minutes: --trials 100 takes about 2 s
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
