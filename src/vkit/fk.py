@@ -242,16 +242,6 @@ def is_boundary_face(tri: FKTriangulation, face: Iterable[Lattice]) -> bool:
     return False
 
 
-def default_resolutions(p_max: int) -> list[int]:
-    """Doubling sweep 1, 2, 4, ... capped at p_max."""
-    out = []
-    p = 1
-    while p <= p_max:
-        out.append(p)
-        p *= 2
-    return out
-
-
 def lattice_points(n: int, size: int) -> np.ndarray:
     """The points of {0, ..., size - 1}^n, one per row, in lexicographic order."""
     return np.indices((size,) * n).reshape(n, -1).T

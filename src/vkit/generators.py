@@ -101,9 +101,11 @@ def two_ball_map(n: int = 1, res: int | None = None, leak: float = 0.0,
                  dense_depth: int | None = DENSE_DEPTH):
     """Transit between two overlapping explicit cover elements (n = 1, 2 or 3).
 
-    The path rests on the shared point for parameters in [3/8, 5/8], so no
-    grid cell at the chosen resolutions ever mixes the two moving phases;
-    the n-dimensional version drives the same path by the coordinate mean.
+    The path rests on the shared point for parameters in [3/8, 5/8].  A grid
+    cell may straddle that interval (at resolution 3 the middle one does),
+    but the sweep accepts only a grid whose every simplex shares a cover
+    element at all its samples; the n-dimensional version drives the same
+    path by the coordinate mean.
     ``leak`` lies in [0, 1]; above 3(1 - p), with p the dimension's mass
     threshold, no sample clears it and labeling fails.
     """

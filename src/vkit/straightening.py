@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
-                 default_resolutions, lattice_points, star_bound, subordinate_resolution)
+                 lattice_points, star_bound, subordinate_resolution)
 from .measures import FiniteMeasure, stored_rows
 from .metric import Cover, FiniteMetricSpace
 from .thickening import INNER_MASS_LOST, NoMCP, build_bump, inner_sets, pump_rows
@@ -153,8 +153,9 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
                     resolutions: Sequence[int] | None = None) -> Labeling:
     """Labeling at the first resolution whose simplices are subordinate.
 
-    ``resolutions`` must divide the sampled one; by default they are the
-    doubling resolutions dividing it, then the sampled resolution itself.
+    ``resolutions`` must divide the sampled one; by default they are every
+    divisor of it, coarsest first, so the labeling is on the coarsest
+    subordinate grid the samples resolve.
     The samples of a simplex are all points of the sampled lattice inside
     it (a sample on a shared face counts for every incident simplex).
     :func:`~vkit.fk.subordinate_resolution` sweeps the resolutions over the
@@ -165,8 +166,7 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     then the dense ones, each in lex order.
     """
     if resolutions is None:
-        resolutions = sorted({q for q in default_resolutions(smap.tri.p)
-                              if smap.tri.p % q == 0} | {smap.tri.p})
+        resolutions = [q for q in range(1, smap.tri.p + 1) if smap.tri.p % q == 0]
     n = smap.tri.n
     masks = sample_masks(smap, cov, p)
     res, shared = subordinate_resolution(masks.reshape((smap.grid.p + 1,) * n + (-1,)),

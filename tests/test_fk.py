@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vkit.fk import (FKSimplex, FKTriangulation, NoLabel, OutOfDomain,
-                     default_resolutions, facet_counts, is_boundary_face, star_bound,
-                     subordinate_resolution)
+                     facet_counts, is_boundary_face, star_bound, subordinate_resolution)
 
 from exact_locator import simplex_keys_containing
 from scalar_sweep import subordinate_resolution_by_samples
@@ -174,6 +173,10 @@ def _as_ints(shared):
     return [sum(1 << int(i) for i in np.flatnonzero(row)) for row in shared]
 
 
+# every divisor of the slab grids' 64 cells, which are the doubling ones
+DOUBLING_TO_64 = [1, 2, 4, 8, 16, 32, 64]
+
+
 class TestSubordinateResolution:
     @staticmethod
     def _slab_masks(grid: int, left_end: float, right_start: float):
@@ -183,14 +186,14 @@ class TestSubordinateResolution:
         return np.column_stack([y <= left_end, y >= right_start]), grid - 1
 
     def test_single_element_cover_resolves_at_the_coarsest_grid(self):
-        p, masks = subordinate_resolution(np.ones((3, 3, 1), bool), 1, default_resolutions(2))
+        p, masks = subordinate_resolution(np.ones((3, 3, 1), bool), 1, [1, 2])
         assert p == 1
         assert _as_ints(masks) == [1, 1]
 
     def test_misaligned_slab_is_first_subordinate_at_resolution_eight(self):
         # elements [0, 0.4] and [0.3, 1]: overlap width 0.1
         masks, den = self._slab_masks(65, 0.4, 0.3)
-        p, shared = subordinate_resolution(masks, 1, default_resolutions(den))
+        p, shared = subordinate_resolution(masks, 1, DOUBLING_TO_64)
         assert p == 8           # first doubling resolution that fits
         assert len(shared) == 8 and all(_as_ints(shared))
 
@@ -203,11 +206,11 @@ class TestSubordinateResolution:
         slab, den = self._slab_masks(65, 0.4, 0.3)
         masks = np.ones((den + 1, den + 1, 2), bool)
         masks[:, ::stride] = slab[:, None]
-        p, shared = subordinate_resolution(masks, 1, default_resolutions(den))
+        p, shared = subordinate_resolution(masks, 1, DOUBLING_TO_64)
         assert p == 8
         samples = [((i, j), mask) for i, mask in enumerate(_as_ints(slab))
                    for j in range(0, den + 1, stride)]
-        ref_p, ref = subordinate_resolution_by_samples(samples, den, default_resolutions(den))
+        ref_p, ref = subordinate_resolution_by_samples(samples, den, DOUBLING_TO_64)
         keys = [s.key for s in FKTriangulation(2, 8).simplices()]
         assert ref_p == 8 and 0 < len(ref) < len(keys)
         assert _as_ints(shared) == [ref.get(k, 0b11) for k in keys]
@@ -216,15 +219,12 @@ class TestSubordinateResolution:
     def test_disjoint_memberships_raise_no_label(self):
         masks = np.array([[i < 2, i > 2] for i in range(5)])
         with pytest.raises(NoLabel) as err:
-            subordinate_resolution(masks, 1, default_resolutions(4))
+            subordinate_resolution(masks, 1, [1, 2, 4])
         assert err.value.simplex == ((1,), (0,))   # the first cell around the empty sample
 
     def test_resolutions_must_divide_the_sampled_grid(self):
         with pytest.raises(ValueError, match="must divide"):
             subordinate_resolution(np.ones((13, 1), bool), 3, [1, 3])
-
-    def test_resolution_sweep_is_doubling(self):
-        assert default_resolutions(10) == [1, 2, 4, 8]
 
 
 class TestSweepByTranslation:

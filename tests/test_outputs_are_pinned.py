@@ -89,6 +89,9 @@ CALLS = {
     # labels at resolution 23, pumps every vertex and logs boundary drift
     "two_ball_n2_res23": ("map.json", json.dumps({"generator": "two_ball", "n": 2, "res": 23,
                                                   "leak": 0.07}), ["straighten"]),
+    # a composite resolution: labels at 6, its coarsest subordinate divisor
+    "two_ball_n2_res18": ("map.json", json.dumps({"generator": "two_ball", "n": 2, "res": 18,
+                                                  "leak": 0.07}), ["straighten"]),
     "two_ball_n3_res7": ("map.json", json.dumps({"generator": "two_ball", "n": 3, "res": 7,
                                                  "leak": 0.02}), ["straighten"]),
     "explicit": ("map.json", json.dumps(EXPLICIT_SPEC), ["straighten"]),
@@ -152,6 +155,7 @@ PINS = {
     "two_ball": (0, "106441b79b4da441687a02b12f054b5de9cc152785edac6c405c91a537a4d8ee"),
     "two_ball_n2_res16": (0, "7c2df43b68a0d6335d292f08bde90bb0d2f8de1d8d937e58fcb6b0fc9dc4460e"),
     "two_ball_n2_res23": (0, "be69e1f6b732e087eb059c16c079d64e1ffcfb1f7c26eb559f86b048ef19e833"),
+    "two_ball_n2_res18": (0, "889fd23779ab13381a8bba2938845cdee293a6ad990710f2e90205f3da654d38"),
     "two_ball_n3_res7": (0, "92f67ebd733ee0e89f3ba36b6cfa4b31661dedfb1cf7c677a86c384c54c325f5"),
     "verify": (0, "f700c2b93773694ba062538965a0e7d1d493977ff24a5162ae9a8a1670130fcf"),
 }
@@ -182,3 +186,10 @@ def run_call(name, tmp_path, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_output_is_pinned(name, tmp_path, capsys):
     assert run_call(name, tmp_path, capsys) == PINS[name]
+
+
+def test_composite_resolution_labels_at_a_proper_divisor(tmp_path, capsys):
+    run_call("two_ball_n2_res18", tmp_path, capsys)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    lines = (tmp_path / "out" / "certification.jsonl").read_text().splitlines()
+    assert (summary["resolution"], len(lines), summary["all_pass"]) == (6, 465, True)

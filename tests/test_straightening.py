@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vkit import measures, thickening
-from vkit.fk import FKTriangulation, default_resolutions
+from vkit.fk import FKTriangulation
 from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
                              two_ball_map)
 from vkit.measures import FiniteMeasure, dirac
@@ -496,8 +496,8 @@ class TestResolutionSweep:
         assert vertex_labels(lab) == {
             v: tuple(sorted({labels[s.key] for s in tri.simplices_containing_fraction(v, tri.p)}))
             for v in tri.vertices()}
-        # and the chosen resolution is the first one the reference can label
-        for q in default_resolutions(gmap.tri.p - 1):
+        # and the chosen resolution is the first divisor the reference can label
+        for q in range(1, gmap.tri.p):
             if smap.tri.p % q == 0:
                 assert reference_labels(smap, cover, p, FKTriangulation(smap.tri.n, q)) is None
 
