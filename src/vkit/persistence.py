@@ -112,9 +112,6 @@ class _Keys:
         ranks = np.searchsorted(self.levels, values).astype(self.dtype)
         return (ranks << self.shift) | self.lex(rows)
 
-    def value(self, key: int) -> float:
-        return float(self.levels[key >> self.shift])
-
 
 @dataclass(frozen=True)
 class _Layer:
@@ -156,7 +153,8 @@ def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
     vertex comes later in (value, index) order (the elder rule), with the
     interval [value of that vertex, value of the edge).  Returns the
     intervals, zero-length ones dropped, and the positions of the merging
-    edges, which are the pivots of the H0 columns.
+    edges, which are the pivots of the H0 columns.  The scan stops at the
+    merge that leaves one component, since no later edge can merge.
     """
     age: list = [None] * n
     for v, b in zip(vertices[:, 0].tolist(), births.tolist()):
@@ -180,6 +178,8 @@ def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
         merging.append(e)
         if age[v][0] != death:
             intervals.append((0, age[v][0], death))
+        if len(merging) == len(vertices) - 1:
+            break
     intervals += [(0, age[v][0], INF) for v in vertices[:, 0].tolist() if parent[v] == v]
     return intervals, merging
 
@@ -305,8 +305,9 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
                 col.symmetric_difference_update(reduced[j] if j in reduced else cofaces(j))
             else:
                 intervals.append((d, values[i], INF))
+        levels = keys.levels.tolist()
         for pivot, i in owner.items():
-            death = keys.value(pivot)
+            death = levels[pivot >> keys.shift]
             if values[i] != death:
                 intervals.append((d, values[i], death))
         died = set(owner)

@@ -102,7 +102,7 @@ def _decode(keys, key, n, width):
     for _ in range(width):
         lex, digit = divmod(lex, n)
         digits.append(digit)
-    return keys.value(key), tuple(reversed(digits))
+    return float(keys.levels[key >> keys.shift]), tuple(reversed(digits))
 
 
 def _rule_spaces():
