@@ -116,6 +116,26 @@ class TestPersist:
         assert sum(1 for q, _, d in rows if q == "0" and d == "inf") == 1
 
     @pytest.mark.parametrize("filtration", ["vr", "cech"])
+    @pytest.mark.parametrize("r", [None, "0.3"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kmax_one_gives_the_h0_rows_of_kmax_two(self, tmp_path, filtration, r, seed):
+        # seeded clouds with some points repeated, so some edges enter at 0
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0, 1, size=(int(rng.integers(8, 40)), 2))
+        points = np.concatenate([points, points[rng.choice(len(points), size=3)]])
+        csv = tmp_path / "cloud.csv"
+        np.savetxt(csv, points, delimiter=",", fmt="%.18e")
+        h0 = []
+        for kmax in ("1", "2"):
+            out = tmp_path / f"k{kmax}"
+            argv = ["persist", "--input", str(csv), "--filtration", filtration,
+                    "--kmax", kmax, "--out", str(out)]
+            assert main(argv + (["--r", r] if r else [])) == 0
+            h0.append([row for row in (out / "diagram.csv").read_text().splitlines()
+                       if row.startswith("0,")])
+        assert h0[0] == h0[1] and h0[0]
+
+    @pytest.mark.parametrize("filtration", ["vr", "cech"])
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_the_top_level_is_not_built(self, tmp_path, monkeypatch, square_csv,
                                         filtration, kmax):
