@@ -36,7 +36,7 @@ class FilteredComplex:
     block of simplices, the rows of an (m, q) int array, it returns their m
     rows of values at once.  ``rule_values`` is a sorted array that holds
     every finite value the rule returns.  Persistence in dimension d needs
-    ``k_max >= d + 1``, or ``k_max >= d`` and a rule.
+    ``k_max >= d + 1``, or ``k_max >= max(1, d)`` and a rule.
     """
 
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]

@@ -6,8 +6,8 @@ coboundary reduction with clearing and emergent pairs of Bauer's Ripser
 homology) and plain Gaussian-elimination Betti numbers of strict sublevel
 complexes (:func:`betti_at`), used as the oracle for the former.  It
 reads each dimension's rows and values from ``FilteredComplex.levels``.
-As in Ripser, H0 comes from union-find over the edges with the elder
-rule, and every coface is keyed by one integer, the rank of its value
+As in Ripser, H0 comes from union-find over the built edge level with the
+elder rule, and every coface is keyed by one integer, the rank of its value
 shifted past the base-n number of its vertices, so a column is a set of
 ints and its pivot the least of them.  The top coface level of a VR or
 Cech complex need not be built: the pivots of the top columns come from
@@ -130,21 +130,6 @@ class _Layer:
         return _Layer(rows, values, keys, keys.of(values, rows))
 
 
-def _rule_edges(extend, vertices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The edges the rule gives the vertices, as vertex rows and values in
-    (value, lex) order, read in blocks of vertices."""
-    parts = []
-    step = max(1, RULE_BLOCK_CELLS // n)
-    for start in range(0, len(vertices), step):
-        block = vertices[start:start + step]
-        values = extend(block)
-        i, k = np.nonzero((values < INF) & (np.arange(n) > block))
-        parts.append((block[i, 0], k, values[i, k]))
-    u, v, values = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((v, u, values))
-    return np.column_stack([u, v])[order], values[order]
-
-
 def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
                 values: np.ndarray, n: int) -> tuple[list, list[int]]:
     """H0 by union-find over the edges, given in (value, lex) order.
@@ -241,9 +226,10 @@ def _rule_pivots(extend, cols: _Layer, keys: _Keys, n: int):
 def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of the filtration, dimensions 0 through max_dim.
 
-    H0 comes from union-find over the edges in (value, lex) order with the
-    elder rule (:func:`_components`); its merging edges are the pivots of
-    the H0 columns.  Each dimension d >= 1 reduces the coboundary matrix,
+    H0 comes from union-find over the complex's edge level, in (value, lex)
+    order, with the elder rule (:func:`_components`); its merging edges are
+    the pivots of the H0 columns.  So the 1-skeleton must be built, even for
+    max_dim 0.  Each dimension d >= 1 reduces the coboundary matrix,
     taking the d-simplices in reverse filtration order, which within one
     dimension is reverse (value, lex) order.  A column is the set of the
     integer keys (:class:`_Keys`) of its d-simplex's cofaces, and its pivot
@@ -254,7 +240,7 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     zero-length ones are discarded, and a column reducing to zero is an
     essential class.
 
-    The cofaces of the columns of dimension max_dim are read from the
+    The cofaces of the columns of dimension max_dim >= 1 are read from the
     complex's rule ``K.extend`` when it has one, as Ripser enumerates
     them from the metric: the pivots come in blocks of rule rows, and the
     keys are listed for the columns that are reduced and the owners they
@@ -262,7 +248,8 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    top = max_dim if K.extend is not None else max_dim + 1     # the last explicit layer
+    # the last explicit layer; H0 reads the edges, so it is at least the first
+    top = max(1, max_dim if K.extend is not None else max_dim + 1)
     if K.k_max < top:
         raise SkeletonTooShallow(f"need the {top}-skeleton, complex capped at {K.k_max}")
     (vertices, births), *above = K.levels[:top + 1]
@@ -270,11 +257,8 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
         return PersistenceDiagram.of([])
     n = int(vertices.max()) + 1
     layers = [None] + [_Layer.of(S, V, n) for S, V in above]
-    if len(layers) > 1:
-        intervals, merging = _components(vertices, births, layers[1].rows, layers[1].values, n)
-        died = set(layers[1].codes[merging].tolist())
-    else:
-        intervals, _ = _components(vertices, births, *_rule_edges(K.extend, vertices, n), n)
+    intervals, merging = _components(vertices, births, layers[1].rows, layers[1].values, n)
+    died = set(layers[1].codes[merging].tolist())
     for d in range(1, min(len(layers), max_dim + 1)):
         cols = layers[d]
         if not len(cols.rows):          # the layer above dim K

@@ -116,6 +116,21 @@ class TestPersist:
         assert sum(1 for q, _, d in rows if q == "0" and d == "inf") == 1
 
     @pytest.mark.parametrize("filtration", ["vr", "cech"])
+    def test_kmax_one_shares_the_guard(self, tmp_path, capsys, monkeypatch, filtration):
+        # every pair is a candidate edge, and --kmax 1 builds the edges too
+        from vkit import complexes
+
+        csv = tmp_path / "cloud.csv"
+        np.savetxt(csv, np.random.default_rng(0).uniform(0, 1, size=(30, 2)), delimiter=",")
+        argv = ["persist", "--input", str(csv), "--filtration", filtration, "--kmax", "1"]
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 30 * 29 // 2 - 1)
+        assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
+        assert "435 candidate 1-simplices exceed the guard 434" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 30 * 29 // 2)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("filtration", ["vr", "cech"])
     @pytest.mark.parametrize("r", [None, "0.3"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kmax_one_gives_the_h0_rows_of_kmax_two(self, tmp_path, filtration, r, seed):
@@ -151,7 +166,8 @@ class TestPersist:
                      "--kmax", str(kmax), "--out", str(tmp_path / "o")]) == 0
         [(K, max_dim)] = seen
         assert max_dim == kmax - 1 and K.extend is not None
-        assert max(map(len, K.simplices)) == kmax
+        # the edges are built even at --kmax 1, since H0 reads them
+        assert max(map(len, K.simplices)) == max(2, kmax)
 
     @pytest.mark.parametrize("filtration", ["vr", "cech"])
     @pytest.mark.parametrize("kmax", [1, 2, 3, 4])

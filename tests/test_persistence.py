@@ -57,6 +57,10 @@ class TestComputeDiagram:
             (1.0, math.sqrt(2))]
         with pytest.raises(SkeletonTooShallow):
             compute_diagram(build_vr(square, math.inf, 0), 1)
+        # H0 reads the built edges, so even dimension 0 needs the 1-skeleton
+        with pytest.raises(SkeletonTooShallow):
+            compute_diagram(build_vr(square, math.inf, 0), 0)
+        assert compute_diagram(build_vr(square, math.inf, 1), 0).in_dim(0)[-1] == (0.0, INF)
         cov = Cover.explicit(square, [[0, 1, 2], [0, 2, 3]])
         assert build_vietoris(cov, 1).extend is None
         with pytest.raises(SkeletonTooShallow):
@@ -141,6 +145,10 @@ class TestCofaceRule:
     @pytest.mark.parametrize("builder, space, r, k_max", RULE_CASES)
     def test_diagram_equals_the_explicit_one(self, builder, space, r, k_max):
         K = builder(space, r, k_max)
+        if k_max == 0:      # H0 reads the edges, which the rule does not stand in for
+            with pytest.raises(SkeletonTooShallow):
+                compute_diagram(K, k_max)
+            return
         explicit = dataclasses.replace(builder(space, r, k_max + 1), extend=None)
         assert compute_diagram(K, k_max) == compute_diagram(explicit, k_max)
 
@@ -169,18 +177,17 @@ class TestCofaceRule:
     def test_rule_blocks_stay_within_the_cell_bound(self, builder):
         # 4,950 edge columns of 100 values each take several blocks
         space = space_from_points(np.random.default_rng(5).uniform(0, 1, (100, 2)))
-        for k_max in (0, 1):
-            K = builder(space, math.inf, k_max)
-            cells = []
+        K = builder(space, math.inf, 1)
+        cells = []
 
-            def extend(S):
-                S = np.asarray(S)
-                cells.append(S.size // S.shape[-1] * space.n_points)
-                return K.extend(S)
+        def extend(S):
+            S = np.asarray(S)
+            cells.append(S.size // S.shape[-1] * space.n_points)
+            return K.extend(S)
 
-            D = compute_diagram(dataclasses.replace(K, extend=extend), k_max)
-            assert _hexed(D) == _hexed(ref.compute_diagram(K, k_max))
-            assert max(cells) <= RULE_BLOCK_CELLS
+        D = compute_diagram(dataclasses.replace(K, extend=extend), 1)
+        assert _hexed(D) == _hexed(ref.compute_diagram(K, 1))
+        assert max(cells) <= RULE_BLOCK_CELLS
         # the edge pivots took several blocks of many rows
         assert sum(c > space.n_points for c in cells) >= 2
 
@@ -279,7 +286,7 @@ class TestAgainstReference:
             pairs = np.sort(space.dist[np.triu_indices(n, 1)])
             r = math.inf if n < 2 or rng.random() < 0.5 else float(rng.choice(pairs))
             for builder in (build_vr, build_cech):
-                K = builder(space, r, kmax - 1)
+                K = builder(space, r, max(1, kmax - 1))
                 assert _hexed(compute_diagram(K, kmax - 1)) == \
                     _hexed(ref.compute_diagram(K, kmax - 1)), (builder, n, r, kmax)
                 explicit = dataclasses.replace(builder(space, r, kmax), extend=None)
