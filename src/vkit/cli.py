@@ -45,15 +45,21 @@ GENERATOR_PARAM_TYPES = {"n": (int,), "res": (int,), "point": (int,),
                          "leak": (int, float), "dense_depth": (int, type(None))}
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _fail_input(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _outdir(args: argparse.Namespace) -> Path | None:
+    """The --out directory, made if need be; None, with the error printed,
+    if it cannot be made (say, a file is in the way)."""
+    path = Path(args.out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail_input(f"cannot write to {args.out}: {exc}")
+        return None
+    return path
 
 
 def cmd_persist(args: argparse.Namespace) -> int:
@@ -74,7 +80,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
     except ComplexTooLarge as exc:
         return _fail_input(str(exc))
     diagram = compute_diagram(K, max_dim=args.kmax - 1)
-    out = _outdir(args)
+    if (out := _outdir(args)) is None:
+        return EXIT_INPUT
     (out / "diagram.csv").write_text(diagram.to_csv())
     title = f"{args.filtration} persistence ({Path(args.input).name})"
     (out / "diagram.svg").write_text(persistence_diagram_svg(diagram, title))
@@ -102,7 +109,8 @@ def cmd_fk(args: argparse.Namespace) -> int:
     if args.n > 4:
         return _fail_input("mesh export supports n <= 4")
     tri = FKTriangulation(args.n, args.res)
-    out = _outdir(args)
+    if (out := _outdir(args)) is None:
+        return EXIT_INPUT
     (out / "mesh.off").write_text(tri.to_off())
     first = next(tri.simplices())
     verts = tri.scaled_vertices(first)
@@ -249,7 +257,8 @@ def cmd_straighten(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, IndexError, MetricValidationError) as exc:
         # IndexError: a support or cover index out of range of the space
         return _fail_input(f"cannot build map from {args.input}: {exc}")
-    out = _outdir(args)
+    if (out := _outdir(args)) is None:
+        return EXIT_INPUT
     try:
         gmap, log = straighten(smap, cover, p_mass=args.pmass)
     except PipelineError as exc:

@@ -710,6 +710,28 @@ class TestVerify:
                      "--input-kind", "matrix"]) == 1
 
 
+class TestUnwritableOut:
+    """An --out that cannot be made a directory is an input error, for
+    every command that writes one."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["persist", "fk", "straighten"])
+    def test_exits_2_with_a_message(self, tmp_path, capsys, square_csv, command, under):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps({"generator": "sliding_dirac", "leak": 0.05}))
+        argv = {"persist": ["persist", "--input", str(square_csv)],
+                "fk": ["fk", "--n", "2", "--res", "2"],
+                "straighten": ["straighten", "--input", str(spec)]}[command]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "x" if under else blocker
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write to {out}: ")
+        assert captured.out == ""
+        assert blocker.read_text() == "kept\n"
+
+
 class TestOverflowingCoordinates:
     """Points whose differences overflow are refused with the one line that
     says so, and no numpy warning, by every command that reads points."""
