@@ -7,6 +7,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import math
+from html import escape     # xml.sax.saxutils would load urllib.request and ssl
 
 from .persistence import PersistenceDiagram
 
@@ -37,7 +38,7 @@ def persistence_diagram_svg(diagram: PersistenceDiagram, title: str = "persisten
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<text x="{_SIZE // 2}" y="24" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
         f'<line x1="{_MARGIN}" y1="{_SIZE - _MARGIN}" x2="{_SIZE - _MARGIN}" '
         f'y2="{_SIZE - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_SIZE - _MARGIN}" x2="{_MARGIN}" y2="{_MARGIN}" '

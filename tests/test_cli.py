@@ -215,6 +215,17 @@ class TestPersist:
             "dim,birth,death\n" + "0,0.0,1.0\n" * 3 + "0,0.0,2.0\n0,0.0,inf\n"
             f"{top},1.0,{math.sqrt(2)!r}\n")
 
+    def test_svg_title_of_any_file_name_is_well_formed(self, tmp_path):
+        from xml.etree import ElementTree
+
+        csv = tmp_path / "a&b<c>d.csv"
+        csv.write_text(SQUARE_CSV)
+        out = tmp_path / "o"
+        assert main(["persist", "--input", str(csv), "--out", str(out)]) == 0
+        svg = ElementTree.fromstring((out / "diagram.svg").read_text())
+        title = svg.find("{http://www.w3.org/2000/svg}text").text
+        assert title == "vr persistence (a&b<c>d.csv)"
+
     def test_byte_identical_reruns(self, tmp_path, square_csv):
         outs = []
         for name in ("a", "b"):
