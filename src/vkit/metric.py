@@ -79,14 +79,12 @@ class UnboundedCover(ValueError):
 class FiniteMetricSpace:
     """A finite (pseudo)metric space given by a validated distance matrix.
 
-    ``coords`` is optional (n, d) Euclidean coordinates when the space came
-    from a point cloud.  ``is_pseudometric`` flags coincident points
-    (distance zero off the diagonal); they are accepted because real data
-    sets contain duplicates and no downstream algorithm is affected.
+    ``is_pseudometric`` flags coincident points (distance zero off the
+    diagonal); they are accepted because real data sets contain duplicates
+    and no downstream algorithm is affected.
     """
 
     dist: np.ndarray
-    coords: np.ndarray | None = None
     is_pseudometric: bool = field(default=False, compare=False)
 
     @property
@@ -115,8 +113,7 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise NonFinite(name, index, float(values[index]))
 
 
-def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray,
-                    coords: np.ndarray | None = None) -> FiniteMetricSpace:
+def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetricSpace:
     """Validate a square matrix as a (pseudo)metric and wrap it.
 
     Checks, in order: finiteness, squareness, zero diagonal, symmetry,
@@ -152,7 +149,7 @@ def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray,
         via = m[i, j] > (m[i] + m[:, j]) + tol[i, j]
         raise TriangleViolation(i, j, int(np.argmax(via)))
     pseudo = bool((m[upper] == 0.0).any())
-    return FiniteMetricSpace(dist=m, coords=coords, is_pseudometric=pseudo)
+    return FiniteMetricSpace(dist=m, is_pseudometric=pseudo)
 
 
 def space_from_points(coords: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetricSpace:
@@ -166,7 +163,7 @@ def space_from_points(coords: Sequence[Sequence[float]] | np.ndarray) -> FiniteM
         dist = np.sqrt((diff * diff).sum(axis=-1))
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
-    return validate_metric(dist, coords=pts)
+    return validate_metric(dist)
 
 
 def distance_to_complement(space: FiniteMetricSpace, U: Iterable[int], x: int) -> float:

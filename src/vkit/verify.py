@@ -33,10 +33,6 @@ class CheckResult:
     failures: int
     note: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
 
 # -- instance generators -------------------------------------------------
 
