@@ -60,7 +60,6 @@ class TestComputeDiagram:
         # H0 reads the built edges, so even dimension 0 needs the 1-skeleton
         with pytest.raises(SkeletonTooShallow):
             compute_diagram(build_vr(square, math.inf, 0), 0)
-        assert compute_diagram(build_vr(square, math.inf, 1), 0).in_dim(0)[-1] == (0.0, INF)
         cov = Cover.explicit(square, [[0, 1, 2], [0, 2, 3]])
         assert build_vietoris(cov, 1).extend is None
         with pytest.raises(SkeletonTooShallow):
