@@ -11,9 +11,8 @@ from .metric import (Cover, FiniteMetricSpace, distance_to_complement, space_fro
                      validate_metric)
 from .persistence import PersistenceDiagram, betti_at, compute_diagram, diagram_distance
 from .straightening import (CertificationLog, Labeling, SampledMap,
-                            SimplexwiseAffineMap, choose_p, intersection_mass_bound,
-                            label_simplices, linearize, prism_retract, pump_vertex,
-                            straighten)
+                            SimplexwiseAffineMap, choose_p, label_simplices, linearize,
+                            prism_retract, pump_vertex, straighten)
 from .thickening import (BumpFunction, build_bump, compare_metrics, pump, pump_coordinate,
                          pump_homotopy, shrink_to_inner)
 

@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -62,6 +63,18 @@ def _outdir(args: argparse.Namespace) -> Path | None:
     return path
 
 
+def _out_blocked(args: argparse.Namespace) -> bool:
+    """Whether the nearest existing ancestor of --out is no directory, with
+    the error printed; checked, creating nothing, before a long build."""
+    out = Path(args.out)
+    # os.path.exists is False, not an error, where it cannot look
+    ancestor = next((p for p in (out, *out.parents) if os.path.exists(p)), None)
+    if ancestor is None or ancestor.is_dir():
+        return False
+    _fail_input(f"cannot write to {args.out}: {ancestor} is not a directory")
+    return True
+
+
 def cmd_persist(args: argparse.Namespace) -> int:
     try:
         space = load_space_csv(args.input, kind=args.input_kind)
@@ -73,6 +86,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
         return _fail_input("--r must be a number, got nan")
     r = args.r if args.r is not None else math.inf
     builder = build_cech if args.filtration == "cech" else build_vr
+    if _out_blocked(args):
+        return EXIT_INPUT
     try:
         # the --kmax-simplices are read from the complex's coface rule; the
         # edges are always built, since H0 reads them

@@ -53,10 +53,6 @@ class FKSimplex:
             out.append(tuple(cur))
         return tuple(out)
 
-    @property
-    def key(self) -> SimplexKey:
-        return (self.base, self.perm)
-
 
 @dataclass(frozen=True)
 class FKTriangulation:

@@ -182,10 +182,6 @@ class Coupling:
         if np.abs(self.mass.sum(axis=0) - b).max() > MARGINAL_TOL:
             raise ValueError("column marginals do not match nu")
 
-    def cost(self) -> float:
-        d = self.space.dist[np.ix_(self.rows, self.cols)]
-        return float((self.mass * d).sum())
-
     def transpose(self) -> "Coupling":
         return Coupling(self.space, self.cols, self.rows, self.mass.T.copy())
 

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
                  lattice_points, star_bound, subordinate_resolution)
-from .measures import FiniteMeasure, stored_rows
+from .measures import stored_rows
 from .metric import Cover, FiniteMetricSpace
 from .thickening import INNER_MASS_LOST, NoMCP, build_bump, inner_sets, pump_rows
 
@@ -175,28 +175,6 @@ def label_simplices(smap: SampledMap, cov: Cover, p: float,
     return Labeling(tri, cov, shared.argmax(axis=1), tri.simplex_vertex_indices())
 
 
-def intersection_mass_bound(mu: FiniteMeasure,
-                            labels: Iterable[frozenset[int]],
-                            p: float) -> float:
-    """Mass of mu on the intersection of the label sets.
-
-    When mu puts mass above p on each of the N sets, the intersection mass
-    exceeds 1 - N(1-p); a value at or below that bound means a precondition
-    was not actually satisfied, reported as :class:`BoundViolated`.
-    """
-    sets = [frozenset(s) for s in labels]
-    if not sets:
-        raise ValueError("need at least one label")
-    inter = sets[0]
-    for s in sets[1:]:
-        inter &= s
-    mass = mu.mass_of(inter)
-    bound = 1.0 - len(sets) * (1.0 - p)
-    if not mass > bound:
-        raise BoundViolated(mass, bound)
-    return mass
-
-
 def _fsums(rows: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     """The ``math.fsum`` of every row over ``cols``, as ``mass_of`` sums it;
     one addition of two terms is already their correctly rounded sum."""
@@ -232,6 +210,9 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
     All vertices are pumped at once, as rows of point weights with the
     arithmetic of ``FiniteMeasure``, ``pump`` and ``mix``; the regions,
     their inner sets and bumps are computed once per label tuple.  The
+    pump is ``stored_rows(pump_rows(rows, phi))`` and the region mass the
+    ``_fsums`` over the sorted region: ``verify``'s ``pump-formula`` and
+    ``mass-bound`` checks run these very calls.  The
     result is one row per vertex, in lex order, of the weights a
     ``FiniteMeasure`` stores.  Per vertex, in lex order, the log gets its
     region mass against the bound, the least label mass of each track

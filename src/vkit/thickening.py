@@ -101,8 +101,9 @@ def build_bump(space: FiniteMetricSpace, plateau: Iterable[int],
 
 
 def _weighted_mass(mu: FiniteMeasure, phi: BumpFunction) -> float:
-    # plain left-to-right sum in support order; pump and pump_coordinate
-    # must share it bit-for-bit
+    # plain left-to-right sum in support order; pump, pump_coordinate and
+    # pump_rows (the path straighten runs and verify checks) must share it
+    # bit-for-bit
     total = 0.0
     for x, w in zip(mu.support, mu.weights):
         total += w * phi(x)

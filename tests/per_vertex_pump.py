@@ -25,9 +25,9 @@ import numpy as np
 from vkit.fk import NoLabel, star_bound
 from vkit.measures import FiniteMeasure, barycentric_distance
 from vkit.metric import distance_to_complement
-from vkit.straightening import (TRACK_TIMES, NotSubordinate,
+from vkit.straightening import (TRACK_TIMES, BoundViolated, NotSubordinate,
                                 PipelineError, SimplexwiseAffineMap, choose_p,
-                                intersection_mass_bound, label_simplices, vertex_key)
+                                label_simplices, vertex_key)
 from vkit.thickening import NoMCP, build_bump, pump_homotopy
 
 
@@ -80,6 +80,23 @@ def shrink_to_inner(mu, p, U):
     raise NoMCP("mass concentrates only on points touching the complement")
 
 
+def intersection_mass_bound(mu, labels, p) -> float:
+    """Mass of mu on the intersection of the label sets.
+
+    When mu puts mass above p on each of the N sets, the intersection mass
+    exceeds 1 - N(1-p); a value at or below that bound means a precondition
+    was not actually satisfied, reported as :class:`BoundViolated`.
+    """
+    sets = [frozenset(s) for s in labels]
+    if not sets:
+        raise ValueError("need at least one label")
+    mass = mu.mass_of(frozenset.intersection(*sets))
+    bound = 1.0 - len(sets) * (1.0 - p)
+    if not mass > bound:
+        raise BoundViolated(mass, bound)
+    return mass
+
+
 def pump_vertex(smap, lab, v, labels, p) -> VertexPump:
     """Deform the measure at v, whose simplices carry ``labels``, so its
     support enters its label region."""
@@ -116,9 +133,10 @@ def linearize(values, lab, log) -> SimplexwiseAffineMap:
         for v in s.vertices():
             union |= values[v].support_set()
         offending = frozenset(union - lab.cover.elements[label])
-        log.add("linearize", simplex_key(s.key), len(offending), 0.0, not offending)
+        key = (s.base, s.perm)
+        log.add("linearize", simplex_key(key), len(offending), 0.0, not offending)
         if offending:
-            raise NotSubordinate(s.key, offending)
+            raise NotSubordinate(key, offending)
     return SimplexwiseAffineMap(lab.tri, vertex_rows(lab.tri, values), lab)
 
 
@@ -212,7 +230,8 @@ def vertex_rows(tri, values) -> np.ndarray:
 
 def label_dict(lab) -> dict:
     """The label of each simplex, by its key."""
-    return {s.key: label for s, label in zip(lab.tri.simplices(), lab.labels.tolist())}
+    return {(s.base, s.perm): label
+            for s, label in zip(lab.tri.simplices(), lab.labels.tolist())}
 
 
 def vertex_labels(lab) -> dict:

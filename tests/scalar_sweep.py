@@ -23,9 +23,10 @@ def subordinate_resolution_by_samples(samples, den, resolutions):
         emptied = None
         for nums, mask in samples:
             for s in tri.simplices_containing_fraction(nums, den):
-                shared[s.key] = shared.get(s.key, mask) & mask
-                if shared[s.key] == 0:
-                    emptied = s.key
+                key = (s.base, s.perm)
+                shared[key] = shared.get(key, mask) & mask
+                if shared[key] == 0:
+                    emptied = key
                     break
             if emptied is not None:
                 break

@@ -723,11 +723,17 @@ class TestVerify:
 
 class TestUnwritableOut:
     """An --out that cannot be made a directory is an input error, for
-    every command that writes one."""
+    every command that writes one; nothing is created, and persist refuses
+    it before it builds the complex."""
 
     @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
     @pytest.mark.parametrize("command", ["persist", "fk", "straighten"])
-    def test_exits_2_with_a_message(self, tmp_path, capsys, square_csv, command, under):
+    def test_exits_2_with_a_message(self, tmp_path, capsys, monkeypatch, square_csv, command,
+                                    under):
+        def build_vr(*args):
+            raise AssertionError("the complex was built")
+
+        monkeypatch.setattr("vkit.cli.build_vr", build_vr)
         spec = tmp_path / "map.json"
         spec.write_text(json.dumps({"generator": "sliding_dirac", "leak": 0.05}))
         argv = {"persist": ["persist", "--input", str(square_csv)],
@@ -735,11 +741,13 @@ class TestUnwritableOut:
                 "straighten": ["straighten", "--input", str(spec)]}[command]
         blocker = tmp_path / "blocker"
         blocker.write_text("kept\n")
+        files = sorted(tmp_path.iterdir())
         out = blocker / "x" if under else blocker
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write to {out}: ")
         assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
         assert blocker.read_text() == "kept\n"
 
 

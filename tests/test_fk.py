@@ -16,13 +16,13 @@ from scalar_sweep import subordinate_resolution_by_samples
 class TestEnumeration:
     def test_two_segments_on_the_interval(self):
         tri = FKTriangulation(1, 2)
-        keys = [s.key for s in tri.simplices()]
+        keys = [(s.base, s.perm) for s in tri.simplices()]
         assert keys == [((0,), (0,)), ((1,), (0,))]
         assert tri.scaled_vertices(FKSimplex((0,), (0,))).tolist() == [[0.0], [0.5]]
 
     def test_unit_square_splits_into_the_two_axis_order_triangles(self):
         tri = FKTriangulation(2, 1)
-        verts = {s.key: s.vertices() for s in tri.simplices()}
+        verts = {(s.base, s.perm): s.vertices() for s in tri.simplices()}
         assert verts[((0, 0), (0, 1))] == ((0, 0), (1, 0), (1, 1))
         assert verts[((0, 0), (1, 0))] == ((0, 0), (0, 1), (1, 1))
 
@@ -32,7 +32,7 @@ class TestEnumeration:
         corners = tri.simplex_vertex_indices().tolist()
         for k, s in enumerate(tri.simplices()):
             key = tri.simplex_key(k)
-            assert key == s.key and all(type(c) is int for c in key[0] + key[1])
+            assert key == (s.base, s.perm) and all(type(c) is int for c in key[0] + key[1])
             assert corners[k] == [tri.vertex_index(v) for v in s.vertices()]
         assert len(corners) == tri.simplex_count
 
@@ -132,7 +132,7 @@ class TestStars:
         for n, p in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 1)]:
             tri = FKTriangulation(n, p)
             for v in tri.vertices():
-                got = [s.key for s in tri.simplices_containing_fraction(v, tri.p)]
+                got = [(s.base, s.perm) for s in tri.simplices_containing_fraction(v, tri.p)]
                 assert len(got) == len(set(got))
                 assert set(got) == set(star(tri, v))
 
@@ -149,7 +149,7 @@ class TestExactLocation:
         # 0 and den, so lattice points and faces are drawn too
         nums = [d % (den + 1) for d in draws[:n]]
         tri = FKTriangulation(n, p)
-        got = [s.key for s in tri.simplices_containing_fraction(nums, den)]
+        got = [(s.base, s.perm) for s in tri.simplices_containing_fraction(nums, den)]
         assert got == simplex_keys_containing(n, p, nums, (den,) * n)
         assert got and len(got) == len(set(got))
 
@@ -211,7 +211,7 @@ class TestSubordinateResolution:
         samples = [((i, j), mask) for i, mask in enumerate(_as_ints(slab))
                    for j in range(0, den + 1, stride)]
         ref_p, ref = subordinate_resolution_by_samples(samples, den, DOUBLING_TO_64)
-        keys = [s.key for s in FKTriangulation(2, 8).simplices()]
+        keys = [(s.base, s.perm) for s in FKTriangulation(2, 8).simplices()]
         assert ref_p == 8 and 0 < len(ref) < len(keys)
         assert _as_ints(shared) == [ref.get(k, 0b11) for k in keys]
         assert all(_as_ints(shared))
@@ -251,7 +251,7 @@ class TestSweepByTranslation:
             assert err.value.simplex == exc.simplex
             return
         p, shared = subordinate_resolution(masks, depth, resolutions)
-        keys = [s.key for s in FKTriangulation(n, p).simplices()]
+        keys = [(s.base, s.perm) for s in FKTriangulation(n, p).simplices()]
         assert (p, dict(zip(keys, _as_ints(shared)))) == expected
 
 

@@ -12,15 +12,15 @@ from vkit.generators import (constant_map, sliding_dirac_map, spread_map,
 from vkit.measures import FiniteMeasure, dirac
 from vkit.metric import Cover, space_from_points
 from vkit.straightening import (BoundViolated, CertificationLog, NoLabel, PipelineError,
-                                SampledMap, _json_numbers, choose_p, intersection_mass_bound,
-                                label_simplices, linearize, prism_retract,
-                                pump_vertex, sample_masks, straighten)
+                                SampledMap, _json_numbers, choose_p, label_simplices,
+                                linearize, prism_retract, pump_vertex, sample_masks,
+                                straighten)
 
 from exact_locator import simplex_keys_containing
 from per_sample_maps import (from_function, reference_weights, sliding_dirac_measure,
                              two_ball_measure)
-from per_vertex_pump import (label_dict, measure, read_records, sample_at, vertex_labels,
-                             vertex_measures, vertex_rows)
+from per_vertex_pump import (intersection_mass_bound, label_dict, measure, read_records,
+                             sample_at, vertex_labels, vertex_measures, vertex_rows)
 
 
 class TestChooseP:
@@ -466,10 +466,10 @@ def reference_labels(smap, cov, p, tri):
     labels = {}
     for s in tri.simplices():
         ids = [eid for eid, elem in enumerate(cov.elements)
-               if all(mu.mass_of(elem) > p for mu in samples[s.key])]
+               if all(mu.mass_of(elem) > p for mu in samples[(s.base, s.perm)])]
         if not ids:
             return None
-        labels[s.key] = ids[0]
+        labels[(s.base, s.perm)] = ids[0]
     return labels
 
 
@@ -494,7 +494,8 @@ class TestResolutionSweep:
         # each vertex carries the labels of its star, as point location finds it
         tri = lab.tri
         assert vertex_labels(lab) == {
-            v: tuple(sorted({labels[s.key] for s in tri.simplices_containing_fraction(v, tri.p)}))
+            v: tuple(sorted({labels[(s.base, s.perm)]
+                             for s in tri.simplices_containing_fraction(v, tri.p)}))
             for v in tri.vertices()}
         # and the chosen resolution is the first divisor the reference can label
         for q in range(1, gmap.tri.p):
