@@ -70,6 +70,15 @@ def _clusters_csv() -> str:
     return "".join(f"{x!r},{y!r}\n" for x, y in points)
 
 
+def _circle_csv(n: int) -> str:
+    """n points of the unit circle at uniform angles, with Gaussian noise
+    of 0.05 in each coordinate."""
+    rng = np.random.default_rng(0)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    points = np.column_stack([np.cos(angles), np.sin(angles)]) + rng.normal(0.0, 0.05, (n, 2))
+    return "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+
+
 # the path metric of the 10-cycle: integer distances 0..5, each tied ten ways
 CYCLE_MATRIX_CSV = "".join(",".join(f"{min(abs(i - j), 10 - abs(i - j))}.0" for j in range(10))
                            + "\n" for i in range(10))
@@ -128,6 +137,13 @@ CALLS = {
                              ["persist", "--input-kind", "matrix", "--kmax", "3"]),
     # H3: the coface rule scores 5-vertex simplices
     "persist_grid3_k4": ("grid.csv", GRID3_CSV, ["persist", "--filtration", "vr", "--kmax", "4"]),
+    # the noisy circle: eight H1 bars at n = 120; --kmax 3 reduces H2 columns
+    "persist_circle_vr_n120": ("circle.csv", _circle_csv(120),
+                               ["persist", "--filtration", "vr", "--kmax", "2"]),
+    "persist_circle_vr_k3": ("circle.csv", _circle_csv(40),
+                             ["persist", "--filtration", "vr", "--kmax", "3"]),
+    "persist_circle_cech_k3": ("circle.csv", _circle_csv(30),
+                               ["persist", "--filtration", "cech", "--kmax", "3"]),
     "verify": (None, None, ["verify", "--trials", "5", "--seed", "1"]),
 }
 
@@ -135,6 +151,9 @@ PINS = {
     "constant": (0, "a4d6ddb1e87cae668fb0cb808c4439b3375a0b81b3588a1db3eacdf2ab176222"),
     "explicit": (0, "65218d6f5bb8fd4f17ab6bd66a45ae786f9eff1064b619391aa7c28eca166cee"),
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
+    "persist_circle_cech_k3": (0, "95cb50d65db95243fa8f7e9a9591b3c25083c9d6ad158554f66161be874c2776"),
+    "persist_circle_vr_k3": (0, "f3fc4c391e242096b7162f552e373a94de84af3548c1851282e41c0582b24364"),
+    "persist_circle_vr_n120": (0, "4cee6fab6d1923fb0438fe9767fdc4ba5828f4ec98fff34064a0b13c72ddd45c"),
     "persist_cech": (0, "fca80d7aa3478357c523951bfa27de1ddff5c211ee8e124318c4d84149bf7dd8"),
     "persist_clusters_cech_r": (0, "bf4ff1a097ba61c61efe0303c293ce1d765a940bfb9ae8789c1d4d908ddfbd61"),
     "persist_clusters_cech_r_k3": (0, "b317483652a9bb1a1edf43d9f012c9c8ed24bf1b1f41d21e00766d7bb8a02f04"),
