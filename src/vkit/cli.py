@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import ComplexTooLarge, build_cech, build_vr
+from .complexes import ComplexTooLarge, build_cech, build_vr, check_edges
 from .fk import FKTriangulation, check_grid
 from .generators import GENERATORS
 from .measures import FiniteMeasure
-from .metric import (Cover, FiniteMetricSpace, MetricValidationError,
-                     load_space_csv, space_from_points, validate_metric)
+from .metric import (Cover, FiniteMetricSpace, MetricValidationError, load_space_csv,
+                     read_csv_rows, space_from_points, space_from_rows, validate_metric)
 from .persistence import compute_diagram
 from .plots import persistence_diagram_svg
 from .straightening import PipelineError, SampledMap, lattice_keys, straighten, vertex_key
@@ -76,15 +76,19 @@ def _out_blocked(args: argparse.Namespace) -> bool:
 
 
 def cmd_persist(args: argparse.Namespace) -> int:
+    r = args.r if args.r is not None else math.inf
     try:
-        space = load_space_csv(args.input, kind=args.input_kind)
-    except (OSError, ValueError, MetricValidationError) as exc:
+        rows = read_csv_rows(args.input)
+        check_edges(len(rows), r)       # before any distance exists
+        space = space_from_rows(rows, kind=args.input_kind)
+    except ComplexTooLarge as exc:
+        return _fail_input(str(exc))
+    except (OSError, ValueError) as exc:
         return _fail_input(f"cannot load {args.input}: {exc}")
     if args.kmax < 1:
         return _fail_input("persistence needs --kmax >= 1")
-    if args.r is not None and math.isnan(args.r):
+    if math.isnan(r):
         return _fail_input("--r must be a number, got nan")
-    r = args.r if args.r is not None else math.inf
     builder = build_cech if args.filtration == "cech" else build_vr
     if _out_blocked(args):
         return EXIT_INPUT
@@ -105,17 +109,6 @@ def cmd_persist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _max_vertex_star(tri: FKTriangulation) -> int:
-    """Max star over the 3^n boundary patterns; stars are translation
-    invariant inside each pattern, so one representative per pattern suffices."""
-    per_axis = [0, tri.p] if tri.p == 1 else [0, 1, tri.p]
-    best = 0
-    from itertools import product
-    for v in {tuple(c) for c in product(per_axis, repeat=tri.n)}:
-        best = max(best, tri.vertex_star_size(v))
-    return best
-
-
 def cmd_fk(args: argparse.Namespace) -> int:
     try:
         check_grid(args.n, args.res)
@@ -127,15 +120,15 @@ def cmd_fk(args: argparse.Namespace) -> int:
     if (out := _outdir(args)) is None:
         return EXIT_INPUT
     (out / "mesh.off").write_text(tri.to_off())
-    first = next(tri.simplices())
-    verts = tri.scaled_vertices(first)
+    verts = tri.scaled_vertices(next(tri.simplices()))
     diam = max(float(np.linalg.norm(a - b))
                for i, a in enumerate(verts) for b in verts[i + 1:])
     cert = {
         "n": tri.n,
         "p": tri.p,
         "simplex_count": tri.simplex_count,
-        "max_vertex_star": _max_vertex_star(tri),
+        # every vertex of every n-simplex, so a vertex's count is its star
+        "max_vertex_star": int(np.bincount(tri.simplex_vertex_indices().ravel()).max()),
         "max_diameter": diam,
     }
     (out / "certificate.json").write_text(json.dumps(cert, indent=2, sort_keys=True) + "\n")

@@ -96,6 +96,36 @@ PERSIST_SIMPLEX_GUARD = 10 ** 6
 RULE_BLOCK_CELLS = 2 ** 14
 
 
+def _candidates(rows: np.ndarray, adjacent: np.ndarray) -> list:
+    """The extensions (u[j],) + block[i[j]] of the simplices ``rows`` by a
+    vertex ``adjacent`` to each of theirs, in blocks of at most
+    RULE_BLOCK_CELLS // n_points rows; raises ComplexTooLarge first if they
+    exceed PERSIST_SIMPLEX_GUARD."""
+    step = max(1, RULE_BLOCK_CELLS // len(adjacent))
+    blocks, count = [], 0
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        i, u = np.nonzero(reduce(np.logical_and, (adjacent[v] for v in block.T)))
+        count += len(u)
+        if count <= PERSIST_SIMPLEX_GUARD:
+            blocks.append((block, i, u))
+    if count > PERSIST_SIMPLEX_GUARD:
+        raise ComplexTooLarge(
+            f"{count} candidate {rows.shape[1]}-simplices exceed the guard {PERSIST_SIMPLEX_GUARD}")
+    return blocks
+
+
+def _vertices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex rows at scale r, none for r <= 0, and all lower points as neighbours."""
+    points = np.arange(n)
+    return points[:n if r > 0.0 else 0, None], points[:, None] > points
+
+
+def check_edges(n_points: int, r: float) -> None:
+    """The edge guard of a VR or Cech build at scale r, checked before any distance exists."""
+    _candidates(*_vertices(n_points, r))
+
+
 def _expand(space: FiniteMetricSpace, r: float, k_max: int,
             rule: Callable, cofaces: Callable) -> FilteredComplex:
     """Lower-neighbour clique expansion (Zomorodian 2010) under a value rule.
@@ -124,26 +154,13 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
             values[values >= r] = np.inf
         return values.reshape(S.shape[:-1] + values.shape[-1:])
 
-    points = np.arange(n)
-    rows = points[:n if r > 0.0 else 0, None]
+    rows, adjacent = _vertices(n, r)    # adjacent[v, u]: u is a lower neighbour of v
     levels = [(rows, np.zeros(len(rows)))]
-    adjacent = points[:, None] > points     # [v, u]: u is a lower neighbour of v; all at first
     for dim in range(1, k_max + 1):
         if not len(rows):           # no (dim-1)-simplex to extend, however large k_max is
             break
-        step = max(1, RULE_BLOCK_CELLS // n)
-        blocks, count = [], 0
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            i, u = np.nonzero(reduce(np.logical_and, (adjacent[v] for v in block.T)))
-            count += len(u)
-            if count <= PERSIST_SIMPLEX_GUARD:
-                blocks.append((block, i, u))
-        if count > PERSIST_SIMPLEX_GUARD:
-            raise ComplexTooLarge(
-                f"{count} candidate {dim}-simplices exceed the guard {PERSIST_SIMPLEX_GUARD}")
         kept = []
-        for block, i, u in blocks:
+        for block, i, u in _candidates(rows, adjacent):
             scores = rule(block, i, u)
             keep = scores < r
             kept.append((np.column_stack([u[keep], block[i[keep]]]), scores[keep]))

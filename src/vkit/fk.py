@@ -186,11 +186,10 @@ class FKTriangulation:
     def to_off(self) -> str:
         """OFF mesh: all lattice vertices (lexicographic) then all simplices."""
         lines = ["OFF", f"{self.vertex_count} {self.simplex_count} 0"]
-        for v in self.vertices():
-            lines.append(" ".join(repr(c / self.p) for c in v))
-        for s in self.simplices():
-            idx = [self.vertex_index(v) for v in s.vertices()]
-            lines.append(f"{self.n + 1} " + " ".join(str(i) for i in idx))
+        lines += [" ".join(repr(c / self.p) for c in v)
+                  for v in lattice_points(self.n, self.p + 1).tolist()]
+        lines += [f"{self.n + 1} " + " ".join(map(str, idx))
+                  for idx in self.simplex_vertex_indices().tolist()]
         return "\n".join(lines) + "\n"
 
 

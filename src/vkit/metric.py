@@ -221,14 +221,9 @@ class Cover:
 # -- file formats ------------------------------------------------------
 
 
-def load_space_csv(path, kind: str = "auto") -> FiniteMetricSpace:
-    """Load a point cloud CSV (one point per row, Euclidean metric) or a
-    full distance-matrix CSV, validated on load.
-
-    ``kind='auto'`` treats a square matrix with zero diagonal and symmetric
-    entries as a distance matrix and anything else as a point cloud; pass
-    ``'points'`` or ``'matrix'`` to override the heuristic.
-    """
+def read_csv_rows(path) -> np.ndarray:
+    """The rows of a numeric CSV file as one float array, blank cells and
+    lines skipped."""
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         for rec in csv.reader(fh):
@@ -239,9 +234,21 @@ def load_space_csv(path, kind: str = "auto") -> FiniteMetricSpace:
         raise ValueError(f"no data rows in {path}")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("rows have inconsistent column counts")
-    m = np.asarray(rows)
+    return np.asarray(rows)
+
+
+def space_from_rows(m: np.ndarray, kind: str = "auto") -> FiniteMetricSpace:
+    """A point cloud (one point per row, Euclidean metric) or a full
+    distance matrix as a validated space: ``kind='auto'`` takes a square
+    symmetric matrix with zero diagonal for a distance matrix and anything
+    else for points; ``'points'`` or ``'matrix'`` overrides the guess."""
     if kind == "matrix" or (kind == "auto" and m.shape[0] == m.shape[1]
                             and np.allclose(np.diag(m), 0.0)
                             and np.array_equal(m, m.T)):
         return validate_metric(m)
     return space_from_points(m)
+
+
+def load_space_csv(path, kind: str = "auto") -> FiniteMetricSpace:
+    """The space of the rows of a CSV file (:func:`space_from_rows`)."""
+    return space_from_rows(read_csv_rows(path), kind)

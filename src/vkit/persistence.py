@@ -5,14 +5,15 @@ coboundary reduction with clearing and emergent pairs of Bauer's Ripser
 (:func:`compute_diagram`; over a field cohomology has the pairs of
 homology) and plain Gaussian-elimination Betti numbers of strict sublevel
 complexes (:func:`betti_at`), used as the oracle for the former.  It
-reads each dimension's rows and values from ``FilteredComplex.levels``.
-As in Ripser, H0 comes from union-find over the built edge level with the
-elder rule, and every coface is keyed by one integer, the rank of its value
-shifted past the base-n number of its vertices, so a column is a set of
-ints and its pivot the least of them.  The top coface level of a VR or
-Cech complex need not be built: the pivots of the top columns come from
-the complex's value rule (``FilteredComplex.extend``) in blocks, and a
-column's cofaces are read from the rule when it is reduced.  Sublevels
+reads each dimension's rows and values from ``FilteredComplex.levels``,
+sorts them in (value, lex) order and names a simplex by its position
+there, so a column is a set of ints and its pivot the least of them.  As
+in Ripser, H0 comes from union-find over the built edge level with the
+elder rule.  The top coface level of a VR or Cech complex need not be
+built: the pivots of the top columns come from the complex's value rule
+(``FilteredComplex.extend``) in blocks, a column's cofaces are read from
+the rule when it is reduced, and they are named by integer keys, the rank
+of the value shifted past the base-n number of the vertices.  Sublevels
 follow the open convention: a simplex with value b is present at scale r
 iff b < r, so an interval born at b is populated only for r > b.
 
@@ -81,16 +82,20 @@ class PersistenceDiagram:
         return "\n".join(lines) + "\n"
 
 
+def _lex(rows: np.ndarray, n: int) -> np.ndarray:
+    """The base-n number whose digits are the entries of each row, so they
+    order as the rows do: int64 where every one fits, else Python ints."""
+    width = rows.shape[1]
+    dtype = np.int64 if (n ** width - 1).bit_length() <= 63 else object
+    return rows.astype(dtype) @ np.array([n ** e for e in range(width - 1, -1, -1)], dtype=dtype)
+
+
 class _Keys:
     """Integer keys of the simplices with ``width`` vertices among the
-    points 0..n-1 whose values lie in the sorted array ``values``.
-
-    The key of (value, t) is rank(value) << shift | lex(t), where rank is
-    the position of the value among the distinct ``values`` and lex(t) is
-    the base-n number with the digits t_0 < t_1 < ..., so keys order as
-    the (value, t) pairs do.  They are computed in int64 where every key
-    fits and in Python ints otherwise, and handed out as Python ints.
-    """
+    points 0..n-1 whose values lie in the sorted array ``values``: the key
+    of (value, t) is rank(value) << shift | _lex(t), rank among the
+    distinct ``values``, so keys order as the (value, t) pairs do.  They
+    are Python ints, computed in int64 where every key fits."""
 
     def __init__(self, values: np.ndarray, n: int, width: int):
         # deduplicated by hand: the first np.unique call of a process maps
@@ -98,40 +103,20 @@ class _Keys:
         distinct = np.ones(len(values), dtype=bool)
         distinct[1:] = values[1:] != values[:-1]
         self.levels = values[distinct]
+        self.n = n
         self.shift = (n ** width - 1).bit_length()
         wide = self.shift + (len(self.levels) - 1).bit_length() > 63
         self.dtype = object if wide else np.int64
-        self.powers = np.array([n ** e for e in range(width - 1, -1, -1)], dtype=self.dtype)
-
-    def lex(self, rows: np.ndarray) -> np.ndarray:
-        return rows.astype(self.dtype) @ self.powers
 
     def of(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Keys of the simplices with the sorted vertex rows ``rows`` at
         ``values``, each of which is in ``levels``."""
         ranks = np.searchsorted(self.levels, values).astype(self.dtype)
-        return (ranks << self.shift) | self.lex(rows)
-
-
-@dataclass(frozen=True)
-class _Layer:
-    """The simplices of one dimension in (value, lex) order, and their keys."""
-
-    rows: np.ndarray            # sorted vertex rows
-    values: np.ndarray
-    keys: _Keys
-    codes: np.ndarray           # ascending
-
-    @staticmethod
-    def of(rows: np.ndarray, values: np.ndarray, n: int) -> "_Layer":
-        order = np.lexsort((*rows.T[::-1], values))
-        rows, values = rows[order], values[order]
-        keys = _Keys(values, n, rows.shape[1])
-        return _Layer(rows, values, keys, keys.of(values, rows))
+        return (ranks << self.shift) | _lex(rows, self.n)
 
 
 def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
-                values: np.ndarray, n: int) -> tuple[list, list[int]]:
+                values: np.ndarray, n: int) -> tuple[list, set[int]]:
     """H0 by union-find over the edges, given in (value, lex) order.
 
     A merge kills the younger of the two components, the one whose oldest
@@ -152,7 +137,7 @@ def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
             x = parent[x]
         return x
 
-    intervals, merging = [], []
+    intervals, merging = [], set()
     for e, ((u, v), death) in enumerate(zip(edges.tolist(), values.tolist())):
         u, v = root(u), root(v)
         if u == v:
@@ -160,7 +145,7 @@ def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
         if age[v] < age[u]:
             u, v = v, u
         parent[v] = u               # the root of a component is its oldest vertex
-        merging.append(e)
+        merging.add(e)
         if age[v][0] != death:
             intervals.append((0, age[v][0], death))
         if len(merging) == len(vertices) - 1:
@@ -169,43 +154,43 @@ def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
     return intervals, merging
 
 
-def _listed_pivots(cols: _Layer, upper: _Layer):
-    """Columns listed from the explicit layer above.  ``pivots(order)``
-    gives the pivot key of each column in ``order``, -1 for none, and
-    ``cofaces(i)`` the keys of column i's cofaces, ascending: both read
-    one list of the keys of ``upper``, grouped by facet."""
-    width = cols.rows.shape[1]
-    by_lex = np.lexsort(cols.rows.T[::-1])
-    lex = cols.keys.lex(cols.rows)[by_lex]
-    facets = np.stack([cols.keys.lex(np.delete(upper.rows, j, axis=1))
-                       for j in range(width + 1)], axis=1)
+def _listed_pivots(rows: np.ndarray, upper: np.ndarray, upper_values: np.ndarray, n: int):
+    """Columns listed from the built level ``upper`` above, in (value, lex)
+    order, a coface named by its position there.  ``pivots(order)`` gives
+    the pivot of each column in ``order``, -1 for none, ``cofaces(i)`` the
+    cofaces of column i, ascending, and ``death(pivot)`` its value."""
+    width = rows.shape[1]
+    by_lex = np.lexsort(rows.T[::-1])
+    lex = _lex(rows, n)[by_lex]
+    facets = np.stack([_lex(np.delete(upper, j, axis=1), n) for j in range(width + 1)], axis=1)
     column = by_lex[np.searchsorted(lex, facets.ravel())]
-    listed = upper.codes[np.argsort(column, kind="stable") // (width + 1)].tolist()
-    starts = [0] + np.cumsum(np.bincount(column, minlength=len(cols.rows))).tolist()
+    listed = (np.argsort(column, kind="stable") // (width + 1)).tolist()
+    starts = [0] + np.cumsum(np.bincount(column, minlength=len(rows))).tolist()
 
     def pivots(order: list[int]) -> list[int]:
         return [listed[starts[i]] if starts[i] < starts[i + 1] else -1 for i in order]
 
     def cofaces(i: int) -> list[int]:
         return listed[starts[i]:starts[i + 1]]
-    return pivots, cofaces
+    return pivots, cofaces, upper_values.tolist().__getitem__
 
 
-def _rule_pivots(extend, cols: _Layer, keys: _Keys, n: int):
-    """Columns read from a complex's coface rule, with the same
-    ``pivots(order)`` and ``cofaces(i)`` as :func:`_listed_pivots`.  The
-    pivots come from one rule call per block of columns, as a row-wise
-    argmin: the least value, ties going to the least added vertex k, since
-    s | {k} grows in lex order with k.  A column's keys are listed, in
-    order of k, only when it is reduced or added."""
-    rows = cols.rows
+def _rule_pivots(K: FilteredComplex, rows: np.ndarray, n: int):
+    """Columns read from a complex's coface rule, as in :func:`_listed_pivots`
+    but a coface named by its :class:`_Keys` key.  The pivots come from one
+    rule call per block of columns, as a row-wise argmin: the least value,
+    ties going to the least added vertex k, since s | {k} grows in lex
+    order with k.  A column's keys are listed, in order of k, only when it
+    is reduced or added."""
+    keys = _Keys(K.rule_values, n, rows.shape[1] + 1)
+    levels = keys.levels.tolist()
 
     def pivots(order: list[int]) -> list[int]:
         out: list[int] = []
         step = max(1, RULE_BLOCK_CELLS // n)
         for start in range(0, len(order), step):
             block = rows[order[start:start + step]]
-            values = extend(block)
+            values = K.extend(block)
             k = values.argmin(axis=1)
             low = values[np.arange(len(block)), k]
             found = low < INF
@@ -216,39 +201,40 @@ def _rule_pivots(extend, cols: _Layer, keys: _Keys, n: int):
 
     def cofaces(i: int) -> list[int]:
         s = rows[i]
-        values = extend(s)
+        values = K.extend(s)
         k = np.flatnonzero(values < INF)
         t = np.sort(np.column_stack([np.broadcast_to(s, (len(k), len(s))), k]), axis=1)
         return keys.of(values[k], t).tolist()
-    return pivots, cofaces
+    return pivots, cofaces, lambda key: levels[key >> keys.shift]
 
 
 def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     """Persistence diagram of the filtration, dimensions 0 through max_dim.
 
-    H0 comes from union-find over the complex's edge level, in (value, lex)
-    order, with the elder rule (:func:`_components`); its merging edges are
-    the pivots of the H0 columns.  So the 1-skeleton must be built, even for
-    max_dim 0.  Each dimension d >= 1 reduces the coboundary matrix,
-    taking the d-simplices in reverse filtration order, which within one
-    dimension is reverse (value, lex) order.  A column is the set of the
-    integer keys (:class:`_Keys`) of its d-simplex's cofaces, and its pivot
-    is the least key, the earliest coface.  Clearing skips the d-simplices
-    that died in dimension d-1 (their columns reduce to zero), and an
-    emergent pair, a column whose pivot has no owner yet, is paired without
-    copying it.  A pair (s, t) is the interval [value(s), value(t));
-    zero-length ones are discarded, and a column reducing to zero is an
-    essential class.
+    A built level is sorted in (value, lex) order, and a simplex named by
+    its position there.  H0 comes from union-find over the edge level with
+    the elder rule (:func:`_components`); its merging edges are the pivots
+    of the H0 columns.  So the 1-skeleton must be built, even for
+    max_dim 0.  Each dimension d >= 1 reduces the coboundary matrix, taking
+    the d-simplices in reverse (value, lex) order.  A column is the set of
+    the positions of its d-simplex's cofaces, and its pivot is the least of
+    them, the earliest coface.  Clearing skips the d-simplices that died in
+    dimension d-1 (their columns reduce to zero), and an emergent pair, a
+    column whose pivot has no owner yet, is paired without copying it.  A
+    pair (s, t) is the interval [value(s), value(t)); zero-length ones are
+    discarded, and a column reducing to zero is an essential class.
 
     The cofaces of the columns of dimension max_dim >= 1 are read from the
     complex's rule ``K.extend`` when it has one, as Ripser enumerates
-    them from the metric: the pivots come in blocks of rule rows, and the
-    keys are listed for the columns that are reduced and the owners they
-    add.  Without a rule they come from the explicit (max_dim + 1)-simplices.
+    them from the metric.  That level is not built, so its cofaces are
+    named by integer keys (:class:`_Keys`): the pivots come in blocks of
+    rule rows, and the keys are listed for the columns that are reduced and
+    the owners they add.  Without a rule they come from the built
+    (max_dim + 1)-simplices.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    # the last explicit layer; H0 reads the edges, so it is at least the first
+    # the last built level read; H0 reads the edges, so it is at least the first
     top = max(1, max_dim if K.extend is not None else max_dim + 1)
     if K.k_max < top:
         raise SkeletonTooShallow(f"need the {top}-skeleton, complex capped at {K.k_max}")
@@ -256,21 +242,19 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     if not len(vertices):
         return PersistenceDiagram.of([])
     n = int(vertices.max()) + 1
-    layers = [None] + [_Layer.of(S, V, n) for S, V in above]
-    intervals, merging = _components(vertices, births, layers[1].rows, layers[1].values, n)
-    died = set(layers[1].codes[merging].tolist())
-    for d in range(1, min(len(layers), max_dim + 1)):
-        cols = layers[d]
-        if not len(cols.rows):          # the layer above dim K
+    orders = [np.lexsort((*rows.T[::-1], values)) for rows, values in above]
+    levels = [None] + [(rows[o], values[o]) for (rows, values), o in zip(above, orders)]
+    intervals, died = _components(vertices, births, *levels[1], n)
+    for d in range(1, min(len(levels), max_dim + 1)):
+        rows, values = levels[d]
+        if not len(rows):               # the level above dim K
             break
-        if d + 1 < len(layers):
-            keys = layers[d + 1].keys
-            pivots, cofaces = _listed_pivots(cols, layers[d + 1])
+        if d + 1 < len(levels):
+            pivots, cofaces, death = _listed_pivots(rows, *levels[d + 1], n)
         else:
-            keys = _Keys(K.rule_values, n, d + 2)
-            pivots, cofaces = _rule_pivots(K.extend, cols, keys, n)
-        codes, values = cols.codes.tolist(), cols.values.tolist()
-        order = [i for i in range(len(codes) - 1, -1, -1) if codes[i] not in died]
+            pivots, cofaces, death = _rule_pivots(K, rows, n)
+        values = values.tolist()
+        order = [i for i in range(len(values) - 1, -1, -1) if i not in died]
         owner: dict[int, int] = {}
         reduced: dict[int, set[int]] = {}
         for i, pivot in zip(order, pivots(order)):
@@ -285,15 +269,13 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
                     owner[pivot] = i
                     reduced[i] = col
                     break
-                # an emergent owner's keys are listed again, not kept
+                # an emergent owner's cofaces are listed again, not kept
                 col.symmetric_difference_update(reduced[j] if j in reduced else cofaces(j))
             else:
                 intervals.append((d, values[i], INF))
-        levels = keys.levels.tolist()
         for pivot, i in owner.items():
-            death = levels[pivot >> keys.shift]
-            if values[i] != death:
-                intervals.append((d, values[i], death))
+            if values[i] != (dies := death(pivot)):
+                intervals.append((d, values[i], dies))
         died = set(owner)
     return PersistenceDiagram.of(intervals)
 

@@ -130,6 +130,26 @@ class TestPersist:
         monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 30 * 29 // 2)
         assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("kmax", ["1", "2", "3"])
+    def test_an_over_guard_cloud_is_refused_before_any_distance(self, tmp_path, capsys,
+                                                                 monkeypatch, kmax):
+        # C(1415, 2) = 1,000,405 candidate edges; neither the distances nor
+        # the triangle scan of the metric may run
+        from vkit import metric
+
+        def never(*args):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(metric, "space_from_points", never)
+        monkeypatch.setattr(metric, "validate_metric", never)
+        csv = tmp_path / "cloud.csv"
+        np.savetxt(csv, np.random.default_rng(0).uniform(0, 1, size=(1415, 2)), delimiter=",")
+        assert main(["persist", "--input", str(csv), "--kmax", kmax,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "error: 1000405 candidate 1-simplices exceed the guard 1000000\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("filtration", ["vr", "cech"])
     @pytest.mark.parametrize("r", [None, "0.3"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -195,7 +215,12 @@ class TestPersist:
         assert not out.exists()
 
     @pytest.mark.parametrize("r", ["0", "-1"])
-    def test_nonpositive_threshold_gives_an_empty_diagram(self, tmp_path, square_csv, r):
+    def test_nonpositive_threshold_gives_an_empty_diagram(self, tmp_path, square_csv, r,
+                                                          monkeypatch):
+        # no vertex, so no candidate edge: even a guard of 0 refuses nothing
+        from vkit import complexes
+
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", 0)
         out = tmp_path / "o"
         assert main(["persist", "--input", str(square_csv), "--r", r, "--out", str(out)]) == 0
         assert (out / "diagram.csv").read_text() == "dim,birth,death\n"

@@ -9,9 +9,10 @@ import pytest
 
 import coboundary_reference as ref
 from vkit import complexes, persistence
+from vkit.cli import main
 from vkit.complexes import RULE_BLOCK_CELLS, FilteredComplex, build_cech, build_vietoris, build_vr
 from vkit.metric import Cover, space_from_points
-from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow, _Keys, _Layer,
+from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow, _Keys,
                               _listed_pivots, _rule_pivots, betti_at, compute_diagram,
                               diagram_distance)
 from vkit.verify import random_space
@@ -69,22 +70,23 @@ class TestComputeDiagram:
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
     def test_columns_are_the_coface_pairs(self, builder):
         # on the 3x3 grid many simplices share a value, so the pivot's tie
-        # break by lex order matters
+        # break by lex order matters; a coface is named by its position in
+        # the level above, sorted by (value, lex)
         K = builder(_grid(3), math.inf, 3)
         order = [s for s, _ in K.in_filtration_order()]
         for size in range(1, 4):
-            cols, upper = _layer(K, size, 9), _layer(K, size + 1, 9)
-            pivots, cofaces = _listed_pivots(cols, upper)
-            everyone = list(range(len(cols.rows)))
+            (rows, _), (upper, upper_values) = _level(K, size), _level(K, size + 1)
+            pivots, cofaces, death = _listed_pivots(rows, upper, upper_values, 9)
+            everyone = list(range(len(rows)))
             for i, pivot in zip(everyone, pivots(everyone)):
-                s = tuple(cols.rows[i].tolist())
-                col = [_decode(upper.keys, key, 9, size + 1) for key in cofaces(i)]
+                s = tuple(rows[i].tolist())
+                col = [(upper_values[p], tuple(upper[p].tolist())) for p in cofaces(i)]
                 assert col == sorted((v, t) for t, v in K.simplices.items()
                                      if len(t) == size + 1 and set(s) < set(t))
                 if col:
                     earliest = next(t for t in order if len(t) == size + 1 and set(s) < set(t))
-                    assert _decode(upper.keys, pivot, 9, size + 1) == (K.simplices[earliest],
-                                                                        earliest)
+                    assert tuple(upper[pivot].tolist()) == earliest
+                    assert death(pivot) == K.simplices[earliest]
                 else:
                     assert pivot == -1
 
@@ -93,10 +95,12 @@ def _grid(side):
     return space_from_points([[x, y] for x in range(side) for y in range(side)])
 
 
-def _layer(K, size, n):
-    """The simplices of K with ``size`` vertices as a keyed layer."""
-    rows = np.array([s for s in K.simplices if len(s) == size], dtype=np.int64).reshape(-1, size)
-    return _Layer.of(rows, np.array([K.simplices[tuple(s)] for s in rows.tolist()]), n)
+def _level(K, size):
+    """The rows and values of the simplices of K with ``size`` vertices, in
+    (value, lex) order."""
+    pairs = sorted((v, s) for s, v in K.simplices.items() if len(s) == size)
+    return (np.array([s for _, s in pairs], dtype=np.int64).reshape(-1, size),
+            np.array([v for v, _ in pairs]))
 
 
 def _decode(keys, key, n, width):
@@ -159,11 +163,12 @@ class TestCofaceRule:
         for k_max in range(3):
             K = builder(_grid(3), math.inf, k_max)
             above = builder(_grid(3), math.inf, k_max + 1).simplices
-            cols, keys = _layer(K, k_max + 1, 9), _Keys(K.rule_values, 9, k_max + 2)
-            pivots, cofaces = _rule_pivots(K.extend, cols, keys, 9)
-            everyone = list(range(len(cols.rows)))
+            rows, _ = _level(K, k_max + 1)
+            pivots, cofaces, death = _rule_pivots(K, rows, 9)
+            keys = _Keys(K.rule_values, 9, k_max + 2)      # the keys the rule names cofaces by
+            everyone = list(range(len(rows)))
             for i, pivot in zip(everyone, pivots(everyone)):
-                s = tuple(cols.rows[i].tolist())
+                s = tuple(rows[i].tolist())
                 col = sorted((v, t) for t, v in above.items()
                              if len(t) == k_max + 2 and set(s) < set(t))
                 listed = cofaces(i)
@@ -171,6 +176,25 @@ class TestCofaceRule:
                 assert pivot == min(listed, default=-1)
                 if col:
                     assert _decode(keys, pivot, 9, k_max + 2) == col[0]
+                    assert death(pivot) == col[0][0]
+
+    @pytest.mark.parametrize("kmax, keyed", [(1, 0), (2, 1), (3, 1)])
+    def test_only_the_rule_level_is_keyed(self, kmax, keyed, monkeypatch, tmp_path):
+        # a built level names its simplices by position; integer keys are
+        # made once, for the level read from the rule
+        made = []
+
+        class Counted(_Keys):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(persistence, "_Keys", Counted)
+        points = np.random.default_rng(3).uniform(0, 1, (12, 2)).tolist()
+        (tmp_path / "cloud.csv").write_text("".join(f"{x!r},{y!r}\n" for x, y in points))
+        assert main(["persist", "--input", str(tmp_path / "cloud.csv"), "--kmax", str(kmax),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(made) == keyed
 
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
     def test_rule_blocks_stay_within_the_cell_bound(self, builder):

@@ -1,5 +1,6 @@
 """Every name the package exports, and every public function, class and
-method it defines, has a caller outside the tests."""
+method it defines, has a caller outside the tests; every private one has
+a reader elsewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -41,19 +42,22 @@ def referenced_names(path):
     return names, attributes
 
 
-def public_definitions():
-    """The (qualified name, name, whether it is a method) of every public
-    top-level function and class of the package, and of every public method
-    of those classes."""
+def definitions():
+    """The (qualified name, name, whether it is a method, whether it is
+    private) of every top-level function and class of the package, and of
+    every method of those classes but the dunder ones, which Python calls
+    itself.  Every method of a private class is private."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            yield f"{path.stem}.{stmt.name}", stmt.name, False
+            private = stmt.name.startswith("_")
+            yield f"{path.stem}.{stmt.name}", stmt.name, False, private
             if isinstance(stmt, ast.ClassDef):
-                yield from ((f"{path.stem}.{stmt.name}.{node.name}", node.name, True)
+                yield from ((f"{path.stem}.{stmt.name}.{node.name}", node.name, True,
+                             private or node.name.startswith("_"))
                             for node in stmt.body
-                            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+                            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"))
 
 
 def names_used_outside_the_tests():
@@ -74,5 +78,14 @@ def test_every_public_function_and_method_has_a_caller_outside_the_tests():
     # a method counts as used only where it is read as an attribute: a local
     # variable of the same name is no call of it
     used, attributes = names_used_outside_the_tests()
-    assert [qualified for qualified, name, method in public_definitions()
-            if name not in (attributes if method else used)] == []
+    assert [qualified for qualified, name, method, private in definitions()
+            if not private and name not in (attributes if method else used)] == []
+
+
+def test_every_private_function_and_method_is_read_elsewhere_in_the_package():
+    # the same rules: a definition's own statement does not count, and a
+    # method counts only where it is read as an attribute
+    used, attributes = zip(*(referenced_names(f) for f in PACKAGE.glob("*.py")))
+    used, attributes = set().union(*used), set().union(*attributes)
+    assert [qualified for qualified, name, method, private in definitions()
+            if private and name not in (attributes if method else used)] == []
