@@ -136,6 +136,25 @@ class TestGuardCounts:
                            match="^225 candidate 3-simplices exceed the guard 224$"):
             build_cech(space, 0.3, 3)
 
+    def test_the_edge_guard_admits_1414_points_and_refuses_1415(self):
+        # C(1414, 2) = 998,991 and C(1415, 2) = 1,000,405 candidate edges
+        complexes.check_edges(1414, math.inf)
+        with pytest.raises(ComplexTooLarge,
+                           match="^1000405 candidate 1-simplices exceed the guard 1000000$"):
+            complexes.check_edges(1415, 0.5)
+        complexes.check_edges(1415, 0.0)
+
+    @pytest.mark.parametrize("r", [-1.0, 0.0, 1e-4, math.inf])
+    def test_the_edge_guard_counts_as_the_expansion_does(self, monkeypatch, r):
+        # a guard of -1 refuses every count, so each message names its count
+        monkeypatch.setattr(complexes, "PERSIST_SIMPLEX_GUARD", -1)
+        for n in range(1, 12):
+            with pytest.raises(ComplexTooLarge) as counted:
+                complexes.check_edges(n, r)
+            with pytest.raises(ComplexTooLarge) as expanded:
+                complexes._candidates(*complexes._vertices(n, r))
+            assert str(counted.value) == str(expanded.value)
+
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
     @pytest.mark.parametrize("r", [1e-4, 0.3, math.inf])
     def test_every_pair_is_a_candidate_edge(self, monkeypatch, builder, r):

@@ -297,9 +297,44 @@ def _hand_made(rng):
     return FilteredComplex.of(simplices, 4)
 
 
+def _noisy_circles(family, n):
+    """n points of the unit circle at seeded uniform angles, or of two unit
+    circles three apart, with Gaussian noise of 0.05 in each coordinate."""
+    rng = np.random.default_rng(n)
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    points = np.column_stack([np.cos(angles), np.sin(angles)])
+    if family == "two_circles":
+        points[:, 0] += np.where(np.arange(n) % 2 == 0, -1.5, 1.5)
+    return space_from_points(points + rng.normal(0.0, 0.05, (n, 2)))
+
+
+# (builder, family, n, --kmax, r): r = None is a quarter of the way up the
+# sorted pairwise distances, so it equals one of them exactly
+CIRCLE_CASES = [(build_vr, "circle", 100, 2, math.inf),
+                (build_vr, "two_circles", 100, 2, math.inf),
+                (build_vr, "circle", 80, 2, None),
+                (build_vr, "circle", 40, 3, math.inf),
+                (build_vr, "two_circles", 60, 3, None),
+                (build_cech, "circle", 60, 2, math.inf),
+                (build_cech, "two_circles", 80, 2, None),
+                (build_cech, "two_circles", 40, 3, math.inf),
+                (build_cech, "circle", 50, 3, None)]
+
+
 class TestAgainstReference:
     """The integer-keyed reduction against the tuple-keyed reference, bit
     for bit."""
+
+    @pytest.mark.parametrize("builder, family, n, kmax, r", CIRCLE_CASES)
+    def test_noisy_circles(self, builder, family, n, kmax, r):
+        # the circle's columns fill in: reduced columns are added, and
+        # hundreds of rule columns are listed again as emergent owners
+        space = _noisy_circles(family, n)
+        if r is None:
+            pairs = np.sort(space.dist[np.triu_indices(n, 1)])
+            r = float(pairs[len(pairs) // 4])
+        K = builder(space, r, kmax - 1)
+        assert _hexed(compute_diagram(K, kmax - 1)) == _hexed(ref.compute_diagram(K, kmax - 1))
 
     def test_vr_and_cech_with_and_without_the_rule(self):
         rng = np.random.default_rng(14)
