@@ -29,20 +29,21 @@ class FilteredComplex:
     ``simplices``, the dict of vertex tuples to values, is built on first
     read.  Invariants: closed under faces, face values never exceed coface
     values.  ``k_max`` is the dimension cap the builder honored.  ``extend``,
-    when the builder supplies it, is the value rule one level past the cap:
-    for a simplex s of the complex, ``extend(s)`` is a float array over the
-    points whose entry k is the value of s | {k}, and +inf for k in s and
-    wherever that value is not strictly below the builder's r.  Given a
-    block of simplices, the rows of an (m, q) int array, it returns their m
-    rows of values at once.  ``rule_values`` is a sorted array that holds
-    every finite value the rule returns.  Persistence in dimension d needs
-    ``k_max >= d + 1``, or ``k_max >= max(1, d)`` and a rule.
+    when the builder supplies it, is the value rule one level past the cap,
+    a :class:`CofaceRule`: for a simplex s of the complex, ``extend(s)`` is
+    a float array over the points whose entry k is the value of s | {k},
+    and +inf for k in s and wherever that value is not strictly below the
+    builder's r.  Given a block of simplices, the rows of an (m, q) int
+    array, it returns their m rows of values at once.  ``extend.ranks``
+    gives their ranks instead, read from the rule's rank table, among
+    ``extend.values``, the sorted distinct values the rule can return.
+    Persistence in dimension d needs ``k_max >= d + 1``, or
+    ``k_max >= max(1, d)`` and a rule.
     """
 
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
     k_max: int
-    extend: Callable[[np.ndarray], np.ndarray] | None = None
-    rule_values: np.ndarray | None = None
+    extend: CofaceRule | None = None
 
     @staticmethod
     def of(simplices: dict[Simplex, float], k_max: int) -> "FilteredComplex":
@@ -79,6 +80,60 @@ class FilteredComplex:
                     raise ValueError(f"face {face} enters after coface {s}")
 
 
+class CofaceRule:
+    """The values of the cofaces s | {k} of a complex's simplices s, one
+    level past its cap, from the distance matrix D at scale r.
+
+    The builder's ``cofaces(S, M)`` reads the matrix M for a block of
+    simplices S and takes only maxima and minima of its entries.  So on the
+    rank table, where each entry of D below r is replaced by its rank among
+    ``values`` (the distinct entries below r, ascending) and every other
+    entry by ``len(values)``, it gives the ranks of the values directly.
+    Calling the rule gives the values, +inf where they are not below r;
+    ``ranks`` gives the ranks.  The table is built on first use.
+    """
+
+    def __init__(self, dist: np.ndarray, r: float,
+                 cofaces: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.dist, self.r, self.cofaces = dist, r, cofaces
+
+    def __call__(self, S) -> np.ndarray:
+        S = np.asarray(S)
+        block = S.reshape(-1, S.shape[-1])
+        values = self.cofaces(block, self.dist)
+        values[np.arange(len(block))[:, None], block] = np.inf
+        if self.r < np.inf:
+            values[values >= self.r] = np.inf
+        return values.reshape(S.shape[:-1] + values.shape[-1:])
+
+    @cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        # one sort of the entries below r: a searchsorted over all n^2
+        # entries was slower, and np.unique's first call maps more of numpy
+        flat = self.dist.ravel()
+        below = np.flatnonzero(flat < self.r)
+        order = below[np.argsort(flat[below])]
+        ordered = flat[order]
+        distinct = np.ones(len(order), dtype=bool)
+        distinct[1:] = ordered[1:] != ordered[:-1]
+        values = ordered[distinct]
+        table = np.full(flat.shape, len(values))
+        table[order] = np.cumsum(distinct) - 1
+        return table.reshape(self.dist.shape), values
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._ranked[1]
+
+    def ranks(self, S: np.ndarray) -> np.ndarray:
+        """The ranks of the values of s | {k} for the rows s of the block S
+        and every point k: len(values) for k in s and wherever the value is
+        not below r."""
+        ranks = self.cofaces(S, self._ranked[0])
+        ranks[np.arange(len(S))[:, None], S] = len(self.values)
+        return ranks
+
+
 class ComplexTooLarge(ValueError):
     """A clique expansion would build more simplices than the guard allows."""
 
@@ -96,6 +151,12 @@ PERSIST_SIMPLEX_GUARD = 10 ** 6
 RULE_BLOCK_CELLS = 2 ** 14
 
 
+def _guard(count: int, dim: int) -> None:
+    if count > PERSIST_SIMPLEX_GUARD:
+        raise ComplexTooLarge(
+            f"{count} candidate {dim}-simplices exceed the guard {PERSIST_SIMPLEX_GUARD}")
+
+
 def _candidates(rows: np.ndarray, adjacent: np.ndarray) -> list:
     """The extensions (u[j],) + block[i[j]] of the simplices ``rows`` by a
     vertex ``adjacent`` to each of theirs, in blocks of at most
@@ -109,9 +170,7 @@ def _candidates(rows: np.ndarray, adjacent: np.ndarray) -> list:
         count += len(u)
         if count <= PERSIST_SIMPLEX_GUARD:
             blocks.append((block, i, u))
-    if count > PERSIST_SIMPLEX_GUARD:
-        raise ComplexTooLarge(
-            f"{count} candidate {rows.shape[1]}-simplices exceed the guard {PERSIST_SIMPLEX_GUARD}")
+    _guard(count, rows.shape[1])
     return blocks
 
 
@@ -122,8 +181,9 @@ def _vertices(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_edges(n_points: int, r: float) -> None:
-    """The edge guard of a VR or Cech build at scale r, checked before any distance exists."""
-    _candidates(*_vertices(n_points, r))
+    """The edge guard of a VR or Cech build at scale r, checked before any
+    distance exists: every pair of vertices is a candidate edge."""
+    _guard(n_points * (n_points - 1) // 2 if r > 0.0 else 0, 1)
 
 
 def _expand(space: FiniteMetricSpace, r: float, k_max: int,
@@ -136,24 +196,13 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
     below, ``rule(S, i, u)`` returns the values of the extensions
     (u[j],) + S[i[j]], which are kept where strictly below r.  More than
     PERSIST_SIMPLEX_GUARD candidates in one level raise ComplexTooLarge
-    before any of them is scored.  The complex carries ``cofaces(S)``, the
-    values of s | {k} for every row s of S and every point k, as its rule
-    ``extend`` one level past the cap; every such value is an entry of the
-    distance matrix, so those entries are the rule's values.
+    before any of them is scored.  The complex carries ``cofaces(S, M)``,
+    the values of s | {k} for every row s of S and every point k read from
+    the matrix M, as its :class:`CofaceRule` one level past the cap.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     D, n = space.dist, space.n_points
-
-    def extend(S) -> np.ndarray:
-        S = np.asarray(S)
-        block = S.reshape(-1, S.shape[-1])
-        values = cofaces(block)
-        values[np.arange(len(block))[:, None], block] = np.inf
-        if r < np.inf:
-            values[values >= r] = np.inf
-        return values.reshape(S.shape[:-1] + values.shape[-1:])
-
     rows, adjacent = _vertices(n, r)    # adjacent[v, u]: u is a lower neighbour of v
     levels = [(rows, np.zeros(len(rows)))]
     for dim in range(1, k_max + 1):
@@ -169,7 +218,7 @@ def _expand(space: FiniteMetricSpace, r: float, k_max: int,
         if dim == 1:
             adjacent = np.zeros((n, n), dtype=bool)
             adjacent[rows[:, 1], rows[:, 0]] = True
-    return FilteredComplex(tuple(levels), k_max, extend, np.sort(D, axis=None))
+    return FilteredComplex(tuple(levels), k_max, CofaceRule(D, r, cofaces))
 
 
 def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
@@ -182,14 +231,14 @@ def build_vr(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
     """
     D = space.dist
 
-    def cofaces(S: np.ndarray) -> np.ndarray:
+    def cofaces(S: np.ndarray, M: np.ndarray) -> np.ndarray:
         # W[i, k] is the largest distance from k to s_i; at k in s_i it is
         # a largest distance within s_i, so the diameter is the row's max there
-        W = reduce(np.maximum, (D[v] for v in S.T))
+        W = reduce(np.maximum, (M[v] for v in S.T))
         diam = W[np.arange(len(S))[:, None], S].max(axis=1)
         return np.maximum(W, diam[:, None])
 
-    return _expand(space, r, k_max, lambda S, i, u: cofaces(S)[i, u], cofaces)
+    return _expand(space, r, k_max, lambda S, i, u: cofaces(S, D)[i, u], cofaces)
 
 
 def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComplex:
@@ -214,12 +263,12 @@ def build_cech(space: FiniteMetricSpace, r: float, k_max: int) -> FilteredComple
             np.maximum(W[i[c:c + step]], D[u[c:c + step]]).min(axis=1, out=scores[c:c + step])
         return scores
 
-    def cofaces(S: np.ndarray) -> np.ndarray:
-        W = reduce(np.maximum, (D[v] for v in S.T))
+    def cofaces(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+        W = reduce(np.maximum, (M[v] for v in S.T))
         values = np.empty_like(W)
-        step = max(1, RULE_BLOCK_CELLS // D.size)
+        step = max(1, RULE_BLOCK_CELLS // M.size)
         for i in range(0, len(S), step):
-            np.maximum(W[i:i + step, None, :], D).min(axis=2, out=values[i:i + step])
+            np.maximum(W[i:i + step, None, :], M).min(axis=2, out=values[i:i + step])
         return values
 
     return _expand(space, r, k_max, witness, cofaces)

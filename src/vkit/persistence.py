@@ -7,15 +7,16 @@ homology) and plain Gaussian-elimination Betti numbers of strict sublevel
 complexes (:func:`betti_at`), used as the oracle for the former.  It
 reads each dimension's rows and values from ``FilteredComplex.levels``,
 sorts them in (value, lex) order and names a simplex by its position
-there, so a column is a set of ints and its pivot the least of them.  As
-in Ripser, H0 comes from union-find over the built edge level with the
-elder rule.  The top coface level of a VR or Cech complex need not be
-built: the pivots of the top columns come from the complex's value rule
-(``FilteredComplex.extend``) in blocks, a column's cofaces are read from
-the rule when it is reduced, and they are named by integer keys, the rank
-of the value shifted past the base-n number of the vertices.  Sublevels
-follow the open convention: a simplex with value b is present at scale r
-iff b < r, so an interval born at b is populated only for r > b.
+there.  As in Ripser, H0 comes from union-find over the built edge level
+with the elder rule, and the working column is a heap of coface names
+whose pivot is its least name of odd multiplicity.  The top coface level
+of a VR or Cech complex need not be built: the pivots of the top columns
+come from the complex's coface rule (``FilteredComplex.extend``) in
+blocks, a column's cofaces are read from the rule when it is reduced,
+and they are named by integer keys, the rank of the value shifted past
+the base-n number of the vertices.  Sublevels follow the open
+convention: a simplex with value b is present at scale r iff b < r, so
+an interval born at b is populated only for r > b.
 
 Diagrams are undecorated (birth, death) multisets; with the open
 convention the decorations would differ from the closed one, and nothing
@@ -40,12 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .complexes import RULE_BLOCK_CELLS, FilteredComplex, Simplex
+from .complexes import RULE_BLOCK_CELLS, CofaceRule, FilteredComplex, Simplex
 
 INF = math.inf
 
@@ -88,31 +90,6 @@ def _lex(rows: np.ndarray, n: int) -> np.ndarray:
     width = rows.shape[1]
     dtype = np.int64 if (n ** width - 1).bit_length() <= 63 else object
     return rows.astype(dtype) @ np.array([n ** e for e in range(width - 1, -1, -1)], dtype=dtype)
-
-
-class _Keys:
-    """Integer keys of the simplices with ``width`` vertices among the
-    points 0..n-1 whose values lie in the sorted array ``values``: the key
-    of (value, t) is rank(value) << shift | _lex(t), rank among the
-    distinct ``values``, so keys order as the (value, t) pairs do.  They
-    are Python ints, computed in int64 where every key fits."""
-
-    def __init__(self, values: np.ndarray, n: int, width: int):
-        # deduplicated by hand: the first np.unique call of a process maps
-        # about 1 MB more of numpy than sorting does
-        distinct = np.ones(len(values), dtype=bool)
-        distinct[1:] = values[1:] != values[:-1]
-        self.levels = values[distinct]
-        self.n = n
-        self.shift = (n ** width - 1).bit_length()
-        wide = self.shift + (len(self.levels) - 1).bit_length() > 63
-        self.dtype = object if wide else np.int64
-
-    def of(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Keys of the simplices with the sorted vertex rows ``rows`` at
-        ``values``, each of which is in ``levels``."""
-        ranks = np.searchsorted(self.levels, values).astype(self.dtype)
-        return (ranks << self.shift) | _lex(rows, self.n)
 
 
 def _components(vertices: np.ndarray, births: np.ndarray, edges: np.ndarray,
@@ -175,37 +152,62 @@ def _listed_pivots(rows: np.ndarray, upper: np.ndarray, upper_values: np.ndarray
     return pivots, cofaces, upper_values.tolist().__getitem__
 
 
-def _rule_pivots(K: FilteredComplex, rows: np.ndarray, n: int):
+def _rule_pivots(rule: CofaceRule, rows: np.ndarray, n: int):
     """Columns read from a complex's coface rule, as in :func:`_listed_pivots`
-    but a coface named by its :class:`_Keys` key.  The pivots come from one
-    rule call per block of columns, as a row-wise argmin: the least value,
-    ties going to the least added vertex k, since s | {k} grows in lex
-    order with k.  A column's keys are listed, in order of k, only when it
-    is reduced or added."""
-    keys = _Keys(K.rule_values, n, rows.shape[1] + 1)
-    levels = keys.levels.tolist()
+    but a coface named by an integer key: rank << shift | lex, its value's
+    rank among ``rule.values`` above the base-n number of its vertices, so
+    keys order as the (value, lex) pairs do.  They are Python ints,
+    computed in int64 where every key fits.  The pivots come from one rank
+    call per block of columns, as a row-wise argmin: the least rank, ties
+    going to the least added vertex k, since s | {k} grows in lex order
+    with k.  A column's keys are listed, in order of k, only when it is
+    reduced or added."""
+    q = rows.shape[1]
+    levels = rule.values.tolist()
+    shift = (n ** (q + 1) - 1).bit_length()
+    dtype = np.int64 if shift + (len(levels) - 1).bit_length() <= 63 else object
+    lex = _lex(rows, n).astype(dtype)
+    # k's place in s | {k} when p vertices of s are below it
+    places = np.array([n ** e for e in range(q, -1, -1)], dtype=dtype)
+
+    def keys(i, k: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        # the vertices of s_i below k keep their digits, shifted one place up
+        place = places[(rows[i] < k[:, None]).sum(axis=1)]
+        low = lex[i] % place
+        return (ranks.astype(dtype) << shift) | ((lex[i] - low) * n + k.astype(dtype) * place + low)
 
     def pivots(order: list[int]) -> list[int]:
         out: list[int] = []
         step = max(1, RULE_BLOCK_CELLS // n)
         for start in range(0, len(order), step):
-            block = rows[order[start:start + step]]
-            values = K.extend(block)
-            k = values.argmin(axis=1)
-            low = values[np.arange(len(block)), k]
-            found = low < INF
-            pivot = np.full(len(block), -1, dtype=keys.dtype)
-            pivot[found] = keys.of(low[found], np.sort(np.column_stack([block, k])[found], axis=1))
+            i = np.array(order[start:start + step])
+            ranks = rule.ranks(rows[i])
+            k = ranks.argmin(axis=1)
+            low = ranks[np.arange(len(i)), k]
+            found = low < len(levels)
+            pivot = np.full(len(i), -1, dtype=dtype)
+            pivot[found] = keys(i[found], k[found], low[found])
             out += pivot.tolist()
         return out
 
     def cofaces(i: int) -> list[int]:
-        s = rows[i]
-        values = K.extend(s)
-        k = np.flatnonzero(values < INF)
-        t = np.sort(np.column_stack([np.broadcast_to(s, (len(k), len(s))), k]), axis=1)
-        return keys.of(values[k], t).tolist()
-    return pivots, cofaces, lambda key: levels[key >> keys.shift]
+        ranks = rule.ranks(rows[i:i + 1])[0]
+        k = np.flatnonzero(ranks < len(levels))
+        return keys(i, k, ranks[k]).tolist()
+    return pivots, cofaces, lambda key: levels[key >> shift]
+
+
+def _pivot(column: list) -> int | None:
+    """The pivot of a Z/2 column kept as a heap of keys: the least key of
+    odd multiplicity, left at the top once the equal pairs of lesser keys
+    have been popped, or None once the column is zero."""
+    while column:
+        top = column[0]
+        if top not in column[1:3]:      # the next least key is a child of the top
+            return top
+        heappop(column)
+        heappop(column)
+    return None
 
 
 def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
@@ -216,21 +218,24 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     the elder rule (:func:`_components`); its merging edges are the pivots
     of the H0 columns.  So the 1-skeleton must be built, even for
     max_dim 0.  Each dimension d >= 1 reduces the coboundary matrix, taking
-    the d-simplices in reverse (value, lex) order.  A column is the set of
-    the positions of its d-simplex's cofaces, and its pivot is the least of
-    them, the earliest coface.  Clearing skips the d-simplices that died in
-    dimension d-1 (their columns reduce to zero), and an emergent pair, a
-    column whose pivot has no owner yet, is paired without copying it.  A
-    pair (s, t) is the interval [value(s), value(t)); zero-length ones are
-    discarded, and a column reducing to zero is an essential class.
+    the d-simplices in reverse (value, lex) order.  A column is a Z/2 sum
+    of cofaces of its d-simplex, kept as a heap (Ripser's working
+    coboundary): adding a column pushes its cofaces, and the pivot, the
+    earliest coface, is the top of the heap once equal pairs have
+    cancelled.  A reduced column is stored as its heap, pairs and all.
+    Clearing skips the d-simplices that died in dimension d-1 (their
+    columns reduce to zero), and an emergent pair, a column whose pivot
+    has no owner yet, is paired without listing it.  A pair (s, t) is the
+    interval [value(s), value(t)); zero-length ones are discarded, and a
+    column reducing to zero is an essential class.
 
     The cofaces of the columns of dimension max_dim >= 1 are read from the
     complex's rule ``K.extend`` when it has one, as Ripser enumerates
     them from the metric.  That level is not built, so its cofaces are
-    named by integer keys (:class:`_Keys`): the pivots come in blocks of
-    rule rows, and the keys are listed for the columns that are reduced and
-    the owners they add.  Without a rule they come from the built
-    (max_dim + 1)-simplices.
+    named by integer keys (:func:`_rule_pivots`) made from the rule's
+    ranks: the pivots come in blocks of rule rows, and the keys are listed
+    for the columns that are reduced and the owners they add.  Without a
+    rule they come from the built (max_dim + 1)-simplices.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -252,25 +257,26 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
         if d + 1 < len(levels):
             pivots, cofaces, death = _listed_pivots(rows, *levels[d + 1], n)
         else:
-            pivots, cofaces, death = _rule_pivots(K, rows, n)
+            pivots, cofaces, death = _rule_pivots(K.extend, rows, n)
         values = values.tolist()
         order = [i for i in range(len(values) - 1, -1, -1) if i not in died]
         owner: dict[int, int] = {}
-        reduced: dict[int, set[int]] = {}
+        reduced: dict[int, list[int]] = {}
         for i, pivot in zip(order, pivots(order)):
             if pivot >= 0 and pivot not in owner:
                 owner[pivot] = i
                 continue
-            col = set(cofaces(i))
-            while col:
-                pivot = min(col)
+            col = cofaces(i)
+            heapify(col)                # a rule column is listed in order of k
+            while (pivot := _pivot(col)) is not None:
                 j = owner.get(pivot)
                 if j is None:
                     owner[pivot] = i
                     reduced[i] = col
                     break
                 # an emergent owner's cofaces are listed again, not kept
-                col.symmetric_difference_update(reduced[j] if j in reduced else cofaces(j))
+                for key in reduced[j] if j in reduced else cofaces(j):
+                    heappush(col, key)
             else:
                 intervals.append((d, values[i], INF))
         for pivot, i in owner.items():

@@ -10,11 +10,11 @@ import pytest
 import coboundary_reference as ref
 from vkit import complexes, persistence
 from vkit.cli import main
-from vkit.complexes import RULE_BLOCK_CELLS, FilteredComplex, build_cech, build_vietoris, build_vr
+from vkit.complexes import (RULE_BLOCK_CELLS, CofaceRule, FilteredComplex, build_cech,
+                            build_vietoris, build_vr)
 from vkit.metric import Cover, space_from_points
-from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow, _Keys,
-                              _listed_pivots, _rule_pivots, betti_at, compute_diagram,
-                              diagram_distance)
+from vkit.persistence import (INF, PersistenceDiagram, SkeletonTooShallow, _listed_pivots,
+                              _rule_pivots, betti_at, compute_diagram, diagram_distance)
 from vkit.verify import random_space
 
 
@@ -103,13 +103,21 @@ def _level(K, size):
             np.array([v for v, _ in pairs]))
 
 
-def _decode(keys, key, n, width):
-    """The (value, simplex) pair of an integer key."""
-    lex, digits = key & ((1 << keys.shift) - 1), []
+def _shift(n, width):
+    """The bits of the lex part of a rule key: a base-n number of ``width``
+    digits."""
+    return (n ** width - 1).bit_length()
+
+
+def _decode(levels, key, n, width):
+    """The (value, simplex) pair of the integer key rank << shift | lex,
+    rank among the distinct rule values ``levels``."""
+    shift = _shift(n, width)
+    lex, digits = key & ((1 << shift) - 1), []
     for _ in range(width):
         lex, digit = divmod(lex, n)
         digits.append(digit)
-    return float(keys.levels[key >> keys.shift]), tuple(reversed(digits))
+    return float(levels[key >> shift]), tuple(reversed(digits))
 
 
 def _rule_spaces():
@@ -146,6 +154,35 @@ class TestCofaceRule:
                     assert float.hex(v) == float.hex(above[t]), (s, k)
 
     @pytest.mark.parametrize("builder, space, r, k_max", RULE_CASES)
+    def test_ranks_are_the_values_ranked_on_their_grid(self, builder, space, r, k_max):
+        # the rank rule is the float rule looked up among the distinct rule
+        # values; past the end exactly where the float rule gives +inf
+        K = builder(space, r, k_max)
+        grid = K.extend.values
+        assert np.all(grid[1:] > grid[:-1]) and np.all(grid < r)
+        for s in K.simplices:
+            values = K.extend(s)
+            ranks = K.extend.ranks(np.array([s]))[0]
+            assert ranks.tolist() == np.searchsorted(grid, values).tolist(), s
+            assert np.array_equal(ranks == len(grid), values == INF), s
+            finite = values < INF
+            assert np.array_equal(grid[ranks[finite]], values[finite]), s
+        for size in range(1, k_max + 2):
+            block, _ = _level(K, size)
+            if len(block):
+                assert np.array_equal(K.extend.ranks(block),
+                                      np.searchsorted(grid, K.extend(block)))
+
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_the_rank_table_is_built_on_first_use(self, builder):
+        # H0 reads only the edges, so a diagram of dimension 0 never ranks
+        K = builder(_grid(3), math.inf, 1)
+        compute_diagram(K, 0)
+        assert "_ranked" not in vars(K.extend)
+        compute_diagram(K, 1)
+        assert "_ranked" in vars(K.extend)
+
+    @pytest.mark.parametrize("builder, space, r, k_max", RULE_CASES)
     def test_diagram_equals_the_explicit_one(self, builder, space, r, k_max):
         K = builder(space, r, k_max)
         if k_max == 0:      # H0 reads the edges, which the rule does not stand in for
@@ -164,18 +201,18 @@ class TestCofaceRule:
             K = builder(_grid(3), math.inf, k_max)
             above = builder(_grid(3), math.inf, k_max + 1).simplices
             rows, _ = _level(K, k_max + 1)
-            pivots, cofaces, death = _rule_pivots(K, rows, 9)
-            keys = _Keys(K.rule_values, 9, k_max + 2)      # the keys the rule names cofaces by
+            pivots, cofaces, death = _rule_pivots(K.extend, rows, 9)
             everyone = list(range(len(rows)))
             for i, pivot in zip(everyone, pivots(everyone)):
                 s = tuple(rows[i].tolist())
                 col = sorted((v, t) for t, v in above.items()
                              if len(t) == k_max + 2 and set(s) < set(t))
                 listed = cofaces(i)
-                assert sorted(_decode(keys, key, 9, k_max + 2) for key in listed) == col
+                decoded = [_decode(K.extend.values, key, 9, k_max + 2) for key in listed]
+                assert sorted(decoded) == col
                 assert pivot == min(listed, default=-1)
                 if col:
-                    assert _decode(keys, pivot, 9, k_max + 2) == col[0]
+                    assert _decode(K.extend.values, pivot, 9, k_max + 2) == col[0]
                     assert death(pivot) == col[0][0]
 
     @pytest.mark.parametrize("kmax, keyed", [(1, 0), (2, 1), (3, 1)])
@@ -184,12 +221,11 @@ class TestCofaceRule:
         # made once, for the level read from the rule
         made = []
 
-        class Counted(_Keys):
-            def __init__(self, *args):
-                made.append(args)
-                super().__init__(*args)
+        def counted(*args):
+            made.append(args)
+            return _rule_pivots(*args)
 
-        monkeypatch.setattr(persistence, "_Keys", Counted)
+        monkeypatch.setattr(persistence, "_rule_pivots", counted)
         points = np.random.default_rng(3).uniform(0, 1, (12, 2)).tolist()
         (tmp_path / "cloud.csv").write_text("".join(f"{x!r},{y!r}\n" for x, y in points))
         assert main(["persist", "--input", str(tmp_path / "cloud.csv"), "--kmax", str(kmax),
@@ -197,18 +233,19 @@ class TestCofaceRule:
         assert len(made) == keyed
 
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
-    def test_rule_blocks_stay_within_the_cell_bound(self, builder):
-        # 4,950 edge columns of 100 values each take several blocks
+    def test_rule_blocks_stay_within_the_cell_bound(self, builder, monkeypatch):
+        # 4,950 edge columns of 100 ranks each take several blocks
         space = space_from_points(np.random.default_rng(5).uniform(0, 1, (100, 2)))
         K = builder(space, math.inf, 1)
         cells = []
+        ranks = CofaceRule.ranks
 
-        def extend(S):
-            S = np.asarray(S)
-            cells.append(S.size // S.shape[-1] * space.n_points)
-            return K.extend(S)
+        def counted(rule, S):
+            cells.append(len(S) * space.n_points)
+            return ranks(rule, S)
 
-        D = compute_diagram(dataclasses.replace(K, extend=extend), 1)
+        monkeypatch.setattr(CofaceRule, "ranks", counted)
+        D = compute_diagram(K, 1)
         assert _hexed(D) == _hexed(ref.compute_diagram(K, 1))
         assert max(cells) <= RULE_BLOCK_CELLS
         # the edge pivots took several blocks of many rows
@@ -229,36 +266,62 @@ def _hexed(D):
     return [(q, float.hex(b), float.hex(d)) for q, b, d in D.intervals]
 
 
+def _keys_by_hand(rule, rows, n):
+    """The key rank << shift | lex of every coface s | {k} of every row s,
+    in Python ints, with the rank of its value among the rule's values, in
+    order of s and then of k; and the (value, simplex) pairs they name."""
+    keys, pairs = [], []
+    shift = _shift(n, rows.shape[1] + 1)
+    for s, values in zip(rows.tolist(), rule(rows).tolist()):
+        for k, v in enumerate(values):
+            if v < INF:
+                t = tuple(sorted(s + [k]))
+                lex = sum(digit * n ** e for e, digit in enumerate(reversed(t)))
+                rank = int(np.searchsorted(rule.values, v))
+                keys.append(rank << shift | lex)
+                pairs.append((v, t))
+    return keys, pairs
+
+
+def _rule_of_random_distances(seed, n):
+    """The Cech rule of a seeded random metric on n points, whose distinct
+    distances are past 2 ** 11 in number when n is large enough."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, min_points=n, max_points=n)
+    return build_cech(space, math.inf, 1).extend, rng
+
+
 class TestKeys:
     def test_wide_keys_are_exact_and_ordered(self):
-        # 5000^5 needs 62 bits and 4,096 levels 12 more: past int64
-        rng = np.random.default_rng(8)
-        levels = np.unique(rng.uniform(0, 1, 4096))
-        keys = _Keys(levels, 5000, 5)
-        assert keys.dtype is object
-        rows = np.sort(np.array([rng.choice(5000, 5, replace=False) for _ in range(400)]), axis=1)
-        rows[:40] = rows[40:80]             # ties in the vertices, ordered by value
-        rows[:20, -1] = 4999
-        values = levels[rng.integers(0, len(levels), 400)]
-        values[:10] = levels[-1]
-        codes = keys.of(values, rows).tolist()
+        # in base 5000, 5-vertex lex codes need 62 bits and the 2,016
+        # distinct distances of 64 points 11 more: past int64, so the keys
+        # are Python ints
+        rule, rng = _rule_of_random_distances(8, 64)
+        assert len(rule.values) > 2 ** 10
+        rows = np.sort(np.array([rng.choice(64, 4, replace=False) for _ in range(40)]), axis=1)
+        rows[:10] = rows[10:20]             # repeated rows
+        pivots, cofaces, death = _rule_pivots(rule, rows, 5000)
+        codes = [key for i in range(len(rows)) for key in cofaces(i)]
+        want, pairs = _keys_by_hand(rule, rows, 5000)
+        assert codes == want
         assert all(type(c) is int for c in codes)
         assert max(codes) >= 2 ** 63
-        pairs = [(v, tuple(r)) for v, r in zip(values.tolist(), rows.tolist())]
-        assert [_decode(keys, c, 5000, 5) for c in codes] == pairs
-        assert sorted(range(400), key=codes.__getitem__) == sorted(range(400),
-                                                                   key=pairs.__getitem__)
+        assert [_decode(rule.values, c, 5000, 5) for c in codes] == pairs
+        assert sorted(range(len(codes)), key=codes.__getitem__) == \
+            sorted(range(len(codes)), key=pairs.__getitem__)
+        everyone = list(range(len(rows)))
+        assert pivots(everyone) == [min(cofaces(i)) for i in everyone]
+        assert [death(p) for p in pivots(everyone)] == rule(rows).min(axis=1).tolist()
 
     def test_narrow_keys_agree_with_wide_arithmetic(self):
-        rng = np.random.default_rng(9)
-        levels = np.unique(rng.uniform(0, 1, 50))
-        keys = _Keys(levels, 30, 3)
-        assert keys.dtype is np.int64
+        rule, rng = _rule_of_random_distances(9, 30)
         rows = np.sort(np.array([rng.choice(30, 3, replace=False) for _ in range(100)]), axis=1)
-        ranks = rng.integers(0, len(levels), 100)
-        codes = keys.of(levels[ranks], rows).tolist()
-        assert codes == [(int(k) << keys.shift) | (a * 900 + b * 30 + c)
-                         for k, (a, b, c) in zip(ranks, rows.tolist())]
+        pivots, cofaces, death = _rule_pivots(rule, rows, 30)
+        codes = [key for i in range(len(rows)) for key in cofaces(i)]
+        assert codes == _keys_by_hand(rule, rows, 30)[0]
+        assert max(codes) < 2 ** 63
+        everyone = list(range(len(rows)))
+        assert pivots(everyone) == [min(cofaces(i)) for i in everyone]
 
 
 def _spaces(rng):
@@ -335,6 +398,16 @@ class TestAgainstReference:
             r = float(pairs[len(pairs) // 4])
         K = builder(space, r, kmax - 1)
         assert _hexed(compute_diagram(K, kmax - 1)) == _hexed(ref.compute_diagram(K, kmax - 1))
+
+    def test_the_circle_at_200_points_stays_fast(self):
+        # VR r = inf --kmax 2: the working columns fill in to over 10^5
+        # keys, and a column scanned for its least key on every step took
+        # over 5 s; a heap takes well under a second
+        space = _noisy_circles("circle", 200)
+        start = time.perf_counter()
+        D = compute_diagram(build_vr(space, math.inf, 1), 1)
+        assert time.perf_counter() - start < 3.0
+        assert max(d - b for b, d in D.in_dim(1)) > 1.0
 
     def test_vr_and_cech_with_and_without_the_rule(self):
         rng = np.random.default_rng(14)
