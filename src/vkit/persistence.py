@@ -174,7 +174,8 @@ def _rule_pivots(rule: CofaceRule, rows: np.ndarray, n: int):
         # the vertices of s_i below k keep their digits, shifted one place up
         place = places[(rows[i] < k[:, None]).sum(axis=1)]
         low = lex[i] % place
-        return (ranks.astype(dtype) << shift) | ((lex[i] - low) * n + k.astype(dtype) * place + low)
+        lex_t = (lex[i] - low) * n + k.astype(dtype) * place + low
+        return (ranks.astype(dtype) << shift) | lex_t
 
     def pivots(order: list[int]) -> list[int]:
         out: list[int] = []
