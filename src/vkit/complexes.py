@@ -63,8 +63,8 @@ class FilteredComplex:
         return sum(len(values) for _, values in self.levels)
 
     def sublevel(self, r: float) -> list[tuple[Simplex, float]]:
-        """Simplices with value strictly below r, in filtration order."""
-        return [(s, v) for s, v in self.in_filtration_order() if v < r]
+        """Simplices with value strictly below r."""
+        return [(s, v) for s, v in self.simplices.items() if v < r]
 
     def in_filtration_order(self) -> list[tuple[Simplex, float]]:
         return sorted(self.simplices.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0]))

@@ -4,11 +4,20 @@ These deliberately share no code with the production paths they check:
 the transport oracle enumerates basic feasible solutions of the
 transportation polytope instead of running an LP solver, and the complex
 oracles scan all vertex subsets instead of doing clique expansion.
+
+A basis of the transportation polytope is a spanning tree of the complete
+bipartite graph on the two supports: a subset of cells whose node-cell
+incidence matrix, with one redundant marginal row dropped, is nonsingular
+(Hoffman--Kruskal 1956).  The oracle scores every candidate subset by
+that matrix's determinant and solves the bases' flows with
+``numpy.linalg``, which the simplex path in ``measures`` does not use, in
+blocks of at most ``BASIS_BLOCK_SUBSETS`` subsets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -16,38 +25,29 @@ from .measures import FiniteMeasure
 from .metric import FiniteMetricSpace
 
 MAX_ORACLE_SUPPORT = 5
+# Subsets scored per numpy block of the transport oracle.  A block holds one
+# (m + n - 1)-square float64 matrix per subset, at most 9 x 9, so 2,048 of
+# them take 1.3 MB; all C(25, 9) = 2,042,975 subsets of a 5 x 5 call at once
+# would take 1.3 GB.
+BASIS_BLOCK_SUBSETS = 2048
 
 
-def _tree_flows(m: int, n: int, edges: list[tuple[int, int]],
-                a: list[float], b: list[float]) -> list[float] | None:
-    """Solve the marginal equations on a spanning tree by leaf elimination."""
-    supply = a + [-x for x in b]          # nodes 0..m-1 rows, m..m+n-1 cols
-    incident: dict[int, set[int]] = {v: set() for v in range(m + n)}
-    for e, (i, j) in enumerate(edges):
-        incident[i].add(e)
-        incident[m + j].add(e)
-    flows = [0.0] * len(edges)
-    alive = set(range(m + n))
-    used = [False] * len(edges)
-    while len(alive) > 1:
-        leaf = None
-        for v in alive:
-            live = [e for e in incident[v] if not used[e]]
-            if len(live) == 1:
-                leaf = v
-                e = live[0]
-                break
-        if leaf is None:
-            return None               # cycle: not a tree
-        i, j = edges[e]
-        other = m + j if leaf == i else i
-        sign = 1.0 if leaf < m else -1.0
-        flows[e] = sign * supply[leaf]
-        supply[other] += supply[leaf]
-        supply[leaf] = 0.0
-        used[e] = True
-        alive.remove(leaf)
-    return flows
+def _block_cost(subsets: np.ndarray, incidence: np.ndarray, marginals: np.ndarray,
+                cost: np.ndarray) -> float:
+    """Least cost over the feasible bases among a block of cell subsets.
+
+    ``subsets`` holds one subset of cell indices per row, and ``incidence``
+    is the node-cell incidence matrix without its last column-node row.
+    +inf when no subset of the block is a feasible basis.
+    """
+    M = incidence[:, subsets].transpose(1, 0, 2)
+    # totally unimodular: every determinant is exactly 0 or +-1
+    bases = np.abs(np.linalg.det(M)) > 0.5
+    rhs = np.broadcast_to(marginals[:, None], (int(bases.sum()), len(marginals), 1))
+    flows = np.linalg.solve(M[bases], rhs)[..., 0]
+    feasible = (flows >= -1e-12).all(axis=1)
+    costs = np.maximum(flows[feasible], 0.0) * cost[subsets[bases][feasible]]
+    return float(costs.sum(axis=1).min(initial=np.inf))
 
 
 def wasserstein_bruteforce(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
@@ -56,27 +56,32 @@ def wasserstein_bruteforce(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     Every vertex of the polytope is a basic feasible solution supported on a
     spanning tree of the complete bipartite graph on the two supports, so
     scanning all spanning trees and keeping the feasible ones covers every
-    vertex; the optimum of the LP is attained at one of them.
+    vertex; the optimum of the LP is attained at one of them.  A set of
+    m + n - 1 cells is a spanning tree iff its columns of the node-cell
+    incidence matrix, with one redundant marginal row dropped, form a
+    nonsingular matrix (Hoffman--Kruskal 1956); that matrix is totally
+    unimodular, so its determinant is exactly 0 or +-1.  Every
+    (m + n - 1)-subset of the m * n cells is scored, in
+    ``itertools.combinations`` order and in blocks of at most
+    ``BASIS_BLOCK_SUBSETS``: a block's bases are solved in one batched
+    solve, and the least cost of the feasible ones is kept.
     """
     if mu.space is not nu.space:
         raise ValueError("measures live on different spaces")
     m, n = len(mu.support), len(nu.support)
     if m > MAX_ORACLE_SUPPORT or n > MAX_ORACLE_SUPPORT:
         raise ValueError("oracle is exponential; supports must stay small")
-    a, b = list(mu.weights), list(nu.weights)
-    d = mu.space.dist[np.ix_(mu.support, nu.support)]
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    best = None
-    for tree in combinations(cells, m + n - 1):
-        flows = _tree_flows(m, n, list(tree), a, b)
-        if flows is None:
-            continue
-        if any(f < -1e-12 for f in flows):
-            continue
-        cost = sum(max(f, 0.0) * d[i, j] for f, (i, j) in zip(flows, tree))
-        if best is None or cost < best:
-            best = cost
-    assert best is not None, "transportation problem is always feasible"
+    k = m + n - 1
+    cells = np.arange(m * n)
+    incidence = np.vstack([cells // n == np.arange(m)[:, None],
+                           cells % n == np.arange(n - 1)[:, None]]).astype(np.float64)
+    marginals = np.array(mu.weights + nu.weights[:-1])
+    cost = mu.space.dist[np.ix_(mu.support, nu.support)].ravel()
+    subsets = combinations(range(m * n), k)
+    best = min(_block_cost(np.fromiter(islice(subsets, BASIS_BLOCK_SUBSETS), np.dtype((np.intp, k))),
+                           incidence, marginals, cost)
+               for _ in range(0, comb(m * n, k), BASIS_BLOCK_SUBSETS))
+    assert best < np.inf, "transportation problem is always feasible"
     return best
 
 

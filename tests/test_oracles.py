@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import transport_reference as ref
+from vkit import oracles
 from vkit.measures import FiniteMeasure, wasserstein
 from vkit.metric import space_from_points
-from vkit.oracles import MAX_ORACLE_SUPPORT, wasserstein_bruteforce
+from vkit.oracles import BASIS_BLOCK_SUBSETS, MAX_ORACLE_SUPPORT, wasserstein_bruteforce
 
 SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 # distinct points of a small integer grid: many distances tie
@@ -45,6 +48,33 @@ def test_agrees_with_the_lp_at_the_largest_shapes(m, n):
     for pair in (random_pair, tied_pair):
         mu, nu = pair(rng, m, n)
         assert abs(wasserstein_bruteforce(mu, nu) - wasserstein(mu, nu)[0]) <= 1e-9
+
+
+def test_blocks_stay_within_the_subset_cap(monkeypatch):
+    # a 5 x 4 call scores every one of the C(20, 8) = 125,970 subsets
+    sizes = []
+    block_cost = oracles._block_cost
+
+    def counted(subsets, *args):
+        sizes.append(len(subsets))
+        return block_cost(subsets, *args)
+
+    monkeypatch.setattr(oracles, "_block_cost", counted)
+    mu, nu = random_pair(np.random.default_rng(54), 5, 4)
+    wasserstein_bruteforce(mu, nu)
+    assert sum(sizes) == math.comb(20, 8) == 125_970
+    assert len(sizes) == math.ceil(125_970 / BASIS_BLOCK_SUBSETS)
+    assert max(sizes) <= BASIS_BLOCK_SUBSETS
+
+
+@pytest.mark.parametrize("pair", [random_pair, tied_pair])
+def test_blocks_of_any_size_give_the_same_value(pair, monkeypatch):
+    # C(12, 6) = 924 subsets: one per block, blocks that split it unevenly, one block
+    mu, nu = pair(np.random.default_rng(33), 3, 4)
+    want = wasserstein_bruteforce(mu, nu)
+    for cap in (1, 100, 923, 924):
+        monkeypatch.setattr(oracles, "BASIS_BLOCK_SUBSETS", cap)
+        assert wasserstein_bruteforce(mu, nu) == want
 
 
 def test_refuses_supports_past_the_cap():
