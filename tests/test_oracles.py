@@ -22,7 +22,7 @@ def random_pair(rng, m, n):
 
 
 def tied_pair(rng, m, n):
-    # masses in sixths on a grid: equal partial sums make degenerate bases
+    # masses of small integer ratios on a grid: equal partial sums make degenerate bases
     space = space_from_points(GRID)
     pair = []
     for k in (m, n):
