@@ -1,13 +1,19 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import complex_oracle_reference as complex_ref
 import transport_reference as ref
 from vkit import oracles
 from vkit.measures import FiniteMeasure, wasserstein
 from vkit.metric import space_from_points
 from vkit.oracles import BASIS_BLOCK_SUBSETS, MAX_ORACLE_SUPPORT, wasserstein_bruteforce
+from vkit.verify import random_space
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vkit"
 
 SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 # distinct points of a small integer grid: many distances tie
@@ -92,3 +98,58 @@ def test_refuses_measures_on_different_spaces():
     nu = FiniteMeasure(space_from_points([[0.0], [1.0]]), (1,), (1.0,))
     with pytest.raises(ValueError, match="different spaces"):
         wasserstein_bruteforce(mu, nu)
+
+
+def scan_spaces():
+    """Seeded clouds of 2 to 8 points, one point alone, the 3x3 grid (ties
+    everywhere) and clouds with repeated points (pseudometrics)."""
+    rng = np.random.default_rng(25)
+    spaces = [random_space(rng, max_points=8) for _ in range(20)]
+    spaces += [space_from_points([[0.0]]), space_from_points(GRID)]
+    for _ in range(6):
+        points = rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 8)), 2))
+        points[rng.integers(1, len(points), 2)] = points[0]
+        spaces.append(space_from_points(points))
+    return spaces
+
+
+def hexed(scan):
+    """A scan as its items in order, each value's type and exact bits."""
+    return [(s, type(v), float.hex(v)) for s, v in scan.items()]
+
+
+@pytest.mark.parametrize("name", ["vr_subset_scan", "cech_subset_scan"])
+def test_subset_scans_agree_with_the_reference(name):
+    scan, reference = getattr(oracles, name), getattr(complex_ref, name)
+    rng = np.random.default_rng(26)
+    for space in scan_spaces():
+        edges = space.dist[np.triu_indices(space.n_points, 1)].tolist()
+        # r <= 0, r an exact edge length (a simplex with value r is absent at r)
+        radii = [-1.0, 0.0, *rng.choice(edges, min(3, len(edges))).tolist(),
+                 float(rng.uniform(0.2, 2.5)), math.inf]
+        for r in radii:
+            for k_max in range(5):
+                got = scan(space, r, k_max)
+                assert hexed(got) == hexed(reference(space, r, k_max)), (r, k_max)
+                assert all(type(v) is float for v in got.values())
+                if r <= 0.0:
+                    assert got == {}
+
+
+def test_oracles_share_no_code_with_the_paths_they_check():
+    # oracles.py reads only the measure and space types of the package, and
+    # betti_at and _gf2_rank call no other function of persistence.py
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module == "vkit"
+                                                          or node.module.startswith("vkit."))
+                for alias in node.names}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.split(".")[0] == "vkit"}
+    assert imported <= {"FiniteMeasure", "FiniteMetricSpace"}
+    tree = ast.parse((PACKAGE / "persistence.py").read_text())
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    oracle = {"betti_at", "_gf2_rank"}
+    for name in oracle:
+        used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert used & set(functions) <= oracle, name

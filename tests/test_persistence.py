@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coboundary_reference as ref
+import complex_oracle_reference as dense
 from vkit import complexes, persistence
 from vkit.cli import main
 from vkit.complexes import (RULE_BLOCK_CELLS, CofaceRule, FilteredComplex, build_cech,
@@ -480,6 +481,54 @@ class TestBettiAt:
             for r in probes:
                 for dim in (0, 1):
                     assert alive_count(D, dim, r) == betti_at(K, r, dim)
+
+
+def assert_matches_dense_betti(K, dims):
+    """betti_at against the dense reference below the first critical value,
+    at every critical value, at every midpoint and above the last."""
+    crit = sorted(set(K.simplices.values()))
+    for r in [crit[0] - 1.0] + crit + midpoint_probes(K):
+        for dim in dims:
+            assert betti_at(K, r, dim) == dense.betti_at(K, r, dim), (r, dim)
+
+
+class TestBettiAtAgainstDenseReference:
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_random_complexes(self, builder):
+        # half of them cut at a finite r, so the top of the filtration is sparse
+        rng = np.random.default_rng(25)
+        for trial in range(200):
+            r = math.inf if trial % 2 else float(rng.uniform(0.2, 2.5))
+            assert_matches_dense_betti(builder(random_space(rng, max_points=8), r, 3), range(3))
+
+    @pytest.mark.parametrize("builder", [build_vr, build_cech])
+    def test_grid_ties_and_repeated_points(self, builder):
+        rng = np.random.default_rng(26)
+        spaces = [_grid(3)]
+        for _ in range(20):
+            points = rng.uniform(0, 2, (int(rng.integers(2, 8)), 2))
+            points[rng.integers(1, len(points), 2)] = points[0]
+            spaces.append(space_from_points(points))
+        for space in spaces:
+            assert space is spaces[0] or space.is_pseudometric
+            assert_matches_dense_betti(builder(space, math.inf, 3), range(3))
+
+    def test_vietoris_complexes_of_random_covers(self):
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            space = random_space(rng, max_points=8)
+            n = space.n_points
+            elements = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)),
+                                          replace=False).tolist())
+                        for _ in range(int(rng.integers(1, 7)))]
+            elements += [[i] for i in range(n)]
+            assert_matches_dense_betti(build_vietoris(Cover.explicit(space, elements), 3), range(3))
+
+    def test_hand_made_complexes(self):
+        # gapped labels, vertex values 0 to 2 and simplices of up to 4 vertices
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            assert_matches_dense_betti(_hand_made(rng), range(4))
 
 
 def assert_matches_oracle(K, max_dim, probes):
