@@ -66,9 +66,6 @@ class FilteredComplex:
         """Simplices with value strictly below r."""
         return [(s, v) for s, v in self.simplices.items() if v < r]
 
-    def in_filtration_order(self) -> list[tuple[Simplex, float]]:
-        return sorted(self.simplices.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-
     def check_face_closure(self) -> None:
         for s, v in self.simplices.items():
             if len(s) == 1:

@@ -3,7 +3,10 @@
 These deliberately share no code with the production paths they check:
 the transport oracle enumerates basic feasible solutions of the
 transportation polytope instead of running an LP solver, and the complex
-oracles scan all vertex subsets instead of doing clique expansion.
+oracles scan all vertex subsets instead of doing clique expansion.  They
+read the distance matrix once, as lists of Python floats, and take each
+subset's diameter or witness value as a max or min of those floats, so
+the values are the matrix entries the builders read, bit for bit.
 
 A basis of the transportation polytope is a spanning tree of the complete
 bipartite graph on the two supports: a subset of cells whose node-cell
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations, islice
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -85,29 +89,30 @@ def wasserstein_bruteforce(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     return best
 
 
-def vr_subset_scan(space: FiniteMetricSpace, r: float, k_max: int) -> dict[tuple[int, ...], float]:
-    """All subsets of diameter strictly below r, with their diameters."""
+def _subset_scan(space: FiniteMetricSpace, r: float, k_max: int,
+                 value: Callable[[list[list[float]], tuple[int, ...]], float]
+                 ) -> dict[tuple[int, ...], float]:
+    """Every subset of 1 to k_max + 1 points, in ``combinations`` order,
+    whose value, read from the distances as lists of Python floats, is
+    strictly below r."""
     out: dict[tuple[int, ...], float] = {}
     if r <= 0.0:
         return out
-    pts = list(space.points())
+    D = space.dist.tolist()
     for size in range(1, k_max + 2):
-        for sub in combinations(pts, size):
-            diam = space.diam_of(sub)
-            if diam < r:
-                out[sub] = diam
+        for sub in combinations(space.points(), size):
+            if (v := value(D, sub)) < r:
+                out[sub] = v
     return out
+
+
+def vr_subset_scan(space: FiniteMetricSpace, r: float, k_max: int) -> dict[tuple[int, ...], float]:
+    """All subsets of diameter strictly below r, with their diameters."""
+    return _subset_scan(space, r, k_max, lambda D, sub: max(
+        [D[i][j] for i, j in combinations(sub, 2)], default=0.0))
 
 
 def cech_subset_scan(space: FiniteMetricSpace, r: float, k_max: int) -> dict[tuple[int, ...], float]:
     """All subsets admitting a witness z in X with max d(z, x) strictly below r."""
-    out: dict[tuple[int, ...], float] = {}
-    if r <= 0.0:
-        return out
-    pts = list(space.points())
-    for size in range(1, k_max + 2):
-        for sub in combinations(pts, size):
-            value = min(max(space.d(z, x) for x in sub) for z in pts)
-            if value < r:
-                out[sub] = value
-    return out
+    return _subset_scan(space, r, k_max, lambda D, sub: min(
+        max(row[x] for x in sub) for row in D))

@@ -3,8 +3,9 @@
 Two independent computation routes are kept deliberately separate: the
 coboundary reduction with clearing and emergent pairs of Bauer's Ripser
 (:func:`compute_diagram`; over a field cohomology has the pairs of
-homology) and plain Gaussian-elimination Betti numbers of strict sublevel
-complexes (:func:`betti_at`), used as the oracle for the former.  It
+homology) and Betti numbers of strict sublevel complexes, their boundary
+columns held as int bitmasks and ranked by an xor basis
+(:func:`betti_at`), used as the oracle for the former.  It
 reads each dimension's rows and values from ``FilteredComplex.levels``,
 sorts them in (value, lex) order and names a simplex by its position
 there.  As in Ripser, H0 comes from union-find over the built edge level
@@ -287,35 +288,27 @@ def compute_diagram(K: FilteredComplex, max_dim: int) -> PersistenceDiagram:
     return PersistenceDiagram.of(intervals)
 
 
-def _gf2_rank(rows: np.ndarray) -> int:
-    """Rank over Z/2 by in-place elimination of a dense 0/1 matrix."""
-    A = rows.copy().astype(np.uint8)
-    m, n = A.shape
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if A[r, col]:
-                pivot = r
+def _gf2_rank(columns: list[int]) -> int:
+    """Rank over Z/2 of columns held as int bitmasks: an xor basis keyed
+    by the highest bit of each member."""
+    basis: dict[int, int] = {}
+    for col in columns:
+        while col:
+            top = col.bit_length() - 1
+            if top not in basis:
+                basis[top] = col
                 break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        for r in range(m):
-            if r != rank and A[r, col]:
-                A[r] ^= A[rank]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+            col ^= basis[top]
+    return len(basis)
 
 
 def betti_at(K: FilteredComplex, r: float, dim: int) -> int:
     """Betti number of the strict sublevel complex {s : value(s) < r}.
 
-    Independent of the reduction path: builds the two boundary matrices of
-    the sublevel complex and ranks them by Gaussian elimination, so it can
-    serve as an oracle for :func:`compute_diagram`.
+    Independent of the reduction path: holds each column of the two
+    boundary matrices of the sublevel complex as an int bitmask over the
+    faces and ranks them over Z/2 (:func:`_gf2_rank`), so it can serve as
+    an oracle for :func:`compute_diagram`.
     """
     if dim < 0:
         raise ValueError("dim must be nonnegative")
@@ -323,23 +316,16 @@ def betti_at(K: FilteredComplex, r: float, dim: int) -> int:
         raise SkeletonTooShallow(
             f"need the {dim + 1}-skeleton, complex capped at {K.k_max}")
     present = [s for s, _ in K.sublevel(r)]
-    layer = sorted(s for s in present if len(s) == dim + 1)
-    below = sorted(s for s in present if len(s) == dim)
-    above = sorted(s for s in present if len(s) == dim + 2)
+    below, layer, above = ([s for s in present if len(s) == q] for q in (dim, dim + 1, dim + 2))
     if not layer:
         return 0
 
-    def boundary(upper: list[Simplex], lower: list[Simplex]) -> np.ndarray:
+    def boundary(upper: list[Simplex], lower: list[Simplex]) -> list[int]:
         idx = {s: i for i, s in enumerate(lower)}
-        M = np.zeros((len(lower), len(upper)), dtype=np.uint8)
-        for j, s in enumerate(upper):
-            for f in combinations(s, len(s) - 1):
-                M[idx[f], j] = 1
-        return M
+        return [sum(1 << idx[f] for f in combinations(s, len(s) - 1)) for s in upper]
 
     rank_down = _gf2_rank(boundary(layer, below)) if dim > 0 else 0
-    rank_up = _gf2_rank(boundary(above, layer)) if above else 0
-    return len(layer) - rank_down - rank_up
+    return len(layer) - rank_down - _gf2_rank(boundary(above, layer))
 
 
 # -- bottleneck distance ------------------------------------------------

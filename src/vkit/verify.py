@@ -291,7 +291,7 @@ def check_persistence_oracle(rng, trials) -> CheckResult:
         space = random_space(rng, max_points=8)
         K = build_vr(space, math.inf, k_max=2)
         diagram = compute_diagram(K, max_dim=1)
-        crit = sorted({v for _, v in K.in_filtration_order()})
+        crit = sorted(set(K.simplices.values()))
         probes = [(a + b) / 2.0 for a, b in zip(crit, crit[1:])] + [crit[-1] + 1.0]
         for r in probes:
             for dim in (0, 1):

@@ -235,7 +235,7 @@ def test_08_persistence_correctness():
         space = random_space(rng, max_points=8)
         K = build_vr(space, math.inf, 2)
         D = compute_diagram(K, 1)
-        crit = sorted({v for _, v in K.in_filtration_order()})
+        crit = sorted(set(K.simplices.values()))
         probes = [(a + b) / 2 for a, b in zip(crit, crit[1:])] + [crit[-1] + 1.0]
         for r in probes:
             for dim in (0, 1):

@@ -74,7 +74,8 @@ class TestComputeDiagram:
         # break by lex order matters; a coface is named by its position in
         # the level above, sorted by (value, lex)
         K = builder(_grid(3), math.inf, 3)
-        order = [s for s, _ in K.in_filtration_order()]
+        # filtration order: by value, then size, then lex
+        order = sorted(K.simplices, key=lambda s: (K.simplices[s], len(s), s))
         for size in range(1, 4):
             (rows, _), (upper, upper_values) = _level(K, size), _level(K, size + 1)
             pivots, cofaces, death = _listed_pivots(rows, upper, upper_values, 9)
@@ -475,7 +476,7 @@ class TestBettiAt:
             space = random_space(rng, max_points=8)
             K = build_vr(space, math.inf, 2)
             D = compute_diagram(K, 1)
-            crit = sorted({v for _, v in K.in_filtration_order()})
+            crit = sorted(set(K.simplices.values()))
             probes = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
             probes.append(crit[-1] + 1.0)
             for r in probes:
@@ -689,7 +690,7 @@ class TestFunctoriality:
         for _ in range(15):
             space = random_space(rng, max_points=8)
             full = build_vr(space, math.inf, 2)
-            crit = sorted({v for _, v in full.in_filtration_order()})
+            crit = sorted(set(full.simplices.values()))
             r2 = crit[-1] * 0.8 + 0.1
             r1 = r2 / 2
             K1, K2 = build_vr(space, r1, 2), build_vr(space, r2, 2)

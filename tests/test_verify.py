@@ -1,10 +1,10 @@
 """The ``pump-formula`` and ``mass-bound`` checks of ``verify`` run the
-arithmetic the vertex stage of ``straighten`` runs: a fault planted in it
-shows as failures."""
+arithmetic the vertex stage of ``straighten`` runs, and the complex checks
+run the oracles: a fault planted in either shows as failures."""
 
 import numpy as np
 
-from vkit import verify
+from vkit import oracles, persistence, verify
 from vkit.thickening import pump_rows
 
 
@@ -36,3 +36,24 @@ def test_mass_bound_checks_the_sum_straighten_takes(monkeypatch):
     monkeypatch.setattr(verify, "mass_bound_instance", recorded)
     monkeypatch.setattr(verify, "_fsums", at_the_bound)
     assert verify.check_mass_bound(np.random.default_rng(1), 20).failures > 0
+
+
+def test_persistence_oracle_catches_a_rank_that_skips_a_column(monkeypatch):
+    assert verify.check_persistence_oracle(np.random.default_rng(1), 20).failures == 0
+    rank = persistence._gf2_rank
+    monkeypatch.setattr(persistence, "_gf2_rank", lambda columns: rank(columns[:-1]))
+    assert verify.check_persistence_oracle(np.random.default_rng(1), 20).failures > 0
+
+
+def test_vr_bruteforce_catches_a_scan_of_consecutive_pairs(monkeypatch):
+    assert verify.check_vr_bruteforce(np.random.default_rng(1), 20).failures == 0
+    monkeypatch.setattr(oracles, "vr_subset_scan", lambda space, r, k_max: oracles._subset_scan(
+        space, r, k_max, lambda D, sub: max([D[i][j] for i, j in zip(sub, sub[1:])], default=0.0)))
+    assert verify.check_vr_bruteforce(np.random.default_rng(1), 20).failures > 0
+
+
+def test_cech_interleave_catches_witnesses_only_inside_the_subset(monkeypatch):
+    assert verify.check_cech_interleaving(np.random.default_rng(1), 20).failures == 0
+    monkeypatch.setattr(oracles, "cech_subset_scan", lambda space, r, k_max: oracles._subset_scan(
+        space, r, k_max, lambda D, sub: min(max(D[z][x] for x in sub) for z in sub)))
+    assert verify.check_cech_interleaving(np.random.default_rng(1), 20).failures > 0
