@@ -6,7 +6,8 @@ transportation polytope instead of running an LP solver, and the complex
 oracles scan all vertex subsets instead of doing clique expansion.  They
 read the distance matrix once, as lists of Python floats, and take each
 subset's diameter or witness value as a max or min of those floats, so
-the values are the matrix entries the builders read, bit for bit.
+each value is a matrix entry the builders read, bit for bit (a lone
+point's diameter is 0.0, as its vertex value in ``build_vr``).
 
 A basis of the transportation polytope is a spanning tree of the complete
 bipartite graph on the two supports: a subset of cells whose node-cell
