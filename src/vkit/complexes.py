@@ -30,12 +30,9 @@ class FilteredComplex:
     read.  Invariants: closed under faces, face values never exceed coface
     values.  ``k_max`` is the dimension cap the builder honored.  ``extend``,
     when the builder supplies it, is the value rule one level past the cap,
-    a :class:`CofaceRule`: for a simplex s of the complex, ``extend(s)`` is
-    a float array over the points whose entry k is the value of s | {k},
-    and +inf for k in s and wherever that value is not strictly below the
-    builder's r.  Given a block of simplices, the rows of an (m, q) int
-    array, it returns their m rows of values at once.  ``extend.ranks``
-    gives their ranks instead, read from the rule's rank table, among
+    a :class:`CofaceRule`: given a block of simplices of the complex, the
+    rows of an (m, q) int array, ``extend.ranks`` returns for each row s
+    and each point k the rank of the value of s | {k} among
     ``extend.values``, the sorted distinct values the rule can return.
     Persistence in dimension d needs ``k_max >= d + 1``, or
     ``k_max >= max(1, d)`` and a rule.
@@ -86,22 +83,12 @@ class CofaceRule:
     rank table, where each entry of D below r is replaced by its rank among
     ``values`` (the distinct entries below r, ascending) and every other
     entry by ``len(values)``, it gives the ranks of the values directly.
-    Calling the rule gives the values, +inf where they are not below r;
-    ``ranks`` gives the ranks.  The table is built on first use.
+    The table is built on first use.
     """
 
     def __init__(self, dist: np.ndarray, r: float,
                  cofaces: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         self.dist, self.r, self.cofaces = dist, r, cofaces
-
-    def __call__(self, S) -> np.ndarray:
-        S = np.asarray(S)
-        block = S.reshape(-1, S.shape[-1])
-        values = self.cofaces(block, self.dist)
-        values[np.arange(len(block))[:, None], block] = np.inf
-        if self.r < np.inf:
-            values[values >= self.r] = np.inf
-        return values.reshape(S.shape[:-1] + values.shape[-1:])
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray]:

@@ -119,9 +119,10 @@ def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetri
     Checks, in order: finiteness, squareness, zero diagonal, symmetry,
     nonnegativity, triangle inequality.  Raises the structured error for
     the first violation a row-major (i, j, k) scan finds.  Coincident
-    points are accepted and flagged via ``is_pseudometric``.
+    points are accepted and flagged via ``is_pseudometric``.  The matrix
+    is stored as a copy whose zeros are all +0.0.
     """
-    m = np.asarray(dist, dtype=np.float64)
+    m = np.asarray(dist, dtype=np.float64) + 0.0    # -0.0 + 0.0 is +0.0
     _check_finite("dist", m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         rows = m.shape[0] if m.ndim >= 1 else 0

@@ -34,8 +34,8 @@ maps across nested thresholds.
 The bottleneck distance (:func:`diagram_distance`) compares such
 diagrams, e.g. to check stability under perturbation.  It is exact: a
 binary search over the entries of one numpy cost matrix, deciding each
-threshold by a maximum bipartite matching, computed as a unit-capacity
-maximum flow by scipy's Dinic solver (Hopcroft-Karp's phase bound).
+threshold by a maximum bipartite matching (Hopcroft and Karp, SIAM J.
+Comput. 2(4), 1973) in plain Python loops.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -331,14 +331,67 @@ def betti_at(K: FilteredComplex, r: float, dim: int) -> int:
 # -- bottleneck distance ------------------------------------------------
 
 
+def _perfect(edges: Callable[[int], list[int]], col_of: list[int], row_of: list[int]) -> bool:
+    """Whether the bipartite graph of rows u and columns ``edges(u)`` has a
+    perfect matching, by Hopcroft-Karp phases from the given one.
+
+    ``col_of`` (row to column) and ``row_of`` (column to row), -1 where
+    free, are grown in place to a maximum matching.  Each phase layers the
+    rows by breadth-first search from the free rows up to the first free
+    column, then augments along the layers by depth-first search on an
+    explicit stack, each row resuming at its next untried edge.
+    """
+    size = len(col_of)
+    while True:
+        queue = [u for u in range(size) if col_of[u] < 0]
+        if not queue:
+            return True
+        layer = [-1] * size
+        for u in queue:
+            layer[u] = 0
+        roots, last = len(queue), size
+        for u in queue:                 # grows while it is read
+            if layer[u] >= last:
+                break
+            for v in edges(u):
+                w = row_of[v]
+                if w < 0:
+                    last = layer[u]
+                elif layer[w] < 0:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        if last == size:
+            return False
+        tried = [0] * size
+        for root in queue[:roots]:
+            path = [root]
+            while path:
+                u = path[-1]
+                adjacent = edges(u)
+                # the next layer down; a row of the last layer takes only a free column
+                down = layer[u] + 1 if layer[u] < last else -2
+                for i in range(tried[u], len(adjacent)):
+                    w = row_of[adjacent[i]]
+                    if w < 0 or layer[w] == down:
+                        tried[u] = i + 1
+                        break
+                else:
+                    layer[u] = -1       # a dead end for the rest of the phase
+                    path.pop()
+                    continue
+                if w >= 0:
+                    path.append(w)
+                    continue
+                v = adjacent[i]         # free: flip the path, each row takes the next column
+                for x in reversed(path):
+                    col_of[x], row_of[v], v = v, x, col_of[x]
+                break
+
+
 def _finite_bottleneck(A: list[tuple[float, float]],
                        B: list[tuple[float, float]]) -> float:
     if not A and not B:
         return 0.0
-    # imported here: loading scipy.sparse would add to every vkit start-up
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
     a = np.array(A, dtype=np.float64).reshape(-1, 2)
     b = np.array(B, dtype=np.float64).reshape(-1, 2)
     nA, nB = len(a), len(b)
@@ -358,18 +411,26 @@ def _finite_bottleneck(A: list[tuple[float, float]],
     # diagrams a small perturbation apart this bound is the distance itself
     lower = max(cost.min(axis=0).max(), cost.min(axis=1).max())
     thresholds = np.unique(cost[np.isfinite(cost) & (cost >= lower)])
-    source, sink = 2 * size, 2 * size + 1
-    ends = np.arange(size)
+    # a row's edges within a threshold are a prefix of its columns by cost
+    order = np.argsort(cost, axis=1)
+    # each test starts from the matching of the last infeasible threshold,
+    # whose edges lie within every threshold tested after it
+    col_of, row_of = [-1] * size, [-1] * size
 
     def feasible(theta: float) -> bool:
-        # unit-capacity network source -> rows -> columns -> sink, on which
-        # Dinic's blocking flows are the phases of Hopcroft-Karp
-        rows, cols = np.nonzero(cost <= theta)
-        tails = np.concatenate([np.full(size, source), rows, size + ends])
-        heads = np.concatenate([ends, size + cols, np.full(size, sink)])
-        network = csr_matrix((np.ones(len(tails), dtype=np.int32), (tails, heads)),
-                             shape=(sink + 1, sink + 1))
-        return maximum_flow(network, source, sink, method="dinic").flow_value == size
+        degrees = np.count_nonzero(cost <= theta, axis=1).tolist()
+        prefixes: list = [None] * size
+
+        def edges(u: int) -> list[int]:
+            if prefixes[u] is None:     # only the rows a search reaches leave numpy
+                prefixes[u] = order[u, :degrees[u]].tolist()
+            return prefixes[u]
+
+        trial = (col_of[:], row_of[:])
+        if _perfect(edges, *trial):
+            return True
+        col_of[:], row_of[:] = trial
+        return False
 
     lo, hi, mid = 0, len(thresholds) - 1, 0        # probe the bound first
     while lo < hi:
@@ -390,9 +451,10 @@ def diagram_distance(D1: PersistenceDiagram, D2: PersistenceDiagram) -> float:
     dense cost matrix (pair costs, each point's half-persistence to its own
     diagonal slot): the distance is the smallest entry at which the entries
     within it admit a perfect matching, found by binary search over the
-    entries from the row/column lower bound up, each step one maximum-flow
-    test with scipy's Dinic solver, so the matching neither recurses nor
-    loops in Python.
+    entries from the row/column lower bound up, each step one matching
+    test (:func:`_perfect`).  Each row's columns are sorted by cost once, so
+    its edges within a threshold are a prefix of them, and each test
+    starts from the matching of the last infeasible threshold.
     """
     dims = {q for q, _, _ in D1.intervals} | {q for q, _, _ in D2.intervals}
     best = 0.0

@@ -45,11 +45,24 @@ def _listed_columns(upper):
     return column
 
 
-def _rule_columns(extend):
+def rule_values(rule, S):
+    """The values of the cofaces s | {k} of a simplex s, or of each row s
+    of a block S, for every point k, read from the rule's coface function
+    over its distance matrix: +inf for k in s and wherever the value is
+    not strictly below the rule's r."""
+    S = np.asarray(S)
+    block = S.reshape(-1, S.shape[-1])
+    values = rule.cofaces(block, rule.dist)
+    values[np.arange(len(block))[:, None], block] = INF
+    values[values >= rule.r] = INF
+    return values.reshape(S.shape[:-1] + values.shape[-1:])
+
+
+def _rule_columns(rule):
     """The pivot is the least value, ties going to the least added vertex
     k, since s | {k} grows in lex order with k."""
     def column(s):
-        values = extend(s)
+        values = rule_values(rule, s)
         k = int(values.argmin())
         if values[k] == INF:
             return None, lambda: []

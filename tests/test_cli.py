@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import inspect
@@ -821,17 +822,28 @@ class TestEnvironment:
         monkeypatch.setenv("VKIT_THREADS", "abc")
         assert main(["persist", "--input", str(square_csv), "--out", str(tmp_path / "o")]) == 0
 
-    def test_import_loads_neither_the_lp_solver_nor_sparse_graphs(self):
-        # every vkit call pays this import; count the heavy scipy modules
-        # rather than time it, so start-up cost cannot creep back unnoticed
+    def test_verify_loads_no_scipy_module(self):
+        # verify reaches every check, the bottleneck distance included; list
+        # the scipy modules loaded rather than time the run, so start-up cost
+        # cannot creep back unnoticed
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
-        probe = ("import vkit.cli, sys; print(sorted(m for m in sys.modules if m in "
-                 "{'scipy.optimize', 'scipy.sparse', 'scipy.sparse.csgraph'}))")
+        probe = ("import sys; from vkit.cli import main; code = main(['verify', '--trials', '2']); "
+                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+                 "file=sys.stderr)")
         run = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert run.stderr.splitlines()[-1] == "0 []"
+
+    def test_no_module_imports_scipy(self):
+        for path in sorted((Path(__file__).resolve().parent.parent / "src" / "vkit").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+            names |= {node.module for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module}
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
 
 
 class TestParser:

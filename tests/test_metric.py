@@ -56,6 +56,15 @@ class TestValidateMetric:
         space = validate_metric(np.zeros((3, 3)))
         assert space.is_pseudometric
 
+    def test_negative_zeros_are_stored_as_positive_zeros(self):
+        given = np.array([[-0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]])
+        space = validate_metric(given)
+        assert math.copysign(1.0, space.diam_of((0,))) == 1.0
+        assert math.copysign(1.0, space.d(0, 1)) == 1.0
+        assert not np.signbit(space.dist).any()
+        assert space.is_pseudometric
+        assert np.signbit(given).sum() == 4         # the caller's matrix is left alone
+
     def test_triangle_violation_names_the_triple(self):
         with pytest.raises(TriangleViolation) as err:
             validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])

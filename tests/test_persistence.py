@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import bottleneck_reference
 import coboundary_reference as ref
 import complex_oracle_reference as dense
 from vkit import complexes, persistence
@@ -146,7 +147,7 @@ class TestCofaceRule:
         K = builder(space, r, k_max)
         above = builder(space, r, k_max + 1).simplices
         for s in K.simplices:
-            values = K.extend(s)
+            values = ref.rule_values(K.extend, s)
             assert values.shape == (space.n_points,)
             for k, v in enumerate(values.tolist()):
                 t = tuple(sorted({*s, k}))
@@ -163,7 +164,7 @@ class TestCofaceRule:
         grid = K.extend.values
         assert np.all(grid[1:] > grid[:-1]) and np.all(grid < r)
         for s in K.simplices:
-            values = K.extend(s)
+            values = ref.rule_values(K.extend, s)
             ranks = K.extend.ranks(np.array([s]))[0]
             assert ranks.tolist() == np.searchsorted(grid, values).tolist(), s
             assert np.array_equal(ranks == len(grid), values == INF), s
@@ -173,7 +174,7 @@ class TestCofaceRule:
             block, _ = _level(K, size)
             if len(block):
                 assert np.array_equal(K.extend.ranks(block),
-                                      np.searchsorted(grid, K.extend(block)))
+                                      np.searchsorted(grid, ref.rule_values(K.extend, block)))
 
     @pytest.mark.parametrize("builder", [build_vr, build_cech])
     def test_the_rank_table_is_built_on_first_use(self, builder):
@@ -274,7 +275,7 @@ def _keys_by_hand(rule, rows, n):
     order of s and then of k; and the (value, simplex) pairs they name."""
     keys, pairs = [], []
     shift = _shift(n, rows.shape[1] + 1)
-    for s, values in zip(rows.tolist(), rule(rows).tolist()):
+    for s, values in zip(rows.tolist(), ref.rule_values(rule, rows).tolist()):
         for k, v in enumerate(values):
             if v < INF:
                 t = tuple(sorted(s + [k]))
@@ -313,7 +314,8 @@ class TestKeys:
             sorted(range(len(codes)), key=pairs.__getitem__)
         everyone = list(range(len(rows)))
         assert pivots(everyone) == [min(cofaces(i)) for i in everyone]
-        assert [death(p) for p in pivots(everyone)] == rule(rows).min(axis=1).tolist()
+        assert [death(p) for p in pivots(everyone)] == \
+            ref.rule_values(rule, rows).min(axis=1).tolist()
 
     def test_narrow_keys_agree_with_wide_arithmetic(self):
         rule, rng = _rule_of_random_distances(9, 30)
@@ -659,8 +661,8 @@ class TestBottleneck:
 
     def test_random_diagrams_of_hundreds_of_bars_stay_fast(self):
         # thresholds just below the distance leave banded graphs without a
-        # perfect matching; deciding them with scipy's Hopcroft-Karp matching
-        # ran for over five minutes on this pair, the maximum flow in 0.14 s
+        # perfect matching; a Hopcroft-Karp matching rebuilt from nothing at
+        # each threshold ran for over five minutes on this pair
         import numpy as np
         rng = np.random.default_rng(400)
         D1, D2 = (PersistenceDiagram.of((1, b, b + length) for b, length
@@ -670,6 +672,40 @@ class TestBottleneck:
         d = diagram_distance(D1, D2)
         assert time.perf_counter() - start < 5.0
         assert 0.0 < d <= max((e - b) / 2 for D in (D1, D2) for _, b, e in D.intervals)
+
+    def test_matches_the_max_flow_reference(self):
+        # the maximum matching size does not depend on how it is found, so
+        # the same cost entry comes back; ties come from integer and
+        # half-integer bars, infinity from unequal essential counts
+        rng = np.random.default_rng(11)
+
+        def side(scale, essential):
+            n = int(rng.integers(0, 9))
+            draws = rng.uniform(0, 4, (n, 2)) if scale is None \
+                else rng.integers(0, 4 * scale, (n, 2)) / scale
+            bars = [(int(q), b, b + g) for q, (b, g)
+                    in zip(rng.integers(0, 2, n).tolist(), draws.tolist())]
+            return PersistenceDiagram.of(bars + [(0, float(b), INF) for b in
+                                                 rng.integers(0, 3, essential).tolist()])
+
+        seen = set()
+        for trial in range(1200):
+            scale = (None, 1, 2)[trial % 3]
+            essential = int(rng.integers(0, 3))
+            odd = essential + int(trial % 10 == 0)
+            D1, D2 = side(scale, essential), side(scale, odd)
+            got = diagram_distance(D1, D2)
+            assert repr(got) == repr(bottleneck_reference.diagram_distance(D1, D2)), (D1, D2)
+            seen.add((not D1.intervals or not D2.intervals, got == INF))
+        assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_hundreds_of_bars_match_the_max_flow_reference(self):
+        rng = np.random.default_rng(400)
+        D1, D2 = (PersistenceDiagram.of((1, b, b + length) for b, length
+                                        in rng.uniform(0, 1, (400, 2)).tolist())
+                  for _ in range(2))
+        assert repr(diagram_distance(D1, D2)) == \
+            repr(bottleneck_reference.diagram_distance(D1, D2))
 
     def test_stability_smoke(self, rng):
         import numpy as np
