@@ -7,8 +7,7 @@ from .complexes import FilteredComplex, build_cech, build_vietoris, build_vr
 from .fk import FKSimplex, FKTriangulation, star_bound
 from .measures import (Coupling, FiniteMeasure, barycentric_distance, convex_combine, dirac,
                        wasserstein)
-from .metric import (Cover, FiniteMetricSpace, distance_to_complement, space_from_points,
-                     validate_metric)
+from .metric import Cover, FiniteMetricSpace, space_from_points, validate_metric
 from .persistence import PersistenceDiagram, betti_at, compute_diagram, diagram_distance
 from .straightening import (CertificationLog, Labeling, SampledMap,
                             SimplexwiseAffineMap, choose_p, label_simplices, linearize,

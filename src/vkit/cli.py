@@ -77,6 +77,10 @@ def _out_blocked(args: argparse.Namespace) -> bool:
 
 def cmd_persist(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else math.inf
+    if args.kmax < 1:
+        return _fail_input("persistence needs --kmax >= 1")
+    if math.isnan(r):
+        return _fail_input("--r must be a number, got nan")
     try:
         rows = read_csv_rows(args.input)
         check_edges(len(rows), r)       # before any distance exists
@@ -85,10 +89,6 @@ def cmd_persist(args: argparse.Namespace) -> int:
         return _fail_input(str(exc))
     except (OSError, ValueError) as exc:
         return _fail_input(f"cannot load {args.input}: {exc}")
-    if args.kmax < 1:
-        return _fail_input("persistence needs --kmax >= 1")
-    if math.isnan(r):
-        return _fail_input("--r must be a number, got nan")
     builder = build_cech if args.filtration == "cech" else build_vr
     if _out_blocked(args):
         return EXIT_INPUT

@@ -155,11 +155,12 @@ class FKTriangulation:
         """All n-simplices whose closed realization contains the rational
         point (nums[i]/den)_i, computed exactly in integers.
 
-        Used to assign grid samples to simplices without floating-point tie
-        ambiguity: a closed simplex (x, pi) contains the point iff its
-        fractional parts in the cell, read in pi order, are descending; they
-        are kept as integer numerators over ``den``.  With ``den`` = p and a
-        lattice vertex for ``nums`` it lists the star of that vertex.
+        Exact integers leave no floating-point tie: a closed simplex
+        (x, pi) contains the point iff its fractional parts in the cell,
+        read in pi order, are descending; they are kept as integer
+        numerators over ``den``.  With ``den`` = p and a lattice vertex for
+        ``nums`` it lists the star of that vertex, as ``vertex_star_size``
+        counts it; labeling locates no sample with it.
         """
         axis_bases: list[list[tuple[int, int]]] = []      # (base, fraction numerator)
         for num in nums:

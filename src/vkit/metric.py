@@ -1,19 +1,18 @@
 """Finite metric spaces and covers of them.
 
 A :class:`FiniteMetricSpace` is a validated distance matrix over an indexed
-point set, optionally carrying Euclidean coordinates.  A :class:`Cover` is
-the tuple of its element sets, each element named by its position: the open
-balls of a fixed radius about every point (ids are the centres), or an
-explicit list of index subsets.  The cover by all sets of diameter below r
-is not a :class:`Cover`: its Vietoris complex is the Vietoris-Rips complex,
-built directly by ``complexes.build_vr``.
+point set.  A :class:`Cover` is the tuple of its element sets, each element
+named by its position: the open balls of a fixed radius about every point
+(ids are the centres), or an explicit list of index subsets.  The cover by
+all sets of diameter below r is not a :class:`Cover`: its Vietoris complex
+is the Vietoris-Rips complex, built directly by ``complexes.build_vr``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,7 +67,7 @@ class TriangleViolation(MetricValidationError):
 
 class EmptySet(ValueError):
     """A point set that must be nonempty (a cover element, or the set whose
-    complement a distance is taken to) is empty."""
+    inner sets are taken) is empty."""
 
 
 class UnboundedCover(ValueError):
@@ -79,13 +78,11 @@ class UnboundedCover(ValueError):
 class FiniteMetricSpace:
     """A finite (pseudo)metric space given by a validated distance matrix.
 
-    ``is_pseudometric`` flags coincident points (distance zero off the
-    diagonal); they are accepted because real data sets contain duplicates
-    and no downstream algorithm is affected.
+    Coincident points (distance zero off the diagonal) are accepted,
+    because real data sets contain duplicates.
     """
 
     dist: np.ndarray
-    is_pseudometric: bool = field(default=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -119,8 +116,8 @@ def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetri
     Checks, in order: finiteness, squareness, zero diagonal, symmetry,
     nonnegativity, triangle inequality.  Raises the structured error for
     the first violation a row-major (i, j, k) scan finds.  Coincident
-    points are accepted and flagged via ``is_pseudometric``.  The matrix
-    is stored as a copy whose zeros are all +0.0.
+    points are accepted.  The matrix is stored as a copy whose zeros are
+    all +0.0.
     """
     m = np.asarray(dist, dtype=np.float64) + 0.0    # -0.0 + 0.0 is +0.0
     _check_finite("dist", m)
@@ -149,8 +146,7 @@ def validate_metric(dist: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetri
         i, j = (int(x) for x in bad[0])
         via = m[i, j] > (m[i] + m[:, j]) + tol[i, j]
         raise TriangleViolation(i, j, int(np.argmax(via)))
-    pseudo = bool((m[upper] == 0.0).any())
-    return FiniteMetricSpace(dist=m, is_pseudometric=pseudo)
+    return FiniteMetricSpace(dist=m)
 
 
 def space_from_points(coords: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetricSpace:
@@ -165,21 +161,6 @@ def space_from_points(coords: Sequence[Sequence[float]] | np.ndarray) -> FiniteM
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return validate_metric(dist)
-
-
-def distance_to_complement(space: FiniteMetricSpace, U: Iterable[int], x: int) -> float:
-    """min over y outside U of d(x, y); +inf when U is the whole space.
-
-    The +inf convention matches d(., emptyset) = inf.  Returns 0 whenever
-    x itself lies outside U.
-    """
-    inside = set(U)
-    if not inside:
-        raise EmptySet("U must be nonempty")
-    outside = [y for y in space.points() if y not in inside]
-    if not outside:
-        return math.inf
-    return float(min(space.d(x, y) for y in outside))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .fk import (FKTriangulation, Lattice, NoLabel, SimplexKey, check_grid,
                  lattice_points, star_bound, subordinate_resolution)
 from .measures import stored_rows
 from .metric import Cover, FiniteMetricSpace
-from .thickening import INNER_MASS_LOST, NoMCP, build_bump, inner_sets, pump_rows
+from .thickening import GAP_ZERO, INNER_MASS_LOST, DegenerateGap, NoMCP, inner_sets, pump_rows
 
 TRACK_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DENSE_DEPTH = 3
@@ -200,17 +200,23 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
     The region of a vertex is the intersection of the elements labeling the
     simplices around it.  Measures already supported there are fixed, with
     a constant track (the pump fixes them).  Otherwise the region is shrunk
-    to its first inner set keeping mass above the bound 1 - N(1 - p), N the
-    number of labels; a bump over that set drives the pump
+    to its first inner set T keeping mass above the bound 1 - N(1 - p), N
+    the number of labels; the 0/1 indicator phi of T drives the pump
     ``(w * phi) / <w, phi>``, and the linear homotopy
     ``(1 - t) w + t pump(w)`` is sampled at ``TRACK_TIMES``.  Every sample
     keeps mass above p on every label, because pumping only adds mass to
     each of them.  The result is the sample at t = 1, the pumped measure.
 
+    phi is exactly the bump ``build_bump(space, (), T)``, in floats too: with
+    an empty plateau its gap is the least of the floats d(x, T^C), x in T,
+    so d(x, T^C) / gap >= 1.0 and ``min(1.0, d(x, T^C) / gap)`` is 1.0 on T.
+    The one error that bump raises is kept: a zero gap, where T splits two
+    coincident points, refuses its vertices with DegenerateGap.
+
     All vertices are pumped at once, as rows of point weights with the
-    arithmetic of ``FiniteMeasure``, ``pump`` and ``mix``; the regions,
-    their inner sets and bumps are computed once per label tuple.  The
-    pump is ``stored_rows(pump_rows(rows, phi))`` and the region mass the
+    arithmetic of ``FiniteMeasure``, ``pump`` and ``mix``; the regions and
+    their inner sets are computed once per label tuple.  The pump is
+    ``stored_rows(pump_rows(rows, phi))`` and the region mass the
     ``_fsums`` over the sorted region: ``verify``'s ``pump-formula`` and
     ``mass-bound`` checks run these very calls.  The
     result is one row per vertex, in lex order, of the weights a
@@ -241,7 +247,6 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
     for i, (start, end) in enumerate(zip([0] + ends, ends)):
         if i not in errors:
             groups.setdefault(tuple(label[start:end]), []).append(i)
-    bumps: dict[frozenset[int], np.ndarray | ValueError] = {}
     for labels, members in groups.items():
         idx = np.array(members)
         sets = [lab.cover.elements[b] for b in labels]
@@ -272,14 +277,12 @@ def pump_vertex(smap: SampledMap, lab: Labeling, p: float,
             hit, idx = idx[keeps], idx[~keeps]
             if not len(hit):
                 continue
-            if inner not in bumps:
-                try:
-                    bumps[inner] = np.array(build_bump(space, (), inner).values)
-                except ValueError as exc:       # DegenerateGap
-                    bumps[inner] = exc
-            phi = bumps[inner]
-            if isinstance(phi, ValueError):
-                errors.update(dict.fromkeys(hit.tolist(), phi))
+            phi = np.zeros(space.n_points)
+            phi[sorted(inner)] = 1.0
+            # the least distance from the inner set to the rest of the space;
+            # never over an empty block, as a leaking row has mass off inner
+            if space.dist[phi == 1.0][:, phi == 0.0].min() == 0.0:
+                errors.update(dict.fromkeys(hit.tolist(), DegenerateGap(GAP_ZERO)))
                 continue
             # the samples at t = 0 and 1 are the source and pumped rows themselves
             source = rows[hit]

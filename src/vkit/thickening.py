@@ -10,7 +10,7 @@ explicit margin.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import (FiniteMeasure, ZeroMass, barycentric_distance,
                        convex_combine, wasserstein)
-from .metric import FiniteMetricSpace, distance_to_complement
+from .metric import EmptySet, FiniteMetricSpace
 
 
 class DegenerateGap(ValueError):
@@ -30,6 +30,7 @@ class NoMCP(ValueError):
 
 
 INNER_MASS_LOST = "mass concentrates only on points touching the complement"
+GAP_ZERO = "plateau touches the complement of the target"
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def build_bump(space: FiniteMetricSpace, plateau: Iterable[int],
     else:
         gap = min(space.d(x, y) for x in Vp for y in comp)
     if gap == 0.0:
-        raise DegenerateGap("plateau touches the complement of the target")
+        raise DegenerateGap(GAP_ZERO)
     values = []
     for x in space.points():
         if x in Vp:
@@ -173,27 +174,56 @@ def pump_homotopy(mu: FiniteMeasure, phi: BumpFunction,
     return tuple((t, convex_combine(mu, pumped, t)) for t in times)
 
 
-def inner_sets(space: FiniteMetricSpace, U: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
-    """The distinct nonempty inner sets V_i = {x in U : d(x, U^C) > 1/i}
-    for i = 1, ..., ceil(1 / least positive gap) + 1, each with the first i
-    that gives it; ``[(1, U)]`` when U is the whole space.
+# the largest integer that converts to a float, and 1.0 over it, the least
+# float 1.0 / i
+_LAST_INDEX = int(sys.float_info.max)
+_LEAST_STEP = 1.0 / _LAST_INDEX
 
-    The sets grow with i.  They depend on U alone, so one table serves
-    every measure shrunk into U; raises NoMCP when no point of U is
-    separated from its complement.
+
+def _first_index(gap: float) -> int:
+    """The least i >= 1 with ``gap > 1.0 / i``.  The test is monotone in i,
+    so i is bracketed by doubling and then bisected; NoMCP when no float
+    ``1.0 / i`` lies below the gap."""
+    if not gap > _LEAST_STEP:
+        raise NoMCP(f"a point of U lies {gap!r} from its complement, below 1/i for every i")
+    lo, hi = 0, 1
+    while not gap > 1.0 / hi:
+        lo, hi = hi, min(2 * hi, _LAST_INDEX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if gap > 1.0 / mid else (mid, hi)
+    return hi
+
+
+def inner_sets(space: FiniteMetricSpace, U: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
+    """The distinct nonempty inner sets V_i = {x in U : d(x, U^C) > 1/i},
+    i >= 1, each with the first i that gives it; ``[(1, U)]`` when U is the
+    whole space.
+
+    The gaps d(x, U^C) are the row minima of the block D[U, U^C].  The
+    points of gap g join V_i at the first i with g > 1.0 / i, so each
+    distinct positive gap, largest first, gives a set where its i is new.
+    The sets depend on U alone, so one table serves every measure shrunk
+    into U.  Raises EmptySet for an empty U, and NoMCP when no point of U
+    is separated from its complement or a gap lies below every float 1/i.
     """
-    pts = frozenset(int(x) for x in U)
-    gaps = {x: distance_to_complement(space, pts, x) for x in sorted(pts)}
-    if all(math.isinf(g) for g in gaps.values()):
-        return [(1, pts)]
-    positive = [g for g in gaps.values() if g > 0.0]
-    if not positive:
-        raise NoMCP("no point of U is separated from its complement")
+    inside = {int(x) for x in U}
+    if not inside:
+        raise EmptySet("U must be nonempty")
+    pts = sorted(inside)
+    outside = [y for y in range(len(space.dist)) if y not in inside]
+    if not outside:
+        return [(1, frozenset(pts))]
+    gaps = np.minimum.reduce(space.dist.take(pts, 0).take(outside, 1), axis=1).tolist()
     out: list[tuple[int, frozenset[int]]] = []
-    for i in range(1, int(math.ceil(1.0 / min(positive))) + 2):
-        inner = frozenset(x for x, g in gaps.items() if g > 1.0 / i)
-        if inner and (not out or inner != out[-1][1]):
-            out.append((i, inner))
+    for g in sorted(set(gaps), reverse=True):
+        if not g > 0.0:
+            break
+        i = _first_index(g)
+        if not out or i != out[-1][0]:
+            out.append((i, frozenset([x for x, h in zip(pts, gaps) if h > 1.0 / i])))
+    if not out:
+        raise NoMCP("no point of U is separated from its complement")
     return out
 
 

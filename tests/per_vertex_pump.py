@@ -24,7 +24,6 @@ import numpy as np
 
 from vkit.fk import NoLabel, star_bound
 from vkit.measures import FiniteMeasure, barycentric_distance
-from vkit.metric import distance_to_complement
 from vkit.straightening import (TRACK_TIMES, BoundViolated, NotSubordinate,
                                 PipelineError, SimplexwiseAffineMap, choose_p,
                                 label_simplices, vertex_key)
@@ -66,7 +65,8 @@ def shrink_to_inner(mu, p, U):
     pts = frozenset(int(x) for x in U)
     if not mu.mass_of(pts) > p:
         raise NoMCP(f"the measure has mass <= {p} on U")
-    gaps = {x: distance_to_complement(mu.space, pts, x) for x in sorted(pts)}
+    outside = [y for y in mu.space.points() if y not in pts]
+    gaps = {x: min((mu.space.d(x, y) for y in outside), default=math.inf) for x in sorted(pts)}
     if all(math.isinf(g) for g in gaps.values()):
         return 1, pts
     positive = [g for g in gaps.values() if g > 0.0]

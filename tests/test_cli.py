@@ -24,6 +24,8 @@ from vkit.generators import GENERATORS
 from vkit.metric import space_from_points
 from vkit.persistence import compute_diagram
 
+from test_outputs_are_pinned import tiny_gap_spec
+
 SQUARE_CSV = "0,0\n1,0\n1,1\n0,1\n"
 
 
@@ -215,6 +217,20 @@ class TestPersist:
         assert "--r must be a number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--kmax", "0"], "persistence needs --kmax >= 1"),
+        (["--r", "nan"], "--r must be a number, got nan")])
+    def test_bad_flags_are_refused_before_the_input_is_read(self, tmp_path, capsys,
+                                                            monkeypatch, square_csv,
+                                                            flag, message):
+        def never(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr("vkit.cli.read_csv_rows", never)
+        assert main(["persist", "--input", str(square_csv), *flag,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_nonpositive_threshold_gives_an_empty_diagram(self, tmp_path, square_csv, r,
                                                           monkeypatch):
@@ -397,6 +413,28 @@ class TestStraighten:
                           (out / "summary.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
+
+    @pytest.mark.parametrize("gap, kind", [(1e-7, "points"), (1e-300, "distances")])
+    def test_a_tiny_gap_to_the_region_costs_no_time(self, tmp_path, gap, kind):
+        # vertex "0" keeps its mass only in the inner set reached at i near 1 / gap
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps(tiny_gap_spec(gap, kind)))
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        vertices = json.loads((out / "summary.json").read_text())["vertices"]
+        assert vertices["0"]["support"] == [0, 2]
+
+    def test_a_gap_below_every_float_step_fails_at_the_vertex_stage(self, tmp_path, capsys):
+        spec = tmp_path / "map.json"
+        spec.write_text(json.dumps(tiny_gap_spec(5e-324, "distances")))
+        out = tmp_path / "o"
+        assert main(["straighten", "--input", str(spec), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "pipeline failed at stage 'pump_vertex': a point of U lies 5e-324 from its "
+            "complement, below 1/i for every i\n")
+        assert json.loads((out / "summary.json").read_text())["failed_stage"] == "pump_vertex"
 
     def test_seed_flag_is_gone(self):
         with pytest.raises(SystemExit) as err:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from vkit.metric import (TRIANGLE_TOL, Cover, EmptySet, MetricValidationError,
                          NegativeDistance, NonFinite, NonSymmetric, NonzeroDiagonal,
-                         TriangleViolation, UnboundedCover, distance_to_complement,
-                         space_from_points, validate_metric)
+                         TriangleViolation, UnboundedCover, space_from_points,
+                         validate_metric)
 
 
 def reference_first_violation(m):
@@ -50,11 +50,10 @@ class TestValidateMetric:
         space = validate_metric([[0, 1], [1, 0]])
         assert space.n_points == 2
         assert space.d(0, 1) == 1.0
-        assert not space.is_pseudometric
 
-    def test_all_zero_matrix_is_flagged_pseudometric(self):
+    def test_all_zero_matrix_is_accepted(self):
         space = validate_metric(np.zeros((3, 3)))
-        assert space.is_pseudometric
+        assert space.n_points == 3 and space.diam_of(range(3)) == 0.0
 
     def test_negative_zeros_are_stored_as_positive_zeros(self):
         given = np.array([[-0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]])
@@ -62,7 +61,6 @@ class TestValidateMetric:
         assert math.copysign(1.0, space.diam_of((0,))) == 1.0
         assert math.copysign(1.0, space.d(0, 1)) == 1.0
         assert not np.signbit(space.dist).any()
-        assert space.is_pseudometric
         assert np.signbit(given).sum() == 4         # the caller's matrix is left alone
 
     def test_triangle_violation_names_the_triple(self):
@@ -182,15 +180,3 @@ class TestCoverMembership:
             expect = [z for z in range(n)
                       if max(space.d(z, x) for x in S) < r]
             assert containing(ball, S) == expect
-
-
-class TestDistanceToComplement:
-    def test_whole_space_gives_infinity(self, line3):
-        assert distance_to_complement(line3, {0, 1, 2}, 0) == math.inf
-
-    def test_point_outside_gives_zero(self, line3):
-        assert distance_to_complement(line3, {0}, 1) == 0.0
-
-    def test_interior_point(self):
-        space = space_from_points([[0.0], [0.5], [2.0]])
-        assert distance_to_complement(space, {0, 1}, 1) == 1.5

@@ -49,6 +49,32 @@ PUMP_REFUSED_SPEC = {
 }
 
 
+# points 0 and 1 coincide, and the triangle slack lets d(0, 2) exceed d(1, 2)
+# by 1e-13: both vertices are labelled {0, 1}, whose first inner set {0}
+# keeps their mass but splits the coincident pair, so the vertex stage
+# refuses to pump into it
+GAP = 0.5 + 1e-13
+GAP_ZERO_SPEC = {
+    "distances": [[0.0, 0.0, GAP], [0.0, 0.0, 0.5], [GAP, 0.5, 0.0]],
+    "cover": [[0, 1], [0, 1, 2]],
+    "n": 1,
+    "res": 1,
+    "vertices": {key: {"support": [0, 1, 2], "weights": [0.9, 0.05, 0.05]} for key in "01"},
+}
+
+
+def tiny_gap_spec(gap: float, kind: str = "points") -> dict:
+    """Point 1 lies ``gap`` from point 0 and outside the label {0, 2}: vertex
+    "0" keeps its mass only in the inner set {0, 2}, first reached at an
+    index i near 1 / gap, and vertex "1" already in {2}."""
+    far = 1.0 - gap
+    space = ({"points": [[0.0], [gap], [1.0]]} if kind == "points" else
+             {"distances": [[0.0, gap, 1.0], [gap, 0.0, far], [1.0, far, 0.0]]})
+    return {**space, "cover": [[0, 2], [0, 1, 2]], "n": 1, "res": 1,
+            "vertices": {"0": {"support": [0, 1, 2], "weights": [0.9, 0.05, 0.05]},
+                         "1": {"support": [0, 1, 2], "weights": [0.05, 0.05, 0.9]}}}
+
+
 # the 4x4 integer grid: every distance is tied, and --kmax 3 reduces H2
 # columns after clearing
 GRID_CSV = "".join(f"{x}.0,{y}.0\n" for x in range(4) for y in range(4))
@@ -105,6 +131,8 @@ CALLS = {
                                                  "leak": 0.02}), ["straighten"]),
     "explicit": ("map.json", json.dumps(EXPLICIT_SPEC), ["straighten"]),
     "pump_refused": ("map.json", json.dumps(PUMP_REFUSED_SPEC), ["straighten"]),
+    "gap_zero": ("map.json", json.dumps(GAP_ZERO_SPEC), ["straighten"]),
+    "tiny_gap": ("map.json", json.dumps(tiny_gap_spec(1e-6)), ["straighten"]),
     "leak_refused": ("map.json", json.dumps({"generator": "two_ball", "leak": 1.5}),
                      ["straighten"]),
     "persist_vr": ("cloud.csv", _cloud_csv(), ["persist", "--filtration", "vr"]),
@@ -150,6 +178,7 @@ CALLS = {
 PINS = {
     "constant": (0, "a4d6ddb1e87cae668fb0cb808c4439b3375a0b81b3588a1db3eacdf2ab176222"),
     "explicit": (0, "65218d6f5bb8fd4f17ab6bd66a45ae786f9eff1064b619391aa7c28eca166cee"),
+    "gap_zero": (3, "14e76be683476930de906ca2c48666b922bf80f35ecdaec266d9cf9cf95ba53e"),
     "leak_refused": (2, "4df27d014885d9e9b0e6afd91bf504645a92f7fa70ca624b3367ea5d81ffac6e"),
     "persist_circle_cech_k3": (0, "95cb50d65db95243fa8f7e9a9591b3c25083c9d6ad158554f66161be874c2776"),
     "persist_circle_vr_k3": (0, "f3fc4c391e242096b7162f552e373a94de84af3548c1851282e41c0582b24364"),
@@ -171,6 +200,7 @@ PINS = {
     "pump_refused": (3, "c3e485fe0e79684d6fb95129855ff0e7b92c29e35d16f4b3b5259eed833ba48d"),
     "sliding_dirac": (0, "f83f075b854eaaa8cf9bd8de5b0a74adb4ebc3351a7cfc74034c60bb2940d7ef"),
     "spread": (3, "ea450aefa526a35e57cbeb460e8cd89c6ed2a14b4637de977bb8fdbc3eae3ec3"),
+    "tiny_gap": (0, "8e91961ea047bf99c6ed4fcf786c5b399e43170589ea9bf4820ba846d7218d5c"),
     "two_ball": (0, "106441b79b4da441687a02b12f054b5de9cc152785edac6c405c91a537a4d8ee"),
     "two_ball_n2_res16": (0, "7c2df43b68a0d6335d292f08bde90bb0d2f8de1d8d937e58fcb6b0fc9dc4460e"),
     "two_ball_n2_res23": (0, "be69e1f6b732e087eb059c16c079d64e1ffcfb1f7c26eb559f86b048ef19e833"),
@@ -212,3 +242,10 @@ def test_composite_resolution_labels_at_a_proper_divisor(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     lines = (tmp_path / "out" / "certification.jsonl").read_text().splitlines()
     assert (summary["resolution"], len(lines), summary["all_pass"]) == (6, 465, True)
+
+
+def test_an_inner_set_splitting_coincident_points_is_refused(tmp_path, capsys):
+    assert run_call("gap_zero", tmp_path, capsys)[0] == 3
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary == {"all_pass": False, "failed_stage": "pump_vertex",
+                       "error": "plateau touches the complement of the target"}

@@ -513,7 +513,7 @@ class TestBettiAtAgainstDenseReference:
             points[rng.integers(1, len(points), 2)] = points[0]
             spaces.append(space_from_points(points))
         for space in spaces:
-            assert space is spaces[0] or space.is_pseudometric
+            assert space is spaces[0] or np.triu(space.dist == 0.0, 1).any()
             assert_matches_dense_betti(builder(space, math.inf, 3), range(3))
 
     def test_vietoris_complexes_of_random_covers(self):

@@ -200,6 +200,14 @@ class TestWork:
         assert log.stage_counts()["mass_bound"]["pass"] == 25
         assert len(mixes) == len(pumps) == len(located) == len(built) == 0
 
+    def test_straighten_builds_no_bump(self, monkeypatch):
+        # every vertex is pumped by the 0/1 indicator of its inner set
+        _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
+        bumps = self._count(monkeypatch, thickening.BumpFunction, "__init__")
+        gmap, log = straighten(smap, cover)
+        assert log.all_pass() and log.stage_counts()["mass_bound"]["pass"] == 25
+        assert len(bumps) == 0
+
     def test_labeling_locates_no_sample(self, monkeypatch):
         _, cover, smap = two_ball_map(n=2, res=24, leak=0.07)
         located = self._count(monkeypatch, FKTriangulation, "simplices_containing_fraction")

@@ -1,12 +1,14 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from vkit.measures import FiniteMeasure, ZeroMass, dirac, stored_rows
-from vkit.metric import space_from_points, validate_metric
-from vkit.thickening import (DegenerateGap, NoMCP, build_bump, compare_metrics, pump,
-                             pump_coordinate, pump_homotopy, pump_rows, shrink_to_inner)
+from vkit.metric import EmptySet, space_from_points, validate_metric
+from vkit.thickening import (DegenerateGap, NoMCP, build_bump, compare_metrics, inner_sets,
+                             pump, pump_coordinate, pump_homotopy, pump_rows, shrink_to_inner)
 from vkit.verify import random_bump, random_measure, random_space
 
 from common_mass import common_mass_coupling
@@ -202,6 +204,90 @@ class TestShrinkToInner:
             if comp:
                 gap = min(space.d(x, y) for x in inner for y in comp)
                 assert gap > 1.0 / i or math.isinf(gap)
+
+
+def inner_sets_by_index(space, U):
+    """The inner sets {x in U : d(x, U^C) > 1/i} for i = 1, ...,
+    ceil(1 / least positive gap) + 1, one by one, each where it first
+    appears."""
+    pts = frozenset(U)
+    outside = [y for y in space.points() if y not in pts]
+    if not outside:
+        return [(1, pts)]
+    gaps = {x: min(space.d(x, y) for y in outside) for x in pts}
+    positive = [g for g in gaps.values() if g > 0.0]
+    if not positive:
+        raise NoMCP("no point of U is separated from its complement")
+    out = []
+    for i in range(1, math.ceil(1.0 / min(positive)) + 2):
+        inner = frozenset(x for x, g in gaps.items() if g > 1.0 / i)
+        if inner and (not out or inner != out[-1][1]):
+            out.append((i, inner))
+    return out
+
+
+def first_index(gap, i):
+    """Whether i is the least index with gap > 1.0 / i."""
+    return gap > 1.0 / i and (i == 1 or not gap > 1.0 / (i - 1))
+
+
+class TestInnerSets:
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 1e-6, 1e-7])
+    def test_a_tiny_gap_is_found_without_counting_up_to_it(self, gap):
+        # point 1 lies gap from point 0 and outside U
+        space = space_from_points([[0.0], [gap], [1.0]])
+        start = time.perf_counter()
+        (i, near), (j, both) = inner_sets(space, {0, 2})
+        assert time.perf_counter() - start < 0.05
+        assert (i, near, both) == (2, {2}, {0, 2})
+        assert first_index(space.d(0, 1), j) and j > 0.99 / gap
+
+    def test_a_gap_of_1e_300_is_found(self):
+        space = validate_metric([[0.0, 1e-300, 1.0], [1e-300, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        (i, near), (j, both) = inner_sets(space, {0, 2})
+        assert (i, near, both) == (2, {2}, {0, 2}) and first_index(1e-300, j)
+
+    def test_the_least_gap_a_float_step_lies_below(self):
+        least = 1.0 / int(sys.float_info.max)
+        for gap in (least, 5e-324):
+            space = validate_metric([[0.0, gap], [gap, 0.0]])
+            with pytest.raises(NoMCP, match="below 1/i for every i"):
+                inner_sets(space, {0})
+        gap = math.nextafter(least, 1.0)
+        [(i, inner)] = inner_sets(validate_metric([[0.0, gap], [gap, 0.0]]), {0})
+        assert inner == {0} and first_index(gap, i)
+
+    def test_an_empty_set_is_refused(self, line3):
+        with pytest.raises(EmptySet):
+            inner_sets(line3, [])
+
+    def test_no_point_separated_from_the_complement(self):
+        space = space_from_points([[0.0], [0.0], [1.0]])
+        with pytest.raises(NoMCP, match="no point of U is separated"):
+            inner_sets(space, {0})
+
+    def test_matches_the_index_by_index_search(self):
+        # random clouds, integer grids with tied distances, and clouds with
+        # coincident points
+        rng = np.random.default_rng(31)
+        for trial in range(600):
+            n = int(rng.integers(2, 8))
+            if trial % 3 == 0:
+                points = rng.uniform(0.0, 1.0, (n, 2))
+            elif trial % 3 == 1:
+                points = rng.integers(0, 3, (n, 2)).astype(float)
+            else:
+                points = rng.uniform(0.0, 1.0, (n, 2))
+                points[rng.integers(0, n, int(rng.integers(1, n)))] = points[0]
+            space = space_from_points(points)
+            U = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            try:
+                expected = inner_sets_by_index(space, U)
+            except NoMCP as exc:
+                with pytest.raises(NoMCP, match=str(exc)):
+                    inner_sets(space, U)
+            else:
+                assert inner_sets(space, U) == expected
 
 
 class TestCompareMetrics:
